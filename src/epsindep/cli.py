@@ -131,7 +131,9 @@ def cmd_moment(args):
     tables = _load_tables(args.dist, e, max_order)
     values = {}
     if args.method in ("cumulant", "both"):
-        values["cumulant"] = format_fraction(mixed_moment_cumulant(entries, e, tables))
+        values["cumulant"] = format_fraction(
+            mixed_moment_cumulant(entries, e, tables, cap=args.cap)
+        )
     if args.method in ("definition", "both"):
         values["definition"] = format_fraction(
             mixed_moment_by_definition(entries, e, moments_from_tables(tables))

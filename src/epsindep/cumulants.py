@@ -5,7 +5,7 @@ cumulants over all partitions; both by the same subtraction recursion
 (peel everything except the full block).  All arithmetic is Fraction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -16,55 +16,54 @@ FREE = "free"
 CLASSICAL = "classical"
 
 
-def _free_peel(n, cumulants, moments):
-    """Contribution to m_n of the block containing point 1: its size s
-    ranges over 1..n and the s gaps it leaves fill independently, so the
-    gap sizes convolve lower moments (m_0 = 1)."""
-    padded = [Fraction(1)] + moments[: n - 1]
-    total = Fraction(0)
-    conv = [Fraction(1)] + [Fraction(0)] * (n - 1)  # s-fold convolution, s=0
-    for s in range(1, n + 1):
-        nxt = [Fraction(0)] * n
-        for t in range(n):
-            if conv[t] == 0:
-                continue
-            for i in range(n - t):
-                nxt[t + i] += conv[t] * padded[i]
-        conv = nxt
-        total += cumulants[s - 1] * conv[n - s]
-    return total
+def _convert(seq, kind, given):
+    """Moment and cumulant sequences from either one, in one pass over the
+    orders; given is "moments" or "cumulants" and says which seq holds.
 
-
-def _classical_peel(n, cumulants, moments):
-    """Contribution of the block containing point 1: choose its other
-    k-1 members, the rest partitions freely into m_{n-k}."""
-    padded = [Fraction(1)] + moments[: n - 1]
-    return sum(
-        comb(n - 1, k - 1) * cumulants[k - 1] * padded[n - k] for k in range(1, n + 1)
-    )
+    m_n = kappa_n + rest_n, where rest_n sums over the partitions whose
+    block containing point 1 has size s < n (m_0 = 1):
+    - classical: choose the block's other s-1 points, the remaining n-s
+      points partition freely, so rest_n = sum C(n-1, s-1) kappa_s m_{n-s};
+    - free: the s gaps the block leaves fill independently, so
+      rest_n = sum kappa_s [z^(n-s)] M(z)^s with M(z) = sum m_i z^i.
+      powers[s][t] = [z^t] M(z)^s gains column t = n-1 at order n, from
+      the moments known by then, so the pass costs O(N^3) Fraction
+      operations.
+    """
+    order = len(seq)
+    moments = [Fraction(1)]
+    cumulants = []
+    powers = [[Fraction(1)] + [Fraction(0)] * order] + [[] for _ in range(order)]
+    for n in range(1, order + 1):
+        if kind == FREE:
+            t = n - 1
+            for s in range(1, order - t + 1):
+                prev = powers[s - 1]
+                terms = (moments[i] * prev[t - i] for i in range(t + 1) if prev[t - i])
+                powers[s].append(sum(terms))
+            rest = sum(cumulants[s - 1] * powers[s][n - s] for s in range(1, n))
+        else:
+            rest = sum(
+                comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s] for s in range(1, n)
+            )
+        value = Fraction(seq[n - 1])
+        if given == "moments":
+            moments.append(value)
+            cumulants.append(value - rest)
+        else:
+            cumulants.append(value)
+            moments.append(value + rest)
+    return moments[1:], cumulants
 
 
 def _to_moments(cumulants, kind):
-    cumulants = [Fraction(c) for c in cumulants]
-    peel = _free_peel if kind == FREE else _classical_peel
-    moments = []
-    for n in range(1, len(cumulants) + 1):
-        moments.append(peel(n, cumulants, moments))
-    return moments
+    return _convert(cumulants, kind, "cumulants")[0]
 
 
 def _to_cumulants(moments, kind):
     if not moments:
         raise TableError("empty moment sequence")
-    moments = [Fraction(m) for m in moments]
-    peel = _free_peel if kind == FREE else _classical_peel
-    cumulants = []
-    for n in range(1, len(moments) + 1):
-        # kappa_n enters the peel sum only through the full block (s = n)
-        cumulants.append(Fraction(0))
-        rest = peel(n, cumulants, moments)
-        cumulants[-1] = moments[n - 1] - rest
-    return cumulants
+    return _convert(moments, kind, "moments")[1]
 
 
 def free_cumulants_to_moments(cumulants):
@@ -90,6 +89,8 @@ class CumulantTable:
     kind: str
     cumulants: tuple
     label: object = None
+    # the moment sequence, computed at most once per table
+    _moments: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (FREE, CLASSICAL):
@@ -98,7 +99,9 @@ class CumulantTable:
 
     @classmethod
     def from_moments(cls, kind, moments, label=None):
-        return cls(kind, _to_cumulants(moments, kind), label=label)
+        table = cls(kind, _to_cumulants(moments, kind), label=label)
+        object.__setattr__(table, "_moments", tuple(Fraction(m) for m in moments))
+        return table
 
     @property
     def max_order(self):
@@ -111,15 +114,20 @@ class CumulantTable:
             )
         return self.cumulants[order - 1]
 
+    def _moment_tuple(self):
+        if self._moments is None:
+            object.__setattr__(self, "_moments", tuple(_to_moments(self.cumulants, self.kind)))
+        return self._moments
+
     def moments(self):
-        return _to_moments(self.cumulants, self.kind)
+        return list(self._moment_tuple())
 
     def moment(self, order):
         if not 1 <= order <= len(self.cumulants):
             raise TableError(
                 f"order {order} outside table (max {len(self.cumulants)})"
             )
-        return self.moments()[order - 1]
+        return self._moment_tuple()[order - 1]
 
 
 def kappa_pi(p, entries, tables):
@@ -154,8 +162,6 @@ def arcsine_moments(max_order=12, scale=1):
 
     This is the distribution of a group generator plus its inverse under
     the canonical trace."""
-    from math import comb
-
     s = Fraction(scale)
     return [
         Fraction(comb(n, n // 2)) * s**n if n % 2 == 0 else Fraction(0)

@@ -48,21 +48,32 @@ class EpsilonMatrix:
             names = list(data["labels"])
         except (KeyError, TypeError):
             raise InputError("graph spec must contain a 'labels' array")
-        if len(set(names)) != len(names):
+        try:
+            index = {name: k for k, name in enumerate(names)}
+        except TypeError:
+            raise InputError("label names must be strings or numbers")
+        if len(index) != len(names):
             raise InputError("duplicate label names")
-        index = {name: k for k, name in enumerate(names)}
+        pair_list = data.get("independent_pairs", [])
+        if not isinstance(pair_list, list):
+            raise InputError("'independent_pairs' must be an array of label pairs")
         pairs = []
-        for pair in data.get("independent_pairs", []):
-            if len(pair) != 2:
+        for pair in pair_list:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise InputError(f"bad pair {pair!r}")
             a, b = pair
-            if a not in index or b not in index:
+            try:
+                ia, ib = index[a], index[b]
+            except (KeyError, TypeError):
                 raise InputError(f"unknown label in pair {pair!r}")
-            if a == b:
+            if ia == ib:
                 raise InputError(f"self-loop on {a!r}")
-            pairs.append((index[a], index[b]))
+            pairs.append((ia, ib))
+        diagonal = data.get("diagonal", {})
+        if not isinstance(diagonal, dict):
+            raise InputError("'diagonal' must be an object mapping label names to 0 or 1")
         diag = [0] * len(names)
-        for name, d in data.get("diagonal", {}).items():
+        for name, d in diagonal.items():
             if name not in index:
                 raise InputError(f"unknown label {name!r} in diagonal")
             if d not in (0, 1):

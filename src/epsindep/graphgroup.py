@@ -9,7 +9,6 @@ nonempty word is never the identity, so triviality is a syntactic check.
 from fractions import Fraction
 
 from .errors import DomainError, EnumerationLimitError
-from .epsilon import is_admissible_tuple
 
 GENERATOR_MOMENT_CAP = 14
 
@@ -204,7 +203,3 @@ def generator_mixed_moment(entries, e, exponent_pattern="selfadjoint", modulus=N
 
     return Fraction(count(0, ()))
 
-
-def tuple_is_admissible(entries, e):
-    """Convenience re-export used by the vanishing checks."""
-    return is_admissible_tuple(entries, e)

@@ -3,10 +3,15 @@ centering recursion, and the kernel-factorization shortcut."""
 
 from fractions import Fraction
 
-from .cumulants import CLASSICAL, FREE, kappa_pi
+from .cumulants import CLASSICAL, FREE
 from .errors import EnumerationLimitError, TableError
-from .ncpartitions import enumerate_nc_epsilon, is_epsilon_noncrossing
+from .ncpartitions import count_nc_epsilon_by_shape, is_epsilon_noncrossing
 from .partitions import kernel
+
+# Not called here: bench/worker.py wraps these module attributes to trace
+# the per-partition path, which now shows zero calls.
+from .cumulants import kappa_pi  # noqa: F401
+from .ncpartitions import enumerate_nc_epsilon  # noqa: F401
 
 DEFINITION_CAP = 10
 
@@ -29,13 +34,23 @@ def _check_tables(entries, e, tables):
             )
 
 
-def mixed_moment_cumulant(entries, e, tables):
-    """Sum of block cumulant products over the epsilon-non-crossing set."""
+def mixed_moment_cumulant(entries, e, tables, cap=None):
+    """Sum of block cumulant products over the epsilon-non-crossing set.
+
+    kappa_pi depends on a partition only through its multiset of (label,
+    block size), so the members are counted per shape and each shape's
+    cumulant product is formed once."""
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
     total = Fraction(0)
-    for p in enumerate_nc_epsilon(entries, e):
-        total += kappa_pi(p, entries, tables)
+    for shape, count in count_nc_epsilon_by_shape(entries, e, cap).items():
+        num, den = count, 1
+        for (label, size), mult in shape:
+            kappa = tables[label].cumulant(size)
+            num *= kappa.numerator ** mult
+            den *= kappa.denominator ** mult
+        if num:
+            total += Fraction(num, den)
     return total
 
 

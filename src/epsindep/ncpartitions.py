@@ -1,12 +1,18 @@
 """Membership and enumeration for the epsilon-non-crossing partition sets.
 
-Two routes are implemented: the polynomial pairwise-crossing
+Membership has two routes: the polynomial pairwise-crossing
 characterization (production path) and the reduce-to-empty search over
 interval-block removals and allowed adjacent swaps (verification oracle).
+
+Enumeration is a depth-first search over positions that never produces a
+non-member: each point joins an earlier block of its label or opens a new
+block, and a join is pruned the moment it would complete a crossing
+between two blocks whose labels are not independent.  Filtering every
+partition below the kernel through is_epsilon_noncrossing
+(generate-and-test) is the reference the tests compare it against.
 """
 
-from collections import deque
-from itertools import product
+from collections import Counter, deque
 
 from .errors import DimensionMismatchError, DomainError, EnumerationLimitError
 from .partitions import (
@@ -14,7 +20,7 @@ from .partitions import (
     SetPartition,
     blocks_cross,
     kernel,
-    partitions_of_set,
+    partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
     refines,
 )
 
@@ -42,7 +48,6 @@ def is_epsilon_noncrossing(p, entries, e):
 
 def _interval_removals(blocks, labels):
     """Successor states obtained by deleting one block of consecutive points."""
-    n = len(labels)
     for idx, b in enumerate(blocks):
         if b[-1] - b[0] != len(b) - 1:
             continue
@@ -137,21 +142,125 @@ def reduction_membership(p, entries, e, _cache=_REDUCTION_CACHE):
     return True
 
 
-def enumerate_nc_epsilon(entries, e, cap=None):
-    """All partitions below the kernel of the tuple that are
-    epsilon-non-crossing, in lexicographic order of canonical form."""
+def _search(entries, e, cap):
+    """Depth-first search over the epsilon-non-crossing partitions of a
+    tuple, one leaf per member and no dead ends.
+
+    Point x joins an earlier block B of its label unless some other block C
+    has min(C) < last(B) < last(C) and eps(label B, label C) != 1: then C
+    has a point in the gap (last(B), x), and the join would complete a
+    forbidden crossing.  Any first crossing between two blocks shows up
+    this way when its largest point is placed, and a new block can cross
+    nothing, so every path reaches a leaf.
+
+    Yields (rgs, shape) per member.  rgs is the search's own list of block
+    indices per position (blocks numbered by their minima), valid until
+    the next step.  shape encodes the multiset of (label, block size) as
+    the integer whose base-(n+1) digit k*n + s - 1 counts the blocks of
+    size s with the k-th smallest label of the tuple.
+    """
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     n = len(entries)
     if n > limit:
         raise EnumerationLimitError(f"tuple length {n} exceeds cap {limit}")
     e.check_tuple(entries)
-    ker = kernel(entries)
-    per_block = [partitions_of_set(b, cap=limit) for b in ker.blocks]
+    labels = sorted(set(entries))
+    lab = [labels.index(v) for v in entries]
+    # against[k][j]: blocks of the k-th and j-th labels may not cross
+    against = [[e.eps(a, b) != 1 for b in labels] for a in labels]
+    # step[k][s]: change of shape when a block of label k grows from size s
+    digit = [[(n + 1) ** (k * n + s) for s in range(n)] for k in range(len(labels))]
+    step = [[row[0]] + [row[s] - row[s - 1] for s in range(1, n)] for row in digit]
+
+    rgs = [0] * n
+    blab, bmin, blast, bsize = [], [], [], []
+    saved = [0] * n  # last point of the block x joined, or -1 for a new block
+    tried = [0] * (n + 1)  # next block index to try at each depth
+    shape = 0
+    x = 0
+    while True:
+        if x < n:
+            k = lab[x]
+            row = against[k]
+            nb = len(blab)
+            b = tried[x]
+            while b < nb:  # first joinable block from b on, else nb
+                if blab[b] == k:
+                    last = blast[b]
+                    for c in range(nb):
+                        if bmin[c] < last < blast[c] and row[blab[c]]:
+                            break  # C would cross B
+                    else:
+                        break
+                b += 1
+            if b <= nb:
+                if b < nb:
+                    saved[x] = blast[b]
+                    blast[b] = x
+                    shape += step[k][bsize[b]]
+                    bsize[b] += 1
+                else:
+                    saved[x] = -1
+                    blab.append(k)
+                    bmin.append(x)
+                    blast.append(x)
+                    bsize.append(1)
+                    shape += step[k][0]
+                rgs[x] = b
+                tried[x] = b + 1
+                x += 1
+                tried[x] = 0
+                continue
+        else:
+            yield rgs, shape
+        # backtrack: undo the choice at the previous position
+        x -= 1
+        if x < 0:
+            return
+        b = rgs[x]
+        k = lab[x]
+        if saved[x] < 0:
+            blab.pop()
+            bmin.pop()
+            blast.pop()
+            bsize.pop()
+            shape -= step[k][0]
+        else:
+            bsize[b] -= 1
+            shape -= step[k][bsize[b]]
+            blast[b] = saved[x]
+
+
+def enumerate_nc_epsilon(entries, e, cap=None):
+    """All partitions below the kernel of the tuple that are
+    epsilon-non-crossing, in lexicographic order of canonical form."""
+    n = len(entries)
     out = []
-    for combo in product(*per_block):
-        blocks = [blk for part in combo for blk in part]
-        cand = SetPartition(n, blocks)
-        if is_epsilon_noncrossing(cand, entries, e):
-            out.append(cand)
+    for rgs, _ in _search(entries, e, cap):
+        blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for x, b in enumerate(rgs, start=1):
+            blocks[b].append(x)
+        out.append(SetPartition(n, blocks))
     out.sort(key=lambda p: p.blocks)
+    return out
+
+
+def count_nc_epsilon_by_shape(entries, e, cap=None):
+    """Number of epsilon-non-crossing partitions of the tuple per block
+    shape, keyed by the sorted ((label, block size), multiplicity) pairs
+    of its blocks."""
+    counts = Counter(code for _, code in _search(entries, e, cap))
+    n = len(entries)
+    labels = sorted(set(entries))
+    out = {}
+    for code, count in counts.items():
+        shape = []
+        digit = 0
+        while code:
+            code, mult = divmod(code, n + 1)
+            if mult:
+                k, s = divmod(digit, n)
+                shape.append(((labels[k], s + 1), mult))
+            digit += 1
+        out[tuple(shape)] = count
     return out

@@ -42,9 +42,6 @@ class SetPartition:
         """Index (into .blocks) of the block containing point x."""
         return self._block_of[x - 1]
 
-    def same_block(self, x, y):
-        return self._block_of[x - 1] == self._block_of[y - 1]
-
     def rgs(self):
         """Restricted-growth string: class label per point, first-seen order."""
         return self._block_of
@@ -174,14 +171,6 @@ def blocks_cross(p, i_block, j_block):
         if a != b:
             runs += 1
     return runs >= 4
-
-
-def product_partition(n, block_partitions):
-    """Union of partitions of disjoint position sets into one SetPartition."""
-    blocks = []
-    for part in block_partitions:
-        blocks.extend(part)
-    return SetPartition(n, blocks)
 
 
 def bell_numbers(upto):

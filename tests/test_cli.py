@@ -121,6 +121,15 @@ class TestMoment:
         assert data["values"] == {"cumulant": "1/1"}
         assert "agree" not in data
 
+    def test_cap_exceeded(self, five_cycle, capsys):
+        graph, dist = five_cycle
+        tuple_arg = "x1,x2,x1,x2,x1,x2,x1,x2"
+        argv = ["moment", "--graph", graph, "--dist", dist, "--tuple", tuple_arg]
+        for method in ("cumulant", "both"):
+            code, out = run(capsys, argv + ["--cap", "3", "--method", method])
+            assert code == 2
+            assert out == ""
+
     def test_missing_distribution(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "short.json"
@@ -170,6 +179,15 @@ class TestInputHandling:
         graph.write_text("{not json")
         code, _ = run(capsys, ["enumerate", "--graph", str(graph), "--tuple", "a"])
         assert code == 2
+
+    @pytest.mark.parametrize("field, value", [("independent_pairs", [5]), ("diagonal", [0, 1])])
+    def test_malformed_graph(self, tmp_path, capsys, field, value):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(dict(FIVE_CYCLE, **{field: value})))
+        code = main(["enumerate", "--graph", str(graph), "--tuple", "x1,x2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("input error:")
 
     def test_unknown_label(self, five_cycle, capsys):
         graph, _ = five_cycle

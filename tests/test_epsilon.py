@@ -74,6 +74,20 @@ class TestConstruction:
         with pytest.raises(InputError):
             EpsilonMatrix.from_json({"labels": ["a"], "independent_pairs": [["a", "b"]]})
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"labels": ["a", "b"], "independent_pairs": [5]},
+            {"labels": ["a", "b"], "independent_pairs": ["ab"]},
+            {"labels": ["a", "b"], "independent_pairs": [[["a"], "b"]]},
+            {"labels": ["a", "b"], "diagonal": [0, 1]},
+            {"labels": [["a"], "b"]},
+        ],
+    )
+    def test_malformed_spec(self, spec):
+        with pytest.raises(InputError):
+            EpsilonMatrix.from_json(spec)
+
 
 class TestAdmissibility:
     def test_separator_present(self):
