@@ -8,10 +8,9 @@ Exit codes: 0 ok, 1 check/agreement failure, 2 input error.
 
 import argparse
 import json
-import os
 import sys
 
-from .cumulants import CLASSICAL, FREE, format_fraction, table_from_spec
+from .cumulants import CLASSICAL, FREE, CumulantTable, format_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
 from .errors import EpsIndepError, InputError
 from .crosscheck import run_crosscheck
@@ -22,7 +21,7 @@ from .moments import (
     moments_from_tables,
 )
 from .ncpartitions import enumerate_nc_epsilon, is_epsilon_noncrossing
-from .partitions import kernel
+from .partitions import DEFAULT_ENUMERATION_CAP, kernel
 
 
 def _load_json(path):
@@ -43,32 +42,33 @@ def _parse_tuple(text, e):
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise InputError("empty tuple")
-    if e.labels is not None:
-        return tuple(e.label_index(name) for name in names), names
-    try:
-        entries = tuple(int(name) for name in names)
-    except ValueError:
-        raise InputError("graph has no label names; tuple entries must be integers")
-    e.check_tuple(entries)
-    return entries, names
+    return tuple(e.label_index(name) for name in names), names
 
 
-def _load_tables(path, e, max_order):
+def _load_tables(path, e, entries):
+    """Validate every spec in the distribution file, then build tables for
+    the labels of the tuple only, from their first len(entries) moments."""
     data = _load_json(path)
     if isinstance(data, dict):
-        data = [dict(spec, label=name) for name, spec in sorted(data.items())]
+        data = [
+            dict(spec, label=name) if isinstance(spec, dict) else spec
+            for name, spec in sorted(data.items())
+        ]
     if not isinstance(data, list):
         raise InputError("distribution file must be a JSON array or object")
-    tables = {}
+    n = len(entries)
+    specs = {}
     for spec in data:
-        if "label" not in spec:
+        if not isinstance(spec, dict) or "label" not in spec:
             raise InputError(f"distribution spec without label: {spec!r}")
-        name = spec["label"]
-        idx = e.label_index(name) if e.labels is not None else int(name)
-        spec = dict(spec)
-        spec.setdefault("kind", CLASSICAL if e.diagonal(idx) == 1 else FREE)
-        tables[idx] = table_from_spec(spec, max_order=max_order)
-    return tables
+        idx = e.label_index(spec["label"])
+        kind = CLASSICAL if e.diagonal(idx) == 1 else FREE
+        specs[idx] = spec_moments({"kind": kind, **spec}, n)
+    return {
+        idx: CumulantTable.from_moments(kind, moments[:n])
+        for idx, (kind, moments) in specs.items()
+        if idx in entries
+    }
 
 
 def _emit(payload, table_mode):
@@ -127,8 +127,7 @@ def cmd_enumerate(args):
 def cmd_moment(args):
     e = _load_graph(args.graph)
     entries, names = _parse_tuple(args.tuple, e)
-    max_order = max(args.max_n, len(entries))
-    tables = _load_tables(args.dist, e, max_order)
+    tables = _load_tables(args.dist, e, entries)
     values = {}
     if args.method in ("cumulant", "both"):
         values["cumulant"] = format_fraction(
@@ -136,7 +135,7 @@ def cmd_moment(args):
         )
     if args.method in ("definition", "both"):
         values["definition"] = format_fraction(
-            mixed_moment_by_definition(entries, e, moments_from_tables(tables))
+            mixed_moment_by_definition(entries, e, moments_from_tables(tables), cap=args.cap)
         )
     short = factorization_shortcut(entries, e, tables)
     payload = {
@@ -167,10 +166,6 @@ def cmd_crosscheck(args):
     return 0 if ok else 1
 
 
-def _default_cap():
-    return int(os.environ.get("EPSINDEP_MAX_N", "12"))
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="epsindep",
@@ -181,7 +176,13 @@ def build_parser():
 
     def common(p):
         p.add_argument("--graph", required=True, help="independence graph JSON file")
-        p.add_argument("--cap", type=int, default=_default_cap(), help="enumeration size cap")
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=DEFAULT_ENUMERATION_CAP,
+            help="largest tuple length any evaluator or enumeration accepts "
+            "(default: EPSINDEP_MAX_N, else 12)",
+        )
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false", default=False)
         fmt.add_argument("--table", dest="table", action="store_true")
@@ -198,7 +199,6 @@ def build_parser():
     p.add_argument(
         "--method", choices=("cumulant", "definition", "both"), default="both"
     )
-    p.add_argument("--max-n", type=int, default=12, help="table order to prepare")
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("crosscheck", help="run the cross-validation battery")

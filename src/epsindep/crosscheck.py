@@ -80,9 +80,11 @@ class CheckResult:
 
 def membership_equivalence_check(e, max_n, seen=None):
     """Pairwise-crossing characterization vs reduce-to-empty search, for
-    every partition below the kernel of every tuple up to max_n."""
+    every partition below the kernel of every tuple up to max_n.  One
+    reduction cache serves the whole check."""
     result = CheckResult("membership_equivalence")
     seen = set() if seen is None else seen
+    cache = {}
     for entries in all_tuples(e.size, max_n):
         canon, ce = canonical_instance(entries, e)
         key = (canon, ce.key())
@@ -91,7 +93,7 @@ def membership_equivalence_check(e, max_n, seen=None):
         seen.add(key)
         for p in partitions_below_kernel(canon):
             fast = is_epsilon_noncrossing(p, canon, ce)
-            slow = reduction_membership(p, canon, ce)
+            slow = reduction_membership(p, canon, ce, cache)
             result.record(
                 fast == slow,
                 detail={"tuple": list(canon), "partition": p.to_json(), "fast": fast, "slow": slow},
@@ -99,15 +101,18 @@ def membership_equivalence_check(e, max_n, seen=None):
     return result
 
 
-def _random_tables(rng, e, max_order, max_num=20, max_den=20):
+def _random_tables(rng, e, entries, max_num=20, max_den=20):
+    """Random moments of order len(entries) for every label, drawn in label
+    order; tables only for the labels of the tuple."""
     tables = {}
     for label in range(e.size):
         moments = [
             Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-            for _ in range(max_order)
+            for _ in range(len(entries))
         ]
-        kind = CLASSICAL if e.diagonal(label) == 1 else FREE
-        tables[label] = CumulantTable.from_moments(kind, moments, label=label)
+        if label in entries:
+            kind = CLASSICAL if e.diagonal(label) == 1 else FREE
+            tables[label] = CumulantTable.from_moments(kind, moments)
     return tables
 
 
@@ -118,7 +123,7 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
     for _ in range(instances):
         n = rng.randint(1, max_n)
         entries = tuple(rng.randrange(e.size) for _ in range(n))
-        tables = _random_tables(rng, e, max_order=n)
+        tables = _random_tables(rng, e, entries)
         moments = moments_from_tables(tables)
         if corrupt:
             lbl = entries[0]
@@ -133,24 +138,33 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
     return result
 
 
-def group_model_check(e, max_n, seen=None):
+def _arcsine_tables(entries, e, arcsine):
+    """Arcsine tables of order max(n, 2) for the labels of a tuple, taken
+    from (and added to) arcsine, a dict keyed by (kind, order)."""
+    order = max(len(entries), 2)
+    tables = {}
+    for lbl in set(entries):
+        key = (CLASSICAL if e.diagonal(lbl) == 1 else FREE, order)
+        if key not in arcsine:
+            arcsine[key] = arcsine_table(*key)
+        tables[lbl] = arcsine[key]
+    return tables
+
+
+def group_model_check(e, max_n, seen=None, arcsine=None):
     """Trace of products of u+u^{-1} in the graph product group vs the
-    cumulant formula with arcsine tables, for every tuple up to max_n."""
+    cumulant formula with arcsine tables, for every tuple up to max_n.
+    arcsine caches the tables by (kind, order) across calls."""
     result = CheckResult("group_model")
     seen = set() if seen is None else seen
+    arcsine = {} if arcsine is None else arcsine
     for entries in all_tuples(e.size, max_n):
         canon, ce = canonical_instance(entries, e)
         key = (canon, ce.key())
         if key in seen:
             continue
         seen.add(key)
-        n = len(canon)
-        tables = {
-            lbl: arcsine_table(
-                CLASSICAL if ce.diagonal(lbl) == 1 else FREE, max_order=max(n, 2), label=lbl
-            )
-            for lbl in set(canon)
-        }
+        tables = _arcsine_tables(canon, ce, arcsine)
         group_value = generator_mixed_moment(canon, ce)
         cumulant_value = mixed_moment_cumulant(canon, ce, tables)
         result.record(
@@ -164,24 +178,20 @@ def group_model_check(e, max_n, seen=None):
     return result
 
 
-def factorization_check(e, max_n, seen=None):
+def factorization_check(e, max_n, seen=None, arcsine=None):
     """Wherever the kernel is epsilon-non-crossing, the shortcut must
-    agree with the cumulant evaluator (arcsine data)."""
+    agree with the cumulant evaluator (arcsine data, cached as in
+    group_model_check)."""
     result = CheckResult("factorization")
     seen = set() if seen is None else seen
+    arcsine = {} if arcsine is None else arcsine
     for entries in all_tuples(e.size, max_n):
         canon, ce = canonical_instance(entries, e)
         key = (canon, ce.key())
         if key in seen:
             continue
         seen.add(key)
-        n = len(canon)
-        tables = {
-            lbl: arcsine_table(
-                CLASSICAL if ce.diagonal(lbl) == 1 else FREE, max_order=max(n, 2), label=lbl
-            )
-            for lbl in set(canon)
-        }
+        tables = _arcsine_tables(canon, ce, arcsine)
         short = factorization_shortcut(canon, ce, tables)
         if short is None:
             continue
@@ -196,11 +206,12 @@ def factorization_check(e, max_n, seen=None):
 def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):
     """The whole battery; returns (report dict, ok flag)."""
     rng = random.Random(seed)
+    arcsine = {}
     checks = [
         membership_equivalence_check(e, min(max_n, 6)),
         evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt),
-        group_model_check(e, max_n),
-        factorization_check(e, min(max_n, 6)),
+        group_model_check(e, max_n, arcsine=arcsine),
+        factorization_check(e, min(max_n, 6), arcsine=arcsine),
     ]
     report = {
         "max_n": max_n,

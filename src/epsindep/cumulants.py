@@ -194,7 +194,7 @@ def point_mass_table(value, kind=FREE, max_order=12, label=None):
 def parse_fraction(text):
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}")
 
 
@@ -203,35 +203,42 @@ def format_fraction(f):
     return f"{f.numerator}/{f.denominator}"
 
 
-def table_from_spec(spec, max_order=12):
-    """Build a table from a JSON distribution spec.
+def spec_moments(spec, order=12):
+    """Validate a JSON distribution spec and return (kind, moments).
 
-    Either {"label": name, "kind": "free"|"classical",
-    "moments": ["p/q", ...]} or a named one, e.g. {"label": name,
-    "named": "semicircle", "variance": "1", "kind": ...}.
+    Either {"kind": "free"|"classical", "moments": ["p/q", ...]}, whose
+    moments are returned in full, or a named one, e.g. {"named":
+    "semicircle", "variance": "1", "kind": ...}, generated to the given
+    order.  kind defaults to free.
     """
-    label = spec.get("label")
+    if not isinstance(spec, dict):
+        raise InputError(f"distribution spec must be a JSON object: {spec!r}")
     kind = spec.get("kind", FREE)
     if kind not in (FREE, CLASSICAL):
         raise InputError(f"unknown kind {kind!r}")
     if "moments" in spec:
-        moments = [parse_fraction(m) for m in spec["moments"]]
-        return CumulantTable.from_moments(kind, moments, label=label)
+        if not isinstance(spec["moments"], list) or not spec["moments"]:
+            raise InputError(f"'moments' must be a non-empty array: {spec!r}")
+        return kind, [parse_fraction(m) for m in spec["moments"]]
     name = spec.get("named")
     if name == "semicircle":
         variance = parse_fraction(str(spec.get("variance", "1")))
-        moments = _to_moments(
-            [Fraction(0), variance] + [Fraction(0)] * (max_order - 2), FREE
-        )
-        return CumulantTable.from_moments(kind, moments, label=label)
+        cumulants = [Fraction(0), variance] + [Fraction(0)] * (order - 2)
+        return kind, _to_moments(cumulants, FREE)
     if name == "arcsine":
-        return arcsine_table(kind, max_order, label=label)
+        return kind, arcsine_moments(order)
     if name == "bernoulli":
-        return bernoulli_table(kind, max_order, label=label)
+        return kind, bernoulli_moments(order)
     if name == "point_mass":
         value = parse_fraction(str(spec.get("value", "1")))
-        return point_mass_table(value, kind, max_order, label=label)
+        return kind, point_mass_moments(value, order)
     raise InputError(f"distribution spec needs 'moments' or a known 'named': {spec!r}")
+
+
+def table_from_spec(spec, max_order=12):
+    """Build a table from a JSON distribution spec (see spec_moments)."""
+    kind, moments = spec_moments(spec, max_order)
+    return CumulantTable.from_moments(kind, moments, label=spec.get("label"))
 
 
 # -- products-as-arguments identity harness ---------------------------------

@@ -2,18 +2,18 @@
 centering recursion, and the kernel-factorization shortcut."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .cumulants import CLASSICAL, FREE
-from .errors import EnumerationLimitError, TableError
-from .ncpartitions import count_nc_epsilon_by_shape, is_epsilon_noncrossing
-from .partitions import kernel
+from .errors import TableError
+from .ncpartitions import is_epsilon_noncrossing
+from .partitions import _check_cap, kernel
 
 # Not called here: bench/worker.py wraps these module attributes to trace
 # the per-partition path, which now shows zero calls.
 from .cumulants import kappa_pi  # noqa: F401
 from .ncpartitions import enumerate_nc_epsilon  # noqa: F401
-
-DEFINITION_CAP = 10
 
 
 def _check_tables(entries, e, tables):
@@ -34,24 +34,105 @@ def _check_tables(entries, e, tables):
             )
 
 
-def mixed_moment_cumulant(entries, e, tables, cap=None):
-    """Sum of block cumulant products over the epsilon-non-crossing set.
+def _remove_block(lab, gaps, block, mark):
+    """The state left when the points in block (a bitmask over positions,
+    position 0 among them) form a block: the gap masks around each removed
+    point merge, and a merged gap that held a point of the block gains
+    mark.  A gap keeps only the labels that occur on both of its sides,
+    the only ones that could span it."""
+    new_lab = []
+    new_gaps = []
+    before = []  # labels occurring up to each kept point
+    seen = 0
+    acc = 0
+    hit = False
+    for j in range(1, len(lab)):
+        acc |= gaps[j - 1]
+        if block >> j & 1:
+            hit = True
+            continue
+        if new_lab:
+            new_gaps.append(acc | mark if hit else acc)
+        label = lab[j]
+        new_lab.append(label)
+        seen |= 1 << label
+        before.append(seen)
+        acc = 0
+        hit = False
+    after = 0
+    for g in range(len(new_gaps) - 1, -1, -1):
+        after |= 1 << new_lab[g + 1]
+        new_gaps[g] &= before[g] & after
+    return tuple(new_lab), tuple(new_gaps)
 
-    kappa_pi depends on a partition only through its multiset of (label,
-    block size), so the members are counted per shape and each shape's
-    cumulant product is formed once."""
+
+def mixed_moment_cumulant(entries, e, tables, cap=None):
+    """Sum of block cumulant products over the epsilon-non-crossing set,
+    by a memoised recursion on the block that holds the first point.
+
+    A state is the labels of the points not yet in a block, plus one
+    bitmask per gap between consecutive points: the labels whose blocks
+    may not have points on both sides of that gap.  The first point
+    (label l) forms a block B with any set of later l-points that lie
+    before the first gap barring l.  A later block crosses B exactly when
+    it has points in two of B's gaps, that is, when it spans a gap that
+    held a point of B; so removing B marks those gaps with the labels
+    whose eps with l is not 1.  Block sizes whose cumulant is 0 are
+    skipped.  Partitions are never listed.
+
+    The sum runs in integers: with d_l the common denominator of label
+    l's cumulants, a block of size s contributes kappa_l(s) * d_l**s, and
+    the product over any partition carries d_l once per l-point, so the
+    total is divided by prod(d_l ** count_l) at the end.
+    """
+    n = len(entries)
+    _check_cap(n, cap)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
-    total = Fraction(0)
-    for shape, count in count_nc_epsilon_by_shape(entries, e, cap).items():
-        num, den = count, 1
-        for (label, size), mult in shape:
-            kappa = tables[label].cumulant(size)
-            num *= kappa.numerator ** mult
-            den *= kappa.denominator ** mult
-        if num:
-            total += Fraction(num, den)
-    return total
+    labels = sorted(set(entries))
+    lab = tuple(labels.index(v) for v in entries)
+    against = [sum(1 << j for j, b in enumerate(labels) if e.eps(a, b) != 1) for a in labels]
+    # (further points in the block, scaled cumulant) for the nonzero ones
+    sizes = []
+    scale = 1
+    for a in labels:
+        kappas = tables[a].cumulants[:n]
+        d = lcm(*(kappa.denominator for kappa in kappas))
+        sizes.append(
+            [(r, kappa.numerator * d ** (r + 1) // kappa.denominator)
+             for r, kappa in enumerate(kappas) if kappa]
+        )
+        scale *= d ** entries.count(a)
+    memo = {}
+
+    def total(lab, gaps):
+        if not lab:
+            return 1
+        key = (lab, gaps)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        k = lab[0]
+        bit = 1 << k
+        eligible = []
+        for j in range(1, len(lab)):
+            if gaps[j - 1] & bit:
+                break
+            if lab[j] == k:
+                eligible.append(j)
+        value = 0
+        for r, kappa in sizes[k]:
+            if r > len(eligible):
+                break
+            for chosen in combinations(eligible, r):
+                block = 1
+                for j in chosen:
+                    block |= 1 << j
+                value += kappa * total(*_remove_block(lab, gaps, block, against[k]))
+        memo[key] = value
+        return value
+
+    return Fraction(total(lab, (0,) * max(n - 1, 0)), scale)
 
 
 def normalize_tuple(entries, e):
@@ -64,31 +145,14 @@ def normalize_tuple(entries, e):
     gap has only eps=1 intermediates, so it can be merged.
     """
     e.check_tuple(entries)
-    factors = [(lbl, [pos]) for pos, lbl in enumerate(entries, start=1)]
-    while True:
-        best = None
-        for k in range(len(factors)):
-            for l in range(k + 1, len(factors)):
-                if factors[k][0] != factors[l][0]:
-                    continue
-                if any(
-                    factors[p][0] != factors[k][0]
-                    and e.eps(factors[k][0], factors[p][0]) == 0
-                    for p in range(k + 1, l)
-                ):
-                    continue  # separated: not a violation
-                if best is None or l - k < best[1] - best[0]:
-                    best = (k, l)
-        if best is None:
-            break
-        k, l = best
-        lbl, group_l = factors.pop(l)
-        factors[k] = (lbl, factors[k][1] + group_l)
+    factors = _merge_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
     return tuple(f[0] for f in factors), [f[1] for f in factors]
 
 
 def _merge_word(word, e):
-    """normalize_tuple on (label, power) factors; powers add on merge."""
+    """Merge the closest pair of same-label factors that only eps=1 labels
+    separate, until none is left; the second entries of merged factors add
+    (powers add, position lists concatenate)."""
     factors = list(word)
     while True:
         best = None
@@ -101,7 +165,7 @@ def _merge_word(word, e):
                     and e.eps(factors[k][0], factors[p][0]) == 0
                     for p in range(k + 1, l)
                 ):
-                    continue
+                    continue  # separated: not a violation
                 if best is None or l - k < best[1] - best[0]:
                     best = (k, l)
         if best is None:
@@ -139,16 +203,16 @@ def _phi_word(word, e, moments, cache):
     return total
 
 
-def mixed_moment_by_definition(entries, e, moments, cap=DEFINITION_CAP):
+def mixed_moment_by_definition(entries, e, moments, cap=None):
     """Evaluate the mixed moment straight from the independence
     definition: normalize, center each factor, expand, recurse on
     strictly shorter words.  Exponential; an oracle, not a fast path.
 
     moments maps each label to its moment sequence m_1..m_N (N >= n).
+    The length cap is the enumeration cap unless given.
     """
     n = len(entries)
-    if n > cap:
-        raise EnumerationLimitError(f"tuple length {n} exceeds definition cap {cap}")
+    _check_cap(n, cap)
     e.check_tuple(entries)
     for label in set(entries):
         if label not in moments:

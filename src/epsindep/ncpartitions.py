@@ -12,12 +12,12 @@ partition below the kernel through is_epsilon_noncrossing
 (generate-and-test) is the reference the tests compare it against.
 """
 
-from collections import Counter, deque
+from collections import deque
 
-from .errors import DimensionMismatchError, DomainError, EnumerationLimitError
+from .errors import DimensionMismatchError, DomainError
 from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
     SetPartition,
+    _check_cap,
     blocks_cross,
     kernel,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
@@ -88,14 +88,15 @@ def _canon(blocks):
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
-# (eps key, blocks, labels) -> bool; shared across calls, sound because the
-# set of states reachable from a successor is contained in the current one.
-_REDUCTION_CACHE = {}
-
-
-def reduction_membership(p, entries, e, _cache=_REDUCTION_CACHE):
+def reduction_membership(p, entries, e, cache=None):
     """Decide membership by searching for a reduction to the empty
-    partition via interval-block removals and allowed adjacent swaps."""
+    partition via interval-block removals and allowed adjacent swaps.
+
+    cache maps (eps key, blocks, labels) to the answer for every state
+    decided so far.  Sharing one dict across calls is sound, because the
+    states reachable from a successor are reachable from the state itself;
+    without one, each call starts from a fresh dict."""
+    cache = {} if cache is None else cache
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
@@ -105,8 +106,8 @@ def reduction_membership(p, entries, e, _cache=_REDUCTION_CACHE):
     ekey = e.key()
     start = (p.blocks, tuple(entries))
     full_key = (ekey, *start)
-    if full_key in _cache:
-        return _cache[full_key]
+    if full_key in cache:
+        return cache[full_key]
 
     parent = {start: None}
     queue = deque([start])
@@ -117,7 +118,7 @@ def reduction_membership(p, entries, e, _cache=_REDUCTION_CACHE):
         if not blocks:
             goal = state
             break
-        cached = _cache.get((ekey, *state))
+        cached = cache.get((ekey, *state))
         if cached is True:
             goal = state
             break
@@ -134,10 +135,10 @@ def reduction_membership(p, entries, e, _cache=_REDUCTION_CACHE):
 
     if goal is None:
         for state in parent:
-            _cache[(ekey, *state)] = False
+            cache[(ekey, *state)] = False
         return False
     while goal is not None:
-        _cache[(ekey, *goal)] = True
+        cache[(ekey, *goal)] = True
         goal = parent[goal]
     return True
 
@@ -153,30 +154,21 @@ def _search(entries, e, cap):
     this way when its largest point is placed, and a new block can cross
     nothing, so every path reaches a leaf.
 
-    Yields (rgs, shape) per member.  rgs is the search's own list of block
-    indices per position (blocks numbered by their minima), valid until
-    the next step.  shape encodes the multiset of (label, block size) as
-    the integer whose base-(n+1) digit k*n + s - 1 counts the blocks of
-    size s with the k-th smallest label of the tuple.
+    Yields, per member, the search's own list of block indices per
+    position (blocks numbered by their minima), valid until the next step.
     """
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     n = len(entries)
-    if n > limit:
-        raise EnumerationLimitError(f"tuple length {n} exceeds cap {limit}")
+    _check_cap(n, cap)
     e.check_tuple(entries)
     labels = sorted(set(entries))
     lab = [labels.index(v) for v in entries]
     # against[k][j]: blocks of the k-th and j-th labels may not cross
     against = [[e.eps(a, b) != 1 for b in labels] for a in labels]
-    # step[k][s]: change of shape when a block of label k grows from size s
-    digit = [[(n + 1) ** (k * n + s) for s in range(n)] for k in range(len(labels))]
-    step = [[row[0]] + [row[s] - row[s - 1] for s in range(1, n)] for row in digit]
 
     rgs = [0] * n
-    blab, bmin, blast, bsize = [], [], [], []
+    blab, bmin, blast = [], [], []
     saved = [0] * n  # last point of the block x joined, or -1 for a new block
     tried = [0] * (n + 1)  # next block index to try at each depth
-    shape = 0
     x = 0
     while True:
         if x < n:
@@ -197,38 +189,28 @@ def _search(entries, e, cap):
                 if b < nb:
                     saved[x] = blast[b]
                     blast[b] = x
-                    shape += step[k][bsize[b]]
-                    bsize[b] += 1
                 else:
                     saved[x] = -1
                     blab.append(k)
                     bmin.append(x)
                     blast.append(x)
-                    bsize.append(1)
-                    shape += step[k][0]
                 rgs[x] = b
                 tried[x] = b + 1
                 x += 1
                 tried[x] = 0
                 continue
         else:
-            yield rgs, shape
+            yield rgs
         # backtrack: undo the choice at the previous position
         x -= 1
         if x < 0:
             return
-        b = rgs[x]
-        k = lab[x]
         if saved[x] < 0:
             blab.pop()
             bmin.pop()
             blast.pop()
-            bsize.pop()
-            shape -= step[k][0]
         else:
-            bsize[b] -= 1
-            shape -= step[k][bsize[b]]
-            blast[b] = saved[x]
+            blast[rgs[x]] = saved[x]
 
 
 def enumerate_nc_epsilon(entries, e, cap=None):
@@ -236,7 +218,7 @@ def enumerate_nc_epsilon(entries, e, cap=None):
     epsilon-non-crossing, in lexicographic order of canonical form."""
     n = len(entries)
     out = []
-    for rgs, _ in _search(entries, e, cap):
+    for rgs in _search(entries, e, cap):
         blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
         for x, b in enumerate(rgs, start=1):
             blocks[b].append(x)
@@ -244,23 +226,3 @@ def enumerate_nc_epsilon(entries, e, cap=None):
     out.sort(key=lambda p: p.blocks)
     return out
 
-
-def count_nc_epsilon_by_shape(entries, e, cap=None):
-    """Number of epsilon-non-crossing partitions of the tuple per block
-    shape, keyed by the sorted ((label, block size), multiplicity) pairs
-    of its blocks."""
-    counts = Counter(code for _, code in _search(entries, e, cap))
-    n = len(entries)
-    labels = sorted(set(entries))
-    out = {}
-    for code, count in counts.items():
-        shape = []
-        digit = 0
-        while code:
-            code, mult = divmod(code, n + 1)
-            if mult:
-                k, s = divmod(digit, n)
-                shape.append(((labels[k], s + 1), mult))
-            digit += 1
-        out[tuple(shape)] = count
-    return out

@@ -130,6 +130,57 @@ class TestMoment:
             assert code == 2
             assert out == ""
 
+    def test_length_11_both_methods(self, five_cycle, capsys):
+        # x1 and x3 commute, so the definition route sees two factors
+        graph, dist = five_cycle
+        tuple_arg = ",".join(["x1", "x3"] * 5 + ["x1"])
+        code, out = run(capsys, ["moment", "--graph", graph, "--dist", dist, "--tuple", tuple_arg])
+        assert code == 0
+        data = json.loads(out)
+        assert data["agree"] is True
+        assert data["values"]["cumulant"] == "0/1"
+
+    def test_one_cap_for_every_method(self, five_cycle, capsys):
+        graph, dist = five_cycle
+        tuple_arg = ",".join(["x1", "x3"] * 5 + ["x1"])
+        argv = ["moment", "--graph", graph, "--dist", dist, "--tuple", tuple_arg, "--cap", "10"]
+        for method in ("cumulant", "definition", "both"):
+            code, out = run(capsys, argv + ["--method", method])
+            assert code == 2
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "free", "moments": ["0", "zz"]},
+            {"kind": "free", "moments": []},
+            {"kind": "nope", "moments": ["0", "1"]},
+            {"named": "unknown"},
+            ["0", "1"],
+        ],
+    )
+    def test_bad_spec_for_unused_label(self, five_cycle, tmp_path, capsys, spec):
+        graph, _ = five_cycle
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"x1": {"named": "semicircle"}, "x5": spec}))
+        code, out = run(
+            capsys, ["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x1"]
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_tables_only_for_used_labels(self, five_cycle, tmp_path, capsys):
+        # a short moment list on an unused label does not limit the order
+        graph, _ = five_cycle
+        dist = tmp_path / "dist.json"
+        spec = {"x1": {"named": "semicircle"}, "x2": {"kind": "free", "moments": ["0"]}}
+        dist.write_text(json.dumps(spec))
+        code, out = run(
+            capsys, ["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x1,x1,x1"]
+        )
+        assert code == 0
+        assert json.loads(out)["values"] == {"cumulant": "2/1", "definition": "2/1"}
+
     def test_missing_distribution(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "short.json"

@@ -5,13 +5,18 @@ from itertools import combinations, product
 import pytest
 
 from epsindep import (
+    CLASSICAL,
+    FREE,
     CumulantTable,
+    EnumerationLimitError,
     EpsilonMatrix,
     TableError,
+    arcsine_table,
     complete_graph_matrix,
     cycle_graph_matrix,
     empty_graph_matrix,
     factorization_shortcut,
+    generator_mixed_moment,
     is_admissible_tuple,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
@@ -204,3 +209,36 @@ class TestFiveCycle:
         moments = moments_from_tables(tabs)
         assert mixed_moment_by_definition((0, 1, 0, 1), e, moments) == F(0)
         assert mixed_moment_by_definition((0, 2, 0, 2), e, moments) == F(1)
+
+
+class TestLengthTwelve:
+    """The 5-cycle with x3 (label 2) on the classical diagonal: at length
+    12 the cumulant route still agrees with the group trace."""
+
+    E = EpsilonMatrix(
+        5,
+        [(a, b) for a, b in combinations(range(5), 2) if cycle_graph_matrix(5).eps(a, b)],
+        diag=[0, 0, 1, 0, 0],
+    )
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(2,) * 12, (0,) * 12, (0, 2) * 6, (0, 1) * 6],
+        ids=["x3^12", "x1^12", "(x1,x3)^6", "(x1,x2)^6"],
+    )
+    def test_agrees_with_group_trace(self, entries):
+        e = self.E
+        tables = {
+            lbl: arcsine_table(CLASSICAL if e.diagonal(lbl) else FREE, 12) for lbl in set(entries)
+        }
+        assert mixed_moment_cumulant(entries, e, tables) == generator_mixed_moment(entries, e)
+
+    def test_one_cap_for_both_evaluators(self):
+        entries = (0, 2) * 6
+        tables = {lbl: arcsine_table(FREE, 12) for lbl in (0, 2)}
+        e = cycle_graph_matrix(5)
+        with pytest.raises(EnumerationLimitError):
+            mixed_moment_cumulant(entries, e, tables, cap=11)
+        with pytest.raises(EnumerationLimitError):
+            mixed_moment_by_definition(entries, e, moments_from_tables(tables), cap=11)
+        assert mixed_moment_by_definition(entries, e, moments_from_tables(tables)) == F(400)

@@ -1,5 +1,5 @@
-"""Property tests: the depth-first enumerator and the shape-grouped cumulant
-sum against generate-and-test, and the moment/cumulant conversions."""
+"""Property tests: the depth-first enumerator and the first-block cumulant
+recursion against generate-and-test, and the moment/cumulant conversions."""
 
 from itertools import combinations
 
@@ -57,6 +57,25 @@ def test_cumulant_moment_matches_per_partition_sum(instance, data):
         label: CumulantTable(
             CLASSICAL if e.diagonal(label) else FREE,
             data.draw(st.lists(rationals, min_size=n, max_size=n)),
+        )
+        for label in range(e.size)
+    }
+    want = sum(kappa_pi(p, entries, tables) for p in oracle_members(entries, e))
+    assert mixed_moment_cumulant(entries, e, tables) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_n=9), st.data())
+def test_cumulant_moment_with_sparse_tables(instance, data):
+    """Tables where most cumulants are exactly 0, so the recursion skips
+    most block sizes."""
+    entries, e = instance
+    n = max(len(entries), 1)
+    sparse = st.one_of(st.just(0), st.just(0), st.just(0), rationals)
+    tables = {
+        label: CumulantTable(
+            CLASSICAL if e.diagonal(label) else FREE,
+            data.draw(st.lists(sparse, min_size=n, max_size=n)),
         )
         for label in range(e.size)
     }
