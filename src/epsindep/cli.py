@@ -154,7 +154,11 @@ def cmd_moment(args):
 
 
 def cmd_crosscheck(args):
+    if not 1 <= args.max_n <= args.cap:
+        raise InputError(f"--max-n {args.max_n} is outside 1..{args.cap} (--cap)")
     e = _load_graph(args.graph)
+    if not e.size:
+        raise InputError("the graph has no labels to check")
     report, ok = run_crosscheck(
         e,
         max_n=args.max_n,
@@ -203,7 +207,9 @@ def build_parser():
 
     p = sub.add_parser("crosscheck", help="run the cross-validation battery")
     common(p)
-    p.add_argument("--max-n", type=int, default=5, help="maximum tuple length")
+    p.add_argument(
+        "--max-n", type=int, default=5, help="maximum tuple length, from 1 to --cap"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=200, help="random evaluator instances")
     p.add_argument(

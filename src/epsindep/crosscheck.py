@@ -48,6 +48,18 @@ def all_tuples(nlabels, max_n, min_n=1):
         yield from product(range(nlabels), repeat=n)
 
 
+def canonical_instances(e, max_n, seen=None):
+    """The canonical (tuple, restricted matrix) pairs of the tuples up to
+    max_n, each once; seen holds the keys already checked and is extended."""
+    seen = set() if seen is None else seen
+    for entries in all_tuples(e.size, max_n):
+        canon, ce = canonical_instance(entries, e)
+        key = (canon, ce.key())
+        if key not in seen:
+            seen.add(key)
+            yield canon, ce
+
+
 def partitions_below_kernel(entries):
     """All partitions refining the kernel of the tuple."""
     ker = kernel(entries)
@@ -83,14 +95,8 @@ def membership_equivalence_check(e, max_n, seen=None):
     every partition below the kernel of every tuple up to max_n.  One
     reduction cache serves the whole check."""
     result = CheckResult("membership_equivalence")
-    seen = set() if seen is None else seen
     cache = {}
-    for entries in all_tuples(e.size, max_n):
-        canon, ce = canonical_instance(entries, e)
-        key = (canon, ce.key())
-        if key in seen:
-            continue
-        seen.add(key)
+    for canon, ce in canonical_instances(e, max_n, seen):
         for p in partitions_below_kernel(canon):
             fast = is_epsilon_noncrossing(p, canon, ce)
             slow = reduction_membership(p, canon, ce, cache)
@@ -156,14 +162,8 @@ def group_model_check(e, max_n, seen=None, arcsine=None):
     cumulant formula with arcsine tables, for every tuple up to max_n.
     arcsine caches the tables by (kind, order) across calls."""
     result = CheckResult("group_model")
-    seen = set() if seen is None else seen
     arcsine = {} if arcsine is None else arcsine
-    for entries in all_tuples(e.size, max_n):
-        canon, ce = canonical_instance(entries, e)
-        key = (canon, ce.key())
-        if key in seen:
-            continue
-        seen.add(key)
+    for canon, ce in canonical_instances(e, max_n, seen):
         tables = _arcsine_tables(canon, ce, arcsine)
         group_value = generator_mixed_moment(canon, ce)
         cumulant_value = mixed_moment_cumulant(canon, ce, tables)
@@ -183,14 +183,8 @@ def factorization_check(e, max_n, seen=None, arcsine=None):
     agree with the cumulant evaluator (arcsine data, cached as in
     group_model_check)."""
     result = CheckResult("factorization")
-    seen = set() if seen is None else seen
     arcsine = {} if arcsine is None else arcsine
-    for entries in all_tuples(e.size, max_n):
-        canon, ce = canonical_instance(entries, e)
-        key = (canon, ce.key())
-        if key in seen:
-            continue
-        seen.add(key)
+    for canon, ce in canonical_instances(e, max_n, seen):
         tables = _arcsine_tables(canon, ce, arcsine)
         short = factorization_shortcut(canon, ce, tables)
         if short is None:

@@ -194,7 +194,7 @@ def point_mass_table(value, kind=FREE, max_order=12, label=None):
 def parse_fraction(text):
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}")
 
 

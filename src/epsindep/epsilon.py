@@ -44,9 +44,8 @@ class EpsilonMatrix:
     def from_json(cls, data):
         """Schema: {"labels": [...], "independent_pairs": [[a,b],...],
         "diagonal": {name: 0|1}} -- pair entries are label names."""
-        try:
-            names = list(data["labels"])
-        except (KeyError, TypeError):
+        names = data.get("labels") if isinstance(data, dict) else None
+        if not isinstance(names, list):
             raise InputError("graph spec must contain a 'labels' array")
         try:
             index = {name: k for k, name in enumerate(names)}

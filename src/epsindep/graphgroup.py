@@ -17,36 +17,36 @@ def _norm_exp(exp, modulus):
     return exp % modulus if modulus else exp
 
 
+def _append_syllable(word, lbl, exp, e, modulus):
+    """Append one syllable to a reduced word, keeping it reduced: the one
+    same-label merge of the package.
+
+    The merge target, if any, is the unique same-label syllable with
+    only commuting syllables after it."""
+    for idx in range(len(word) - 1, -1, -1):
+        wl = word[idx][0]
+        if wl == lbl:
+            merged = _norm_exp(word[idx][1] + exp, modulus)
+            if merged:
+                return word[:idx] + ((lbl, merged),) + word[idx + 1 :]
+            return word[:idx] + word[idx + 1 :]
+        if not e.independent(lbl, wl):
+            break
+    return word + ((lbl, _norm_exp(exp, modulus)),)
+
+
 def reduce_word(syllables, e, modulus=None):
-    """Merge same-label syllables whenever everything between commutes
-    with their label; drop zero exponents.  Returns a reduced word."""
-    work = []
+    """Fold the syllables, zero exponents dropped, onto the empty word by
+    _append_syllable.  Exponents combine with +, so any type with + works
+    (moments.normalize_tuple merges position lists)."""
+    word = ()
     for lbl, exp in syllables:
         if not 0 <= lbl < e.size:
             raise DomainError(f"label {lbl} out of range")
         exp = _norm_exp(exp, modulus)
         if exp:
-            work.append((lbl, exp))
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(work)):
-            la = work[a][0]
-            for b in range(a + 1, len(work)):
-                if work[b][0] != la:
-                    continue
-                if all(e.independent(la, work[p][0]) for p in range(a + 1, b)):
-                    exp = _norm_exp(work[a][1] + work[b][1], modulus)
-                    del work[b]
-                    if exp:
-                        work[a] = (la, exp)
-                    else:
-                        del work[a]
-                    changed = True
-                break
-            if changed:
-                break
-    return tuple(work)
+            word = _append_syllable(word, lbl, exp, e, modulus)
+    return word
 
 
 def normal_form(syllables, e, modulus=None):
@@ -144,34 +144,12 @@ def trace(x):
     return x.trace()
 
 
-def _append_syllable(word, lbl, exp, e, modulus):
-    """Append one syllable to a reduced word, keeping it reduced.
-
-    The merge target, if any, is the unique same-label syllable with
-    only commuting syllables after it."""
-    for idx in range(len(word) - 1, -1, -1):
-        wl = word[idx][0]
-        if wl == lbl:
-            merged = _norm_exp(word[idx][1] + exp, modulus)
-            if merged:
-                return word[:idx] + ((lbl, merged),) + word[idx + 1 :]
-            return word[:idx] + word[idx + 1 :]
-        if not e.independent(lbl, wl):
-            break
-    return word + ((lbl, _norm_exp(exp, modulus)),)
-
-
 def single_power_trace(entries, exponents, e, modulus=None):
     """Trace of a product of single generator powers u_{i(k)}^{exponents[k]}."""
     if len(entries) != len(exponents):
         raise DomainError("entries and exponents differ in length")
     e.check_tuple(entries)
-    word = ()
-    for lbl, exp in zip(entries, exponents):
-        exp = _norm_exp(exp, modulus)
-        if exp:
-            word = _append_syllable(word, lbl, exp, e, modulus)
-    return Fraction(1) if not word else Fraction(0)
+    return Fraction(not reduce_word(zip(entries, exponents), e, modulus))
 
 
 def generator_mixed_moment(entries, e, exponent_pattern="selfadjoint", modulus=None, cap=GENERATOR_MOMENT_CAP):

@@ -7,6 +7,7 @@ from math import lcm
 
 from .cumulants import CLASSICAL, FREE
 from .errors import TableError
+from .graphgroup import reduce_word
 from .ncpartitions import is_epsilon_noncrossing
 from .partitions import _check_cap, kernel
 
@@ -140,44 +141,17 @@ def normalize_tuple(entries, e):
     merge them.
 
     Returns (labels, groups): the label per merged factor and, for each
-    factor, the original 1-based positions it absorbed.  The returned
-    label sequence is always admissible: any violating pair of minimal
-    gap has only eps=1 intermediates, so it can be merged.
+    factor, the original 1-based positions it absorbed (the word's
+    exponents are position lists, which reduce_word concatenates).  The
+    returned label sequence is always admissible: it is a reduced word.
     """
     e.check_tuple(entries)
-    factors = _merge_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
+    factors = reduce_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
     return tuple(f[0] for f in factors), [f[1] for f in factors]
 
 
-def _merge_word(word, e):
-    """Merge the closest pair of same-label factors that only eps=1 labels
-    separate, until none is left; the second entries of merged factors add
-    (powers add, position lists concatenate)."""
-    factors = list(word)
-    while True:
-        best = None
-        for k in range(len(factors)):
-            for l in range(k + 1, len(factors)):
-                if factors[k][0] != factors[l][0]:
-                    continue
-                if any(
-                    factors[p][0] != factors[k][0]
-                    and e.eps(factors[k][0], factors[p][0]) == 0
-                    for p in range(k + 1, l)
-                ):
-                    continue  # separated: not a violation
-                if best is None or l - k < best[1] - best[0]:
-                    best = (k, l)
-        if best is None:
-            break
-        k, l = best
-        lbl, pw = factors.pop(l)
-        factors[k] = (lbl, factors[k][1] + pw)
-    return tuple(factors)
-
-
 def _phi_word(word, e, moments, cache):
-    word = _merge_word(word, e)
+    word = reduce_word(word, e)
     if not word:
         return Fraction(1)
     if len(word) == 1:

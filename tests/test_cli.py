@@ -157,6 +157,7 @@ class TestMoment:
             {"kind": "nope", "moments": ["0", "1"]},
             {"named": "unknown"},
             ["0", "1"],
+            {"kind": "free", "moments": ["0", float("inf")]},
         ],
     )
     def test_bad_spec_for_unused_label(self, five_cycle, tmp_path, capsys, spec):
@@ -223,6 +224,25 @@ class TestCrosscheck:
         assert code == 1
         assert json.loads(out)["total_failures"] > 0
 
+    @pytest.mark.parametrize(
+        "limits",
+        [["--cap", "3", "--max-n", "5"], ["--max-n", "0"], ["--max-n", "-1"], ["--cap", "-2"]],
+    )
+    def test_max_n_outside_cap(self, five_cycle, capsys, limits):
+        graph, _ = five_cycle
+        code = main(["crosscheck", "--graph", graph] + limits)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+
+    def test_graph_without_labels(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": []}))
+        code = main(["crosscheck", "--graph", str(graph), "--max-n", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
 
 class TestInputHandling:
     def test_bad_json(self, tmp_path, capsys):
@@ -239,6 +259,15 @@ class TestInputHandling:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("input error:")
+
+    @pytest.mark.parametrize("labels", ["abc", {"a": 1, "b": 2}])
+    def test_labels_not_an_array(self, tmp_path, capsys, labels):
+        # iterating either would give the labels a, b, ...
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": labels}))
+        code = main(["enumerate", "--graph", str(graph), "--tuple", "a"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_unknown_label(self, five_cycle, capsys):
         graph, _ = five_cycle

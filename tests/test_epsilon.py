@@ -82,6 +82,8 @@ class TestConstruction:
             {"labels": ["a", "b"], "independent_pairs": [[["a"], "b"]]},
             {"labels": ["a", "b"], "diagonal": [0, 1]},
             {"labels": [["a"], "b"]},
+            {"labels": "abc"},
+            {"labels": {"a": 1, "b": 2}},
         ],
     )
     def test_malformed_spec(self, spec):

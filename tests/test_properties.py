@@ -1,6 +1,12 @@
 """Property tests: the depth-first enumerator and the first-block cumulant
-recursion against generate-and-test, and the moment/cumulant conversions."""
+recursion against generate-and-test, the moment/cumulant conversions, the
+word reducer, and the CLI's exit codes on random input files."""
 
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -14,13 +20,19 @@ from epsindep import (
     classical_cumulants_to_moments,
     enumerate_nc_epsilon,
     free_cumulants_to_moments,
+    is_admissible_tuple,
     is_epsilon_noncrossing,
     kappa_pi,
     mixed_moment_cumulant,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
+    normal_form,
+    normalize_tuple,
+    reduce_word,
 )
+from epsindep.cli import main
 from epsindep.crosscheck import partitions_below_kernel
+from epsindep.graphgroup import invert_word
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -96,3 +108,129 @@ def test_conversions_round_trip(kind, seq):
     assert table.moments() == seq
     assert table == CumulantTable(kind, to_cumulants(seq))
     assert CumulantTable(kind, table.cumulants).moments() == seq
+
+
+@st.composite
+def words(draw, max_labels=4, max_n=8):
+    """A random epsilon-matrix, a word of nonzero exponents over it, and a
+    modulus (None, 2 or 3)."""
+    entries, e = draw(instances(max_labels, max_n))
+    n = len(entries)
+    exponents = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=n, max_size=n))
+    return tuple(zip(entries, exponents)), e, draw(st.sampled_from([None, 2, 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words(), st.lists(st.integers(0, 7), max_size=20))
+def test_normal_form_invariant_under_commutations(word, swaps):
+    word, e, modulus = word
+    moved = list(word)
+    for k in swaps:
+        if k + 1 < len(moved) and e.independent(moved[k][0], moved[k + 1][0]):
+            moved[k], moved[k + 1] = moved[k + 1], moved[k]
+    assert normal_form(moved, e, modulus) == normal_form(word, e, modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words())
+def test_word_times_inverse_reduces_to_empty(word):
+    word, e, modulus = word
+    assert reduce_word(word + invert_word(word, modulus), e, modulus) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_reduction_keeps_exactly_the_admissible_tuples(instance):
+    entries, e = instance
+    reduced = reduce_word(((lbl, 1) for lbl in entries), e)
+    assert (len(reduced) == len(entries)) == is_admissible_tuple(entries, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_normalize_tuple_groups_partition_positions(instance):
+    entries, e = instance
+    labels, groups = normalize_tuple(entries, e)
+    assert sorted(pos for group in groups for pos in group) == list(range(1, len(entries) + 1))
+    assert len(labels) == len(groups)
+    for label, group in zip(labels, groups):
+        assert {entries[pos - 1] for pos in group} == {label}
+
+
+# -- the CLI on random files: exit 0 or 2, never a traceback -----------------
+
+NAMES = ["a", "b", "c"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(strategy):
+    """The strategy three times in four, otherwise any JSON value."""
+    return st.one_of(strategy, strategy, strategy, json_values)
+
+
+label_names = mostly(st.sampled_from(NAMES + ["zz"]))
+pairs = mostly(st.lists(label_names, min_size=2, max_size=2))
+graphs = st.fixed_dictionaries(
+    {"labels": mostly(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))},
+    optional={
+        "independent_pairs": mostly(st.lists(pairs, max_size=4)),
+        "diagonal": mostly(
+            st.dictionaries(st.sampled_from(NAMES), mostly(st.integers(0, 1)), max_size=3)
+        ),
+    },
+)
+moment_entries = st.sampled_from(["0", "1", "2", "-1/2", "3/4"]) | st.floats()
+specs = st.fixed_dictionaries(
+    {},
+    optional={
+        "label": label_names,
+        "kind": mostly(st.sampled_from(["free", "classical"])),
+        "moments": mostly(st.lists(mostly(moment_entries), max_size=6)),
+        "named": mostly(st.sampled_from(["semicircle", "arcsine", "bernoulli", "point_mass"])),
+        "variance": mostly(st.sampled_from(["1", "2"])),
+        "value": mostly(st.sampled_from(["1", "-1/2"])),
+    },
+)
+distributions = st.one_of(
+    st.dictionaries(st.sampled_from(NAMES), mostly(specs), max_size=3),
+    st.lists(mostly(specs), max_size=3),
+)
+file_texts = st.one_of(mostly(graphs | distributions).map(json.dumps), st.text(max_size=8))
+
+
+@st.composite
+def cli_calls(draw):
+    """Graph and distribution file contents plus an argv naming them."""
+    command = draw(st.sampled_from(["enumerate", "moment", "crosscheck"]))
+    args = [command, "--cap", str(draw(st.integers(-2, 6)))]
+    if command == "crosscheck":
+        args += ["--max-n", str(draw(st.integers(-2, 3)))]
+        args += ["--instances", str(draw(st.integers(0, 5)))]
+    else:
+        names = draw(st.lists(st.sampled_from(NAMES + ["zz", ""]), max_size=5))
+        args += ["--tuple", ",".join(names)]
+    if command == "moment":
+        args += ["--method", draw(st.sampled_from(["cumulant", "definition", "both"]))]
+    if draw(st.booleans()):
+        args.append("--table")
+    return draw(file_texts), draw(file_texts), args
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls())
+def test_cli_exits_0_or_2_on_random_files(call):
+    graph_text, dist_text, args = call
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, dist = os.path.join(tmp, "graph.json"), os.path.join(tmp, "dist.json")
+        for path, text in ((graph, graph_text), (dist, dist_text)):
+            with open(path, "w") as fh:
+                fh.write(text)
+        files = ["--graph", graph] + (["--dist", dist] if args[0] == "moment" else [])
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(args + files)
+    assert code in (0, 2)
