@@ -156,6 +156,8 @@ def cmd_moment(args):
 def cmd_crosscheck(args):
     if not 1 <= args.max_n <= args.cap:
         raise InputError(f"--max-n {args.max_n} is outside 1..{args.cap} (--cap)")
+    if args.instances < 0:
+        raise InputError(f"--instances {args.instances} is negative")
     e = _load_graph(args.graph)
     if not e.size:
         raise InputError("the graph has no labels to check")
@@ -211,7 +213,9 @@ def build_parser():
         "--max-n", type=int, default=5, help="maximum tuple length, from 1 to --cap"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=200, help="random evaluator instances")
+    p.add_argument(
+        "--instances", type=int, default=200, help="random evaluator instances, at least 0"
+    )
     p.add_argument(
         "--self-test-corrupt",
         action="store_true",
@@ -234,6 +238,10 @@ def main(argv=None):
         return 2
     except EpsIndepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # deeply nested JSON, or a tuple longer than the recursion limit
+        print("error: input nested or long beyond the recursion limit", file=sys.stderr)
         return 2
 
 

@@ -75,8 +75,8 @@ class EpsilonMatrix:
         for name, d in diagonal.items():
             if name not in index:
                 raise InputError(f"unknown label {name!r} in diagonal")
-            if d not in (0, 1):
-                raise InputError("diagonal entries must be 0 or 1")
+            if type(d) is not int or d not in (0, 1):
+                raise InputError("diagonal entries must be the integers 0 or 1")
             diag[index[name]] = d
         return cls(len(names), pairs, diag=diag, labels=names)
 

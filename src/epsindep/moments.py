@@ -2,13 +2,12 @@
 centering recursion, and the kernel-factorization shortcut."""
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .cumulants import CLASSICAL, FREE
 from .errors import TableError
 from .graphgroup import reduce_word
-from .ncpartitions import is_epsilon_noncrossing
+from .ncpartitions import encode, first_blocks, is_epsilon_noncrossing
 from .partitions import _check_cap, kernel
 
 # Not called here: bench/worker.py wraps these module attributes to trace
@@ -35,51 +34,12 @@ def _check_tables(entries, e, tables):
             )
 
 
-def _remove_block(lab, gaps, block, mark):
-    """The state left when the points in block (a bitmask over positions,
-    position 0 among them) form a block: the gap masks around each removed
-    point merge, and a merged gap that held a point of the block gains
-    mark.  A gap keeps only the labels that occur on both of its sides,
-    the only ones that could span it."""
-    new_lab = []
-    new_gaps = []
-    before = []  # labels occurring up to each kept point
-    seen = 0
-    acc = 0
-    hit = False
-    for j in range(1, len(lab)):
-        acc |= gaps[j - 1]
-        if block >> j & 1:
-            hit = True
-            continue
-        if new_lab:
-            new_gaps.append(acc | mark if hit else acc)
-        label = lab[j]
-        new_lab.append(label)
-        seen |= 1 << label
-        before.append(seen)
-        acc = 0
-        hit = False
-    after = 0
-    for g in range(len(new_gaps) - 1, -1, -1):
-        after |= 1 << new_lab[g + 1]
-        new_gaps[g] &= before[g] & after
-    return tuple(new_lab), tuple(new_gaps)
-
-
 def mixed_moment_cumulant(entries, e, tables, cap=None):
     """Sum of block cumulant products over the epsilon-non-crossing set,
-    by a memoised recursion on the block that holds the first point.
-
-    A state is the labels of the points not yet in a block, plus one
-    bitmask per gap between consecutive points: the labels whose blocks
-    may not have points on both sides of that gap.  The first point
-    (label l) forms a block B with any set of later l-points that lie
-    before the first gap barring l.  A later block crosses B exactly when
-    it has points in two of B's gaps, that is, when it spans a gap that
-    held a point of B; so removing B marks those gaps with the labels
-    whose eps with l is not 1.  Block sizes whose cumulant is 0 are
-    skipped.  Partitions are never listed.
+    by a memoised recursion on the block that holds the first point
+    (ncpartitions.first_blocks).  Only block sizes whose cumulant is
+    nonzero are passed to it, so no block of a zero-cumulant size is
+    built.  Partitions are never listed.
 
     The sum runs in integers: with d_l the common denominator of label
     l's cumulants, a block of size s contributes kappa_l(s) * d_l**s, and
@@ -90,18 +50,17 @@ def mixed_moment_cumulant(entries, e, tables, cap=None):
     _check_cap(n, cap)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
-    labels = sorted(set(entries))
-    lab = tuple(labels.index(v) for v in entries)
-    against = [sum(1 << j for j, b in enumerate(labels) if e.eps(a, b) != 1) for a in labels]
-    # (further points in the block, scaled cumulant) for the nonzero ones
-    sizes = []
+    lab, against = encode(entries, e)
+    # per label rank: {r: kappa(r + 1) * d ** (r + 1)} over the nonzero
+    # cumulants, r (a block's further points) ascending
+    scaled = []
     scale = 1
-    for a in labels:
+    for a in sorted(set(entries)):
         kappas = tables[a].cumulants[:n]
         d = lcm(*(kappa.denominator for kappa in kappas))
-        sizes.append(
-            [(r, kappa.numerator * d ** (r + 1) // kappa.denominator)
-             for r, kappa in enumerate(kappas) if kappa]
+        scaled.append(
+            {r: kappa.numerator * d ** (r + 1) // kappa.denominator
+             for r, kappa in enumerate(kappas) if kappa}
         )
         scale *= d ** entries.count(a)
     memo = {}
@@ -113,23 +72,10 @@ def mixed_moment_cumulant(entries, e, tables, cap=None):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        k = lab[0]
-        bit = 1 << k
-        eligible = []
-        for j in range(1, len(lab)):
-            if gaps[j - 1] & bit:
-                break
-            if lab[j] == k:
-                eligible.append(j)
+        kappas = scaled[lab[0]]
         value = 0
-        for r, kappa in sizes[k]:
-            if r > len(eligible):
-                break
-            for chosen in combinations(eligible, r):
-                block = 1
-                for j in chosen:
-                    block |= 1 << j
-                value += kappa * total(*_remove_block(lab, gaps, block, against[k]))
+        for r, _, state in first_blocks(lab, gaps, against, kappas):
+            value += kappas[r] * total(*state)
         memo[key] = value
         return value
 

@@ -4,15 +4,17 @@ Membership has two routes: the polynomial pairwise-crossing
 characterization (production path) and the reduce-to-empty search over
 interval-block removals and allowed adjacent swaps (verification oracle).
 
-Enumeration is a depth-first search over positions that never produces a
-non-member: each point joins an earlier block of its label or opens a new
-block, and a join is pruned the moment it would complete a crossing
-between two blocks whose labels are not independent.  Filtering every
-partition below the kernel through is_epsilon_noncrossing
-(generate-and-test) is the reference the tests compare it against.
+Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
+one step, first_blocks: the blocks that the first remaining point may head
+without a forbidden crossing.  enumerate_nc_epsilon expands it over every
+block size, one member per leaf and no dead ends; the cumulant route sums
+over it with a memo.  Filtering every partition below the kernel through
+is_epsilon_noncrossing (generate-and-test) is the reference the tests
+compare both against.
 """
 
 from collections import deque
+from itertools import combinations
 
 from .errors import DimensionMismatchError, DomainError
 from .partitions import (
@@ -143,86 +145,104 @@ def reduction_membership(p, entries, e, cache=None):
     return True
 
 
-def _search(entries, e, cap):
-    """Depth-first search over the epsilon-non-crossing partitions of a
-    tuple, one leaf per member and no dead ends.
-
-    Point x joins an earlier block B of its label unless some other block C
-    has min(C) < last(B) < last(C) and eps(label B, label C) != 1: then C
-    has a point in the gap (last(B), x), and the join would complete a
-    forbidden crossing.  Any first crossing between two blocks shows up
-    this way when its largest point is placed, and a new block can cross
-    nothing, so every path reaches a leaf.
-
-    Yields, per member, the search's own list of block indices per
-    position (blocks numbered by their minima), valid until the next step.
-    """
-    n = len(entries)
-    _check_cap(n, cap)
-    e.check_tuple(entries)
+def encode(entries, e):
+    """Rank each entry among the tuple's distinct labels; against[k] is
+    the bitmask of ranks whose blocks may not cross a block of rank k
+    (eps != 1, so rank k itself among them)."""
     labels = sorted(set(entries))
-    lab = [labels.index(v) for v in entries]
-    # against[k][j]: blocks of the k-th and j-th labels may not cross
-    against = [[e.eps(a, b) != 1 for b in labels] for a in labels]
+    lab = tuple(labels.index(v) for v in entries)
+    against = [sum(1 << j for j, b in enumerate(labels) if e.eps(a, b) != 1) for a in labels]
+    return lab, against
 
-    rgs = [0] * n
-    blab, bmin, blast = [], [], []
-    saved = [0] * n  # last point of the block x joined, or -1 for a new block
-    tried = [0] * (n + 1)  # next block index to try at each depth
-    x = 0
-    while True:
-        if x < n:
-            k = lab[x]
-            row = against[k]
-            nb = len(blab)
-            b = tried[x]
-            while b < nb:  # first joinable block from b on, else nb
-                if blab[b] == k:
-                    last = blast[b]
-                    for c in range(nb):
-                        if bmin[c] < last < blast[c] and row[blab[c]]:
-                            break  # C would cross B
-                    else:
-                        break
-                b += 1
-            if b <= nb:
-                if b < nb:
-                    saved[x] = blast[b]
-                    blast[b] = x
-                else:
-                    saved[x] = -1
-                    blab.append(k)
-                    bmin.append(x)
-                    blast.append(x)
-                rgs[x] = b
-                tried[x] = b + 1
-                x += 1
-                tried[x] = 0
-                continue
-        else:
-            yield rgs
-        # backtrack: undo the choice at the previous position
-        x -= 1
-        if x < 0:
+
+def _remove_block(lab, gaps, block, mark):
+    """The state left when the points in block (a bitmask over positions,
+    position 0 among them) form a block: the gap masks around each removed
+    point merge, and a merged gap that held a point of the block gains
+    mark.  A gap keeps only the labels that occur on both of its sides,
+    the only ones that could span it."""
+    new_lab = []
+    new_gaps = []
+    before = []  # labels occurring up to each kept point
+    seen = 0
+    acc = 0
+    for j in range(1, len(lab)):
+        acc |= gaps[j - 1]
+        if block >> j & 1:
+            acc |= mark
+            continue
+        if new_lab:
+            new_gaps.append(acc)
+        label = lab[j]
+        new_lab.append(label)
+        seen |= 1 << label
+        before.append(seen)
+        acc = 0
+    after = 0
+    for g in range(len(new_gaps) - 1, -1, -1):
+        after |= 1 << new_lab[g + 1]
+        new_gaps[g] &= before[g] & after
+    return tuple(new_lab), tuple(new_gaps)
+
+
+def first_blocks(lab, gaps, against, sizes):
+    """The blocks the first point of a state can head, as (r, block,
+    next state) with r the block's further points, for each r in sizes
+    (ascending); block is a bitmask over the state's positions.
+
+    A state is the labels (ranks, see encode) of the points not yet in a
+    block, plus one bitmask per gap between consecutive points: the labels
+    whose blocks may not have points on both sides of that gap.  The
+    first point (label l) forms a block B with any set of later l-points
+    that lie before the first gap barring l.  A later block crosses B
+    exactly when it has points in two of B's gaps, that is, when it spans
+    a gap that held a point of B; so removing B marks those gaps with
+    against[l].  The singleton (r = 0) is always allowed, so every state
+    has a completion and a search that expands every size never
+    dead-ends.
+    """
+    k = lab[0]
+    bit = 1 << k
+    eligible = []
+    for j in range(1, len(lab)):
+        if gaps[j - 1] & bit:
+            break
+        if lab[j] == k:
+            eligible.append(j)
+    for r in sizes:
+        if r > len(eligible):
             return
-        if saved[x] < 0:
-            blab.pop()
-            bmin.pop()
-            blast.pop()
-        else:
-            blast[rgs[x]] = saved[x]
+        for chosen in combinations(eligible, r):
+            block = 1
+            for j in chosen:
+                block |= 1 << j
+            yield r, block, _remove_block(lab, gaps, block, against[k])
 
 
 def enumerate_nc_epsilon(entries, e, cap=None):
     """All partitions below the kernel of the tuple that are
     epsilon-non-crossing, in lexicographic order of canonical form."""
     n = len(entries)
+    _check_cap(n, cap)
+    e.check_tuple(entries)
+    lab, against = encode(entries, e)
     out = []
-    for rgs in _search(entries, e, cap):
-        blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
-        for x, b in enumerate(rgs, start=1):
-            blocks[b].append(x)
-        out.append(SetPartition(n, blocks))
+    blocks = []  # the blocks chosen on the current path, as positions
+    children = {}  # state -> its (block, next state) pairs: states recur
+
+    def expand(state, pos):
+        if not state[0]:
+            out.append(SetPartition(n, blocks))
+            return
+        kids = children.get(state)
+        if kids is None:
+            steps = first_blocks(*state, against, range(len(pos)))
+            kids = children[state] = [(block, nxt) for _, block, nxt in steps]
+        for block, nxt in kids:
+            blocks.append([x for j, x in enumerate(pos) if block >> j & 1])
+            expand(nxt, [x for j, x in enumerate(pos) if not block >> j & 1])
+            blocks.pop()
+
+    expand((lab, (0,) * max(n - 1, 0)), range(1, n + 1))
     out.sort(key=lambda p: p.blocks)
     return out
-

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -226,7 +228,13 @@ class TestCrosscheck:
 
     @pytest.mark.parametrize(
         "limits",
-        [["--cap", "3", "--max-n", "5"], ["--max-n", "0"], ["--max-n", "-1"], ["--cap", "-2"]],
+        [
+            ["--cap", "3", "--max-n", "5"],
+            ["--max-n", "0"],
+            ["--max-n", "-1"],
+            ["--cap", "-2"],
+            ["--max-n", "2", "--instances", "-5"],
+        ],
     )
     def test_max_n_outside_cap(self, five_cycle, capsys, limits):
         graph, _ = five_cycle
@@ -268,6 +276,48 @@ class TestInputHandling:
         code = main(["enumerate", "--graph", str(graph), "--tuple", "a"])
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("which", ["graph", "dist"])
+    def test_deeply_nested_json(self, five_cycle, tmp_path, capsys, which):
+        files = dict(zip(("graph", "dist"), five_cycle))
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        files[which] = str(nested)
+        argv = ["moment", "--graph", files["graph"], "--dist", files["dist"], "--tuple", "x1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["enumerate", "moment"])
+    def test_tuple_beyond_recursion_limit(self, tmp_path, capsys, command):
+        # both recurse once per point: with the limit lowered, a tuple of
+        # 300 points stands in for one of about 1,000 at the default limit
+        n = 300
+        names = [f"x{k}" for k in range(n)]
+        graph = tmp_path / "graph.json"
+        dist = tmp_path / "dist.json"
+        if command == "enumerate":
+            graph.write_text(json.dumps({"labels": names}))
+            tuple_arg = ",".join(names)
+            extra = []
+        else:
+            graph.write_text(json.dumps({"labels": ["x"], "diagonal": {"x": 1}}))
+            dist.write_text(json.dumps({"x": {"named": "point_mass", "value": "2"}}))
+            tuple_arg = ",".join(["x"] * n)
+            extra = ["--dist", str(dist), "--method", "cumulant"]
+        argv = [command, "--graph", str(graph), "--cap", str(n), "--tuple", tuple_arg] + extra
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            code = main(argv)
+        finally:
+            sys.setrecursionlimit(limit)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_unknown_label(self, five_cycle, capsys):
         graph, _ = five_cycle

@@ -81,6 +81,8 @@ class TestConstruction:
             {"labels": ["a", "b"], "independent_pairs": ["ab"]},
             {"labels": ["a", "b"], "independent_pairs": [[["a"], "b"]]},
             {"labels": ["a", "b"], "diagonal": [0, 1]},
+            {"labels": ["a", "b"], "diagonal": {"a": True}},
+            {"labels": ["a", "b"], "diagonal": {"b": 1.0}},
             {"labels": [["a"], "b"]},
             {"labels": "abc"},
             {"labels": {"a": 1, "b": 2}},

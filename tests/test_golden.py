@@ -1,0 +1,80 @@
+"""Golden CLI output: the exact stdout and exit code of a fixed set of
+`enumerate`, `moment` and `crosscheck` calls, compared byte for byte with
+tests/golden_cli.json.
+
+A change that alters any output byte fails here.  To record the outputs
+of the current code (only when a change of output is intended):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+
+from epsindep.cli import main
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+
+LABELS = ["x1", "x2", "x3", "x4", "x5"]
+# the 5-cycle: every pair that is not an edge of the cycle is independent
+GRAPH = {
+    "labels": LABELS,
+    "independent_pairs": [
+        [LABELS[a], LABELS[b]] for a in range(5) for b in range(a + 2, 5) if (a, b) != (0, 4)
+    ],
+    "diagonal": {"x3": 1},
+}
+DIST = {name: {"named": "arcsine"} for name in LABELS}
+
+CASES = [
+    ["enumerate", "--tuple", "x1,x3,x1,x3"],
+    ["enumerate", "--tuple", "x1,x2,x1,x2,x1,x2"],
+    ["enumerate", "--tuple", "x3,x3,x3,x3,x3"],
+    ["enumerate", "--tuple", "x1,x1,x1,x1,x1"],
+    ["enumerate", "--tuple", "x1,x3,x2,x3,x1,x2"],
+    ["enumerate", "--tuple", "x2,x4,x2,x4,x2", "--table"],
+    ["moment", "--method", "both", "--tuple", "x1,x3,x1,x3"],
+    ["moment", "--method", "both", "--tuple", "x1,x2,x1,x2,x1,x2"],
+    ["moment", "--method", "both", "--tuple", "x3,x3,x3,x3,x3,x3,x3,x3"],
+    ["moment", "--method", "both", "--tuple", "x2,x2,x3,x3,x2,x2,x3,x3"],
+    ["moment", "--method", "both", "--tuple", "x1,x2,x2,x1,x1,x2,x2,x1"],
+    ["moment", "--method", "both", "--tuple", "x3,x2,x3,x3,x2,x3", "--table"],
+    ["crosscheck", "--max-n", "3", "--instances", "20"],
+]
+
+
+def run_cases():
+    """[argv, exit code, stdout] per case, with the fixed graph and
+    distribution written to a temporary directory."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "graph.json")
+        dist = os.path.join(tmp, "dist.json")
+        with open(graph, "w") as fh:
+            json.dump(GRAPH, fh)
+        with open(dist, "w") as fh:
+            json.dump(DIST, fh)
+        for case in CASES:
+            argv = [case[0], "--graph", graph] + case[1:]
+            if case[0] == "moment":
+                argv += ["--dist", dist]
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(argv)
+            out.append([case, code, buf.getvalue()])
+    return out
+
+
+def test_cli_output_matches_golden_file():
+    with open(FIXTURE) as fh:
+        want = json.load(fh)
+    assert run_cases() == want
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w") as fh:
+        json.dump(run_cases(), fh, indent=1)
+        fh.write("\n")

@@ -1,6 +1,7 @@
-"""Property tests: the depth-first enumerator and the first-block cumulant
-recursion against generate-and-test, the moment/cumulant conversions, the
-word reducer, and the CLI's exit codes on random input files."""
+"""Property tests: the enumerator and the cumulant recursion, both built on
+ncpartitions.first_blocks, against generate-and-test, the moment/cumulant
+conversions, the word reducer, and the CLI's exit codes on random input
+files."""
 
 import io
 import json
