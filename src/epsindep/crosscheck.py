@@ -1,14 +1,16 @@
-"""Cross-validation suites: the two membership definitions, the two
-moment evaluators, and the group-model oracle, run against each other.
+"""Cross-validation suites: the two membership definitions (pairwise
+crossings, and reduce-to-empty by greedy removal of blocks that swaps can
+bring together), the two moment evaluators, and the group-model oracle,
+run against each other.
 
 Instances are deduplicated up to relabeling: a tuple together with the
 restriction of the matrix to its labels determines every result, so each
-canonical (tuple, restricted matrix) pair is checked once.
+canonical (tuple, restricted matrix) pair is generated and checked once.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table
 from .epsilon import EpsilonMatrix
@@ -23,15 +25,8 @@ from .ncpartitions import is_epsilon_noncrossing, reduction_membership
 from .partitions import kernel, partitions_of_set, SetPartition
 
 
-def canonical_instance(entries, e):
-    """Relabel a tuple by first occurrence and restrict the matrix to the
-    labels it uses; results are invariant under this renaming."""
-    order = []
-    for v in entries:
-        if v not in order:
-            order.append(v)
-    relabel = {v: k for k, v in enumerate(order)}
-    new_entries = tuple(relabel[v] for v in entries)
+def _restrict(e, order):
+    """The matrix of e restricted to the labels in order, relabeled 0..k-1."""
     k = len(order)
     pairs = [
         (a, b)
@@ -39,25 +34,55 @@ def canonical_instance(entries, e):
         for b in range(a + 1, k)
         if e.eps(order[a], order[b]) == 1
     ]
-    diag = [e.diagonal(v) for v in order]
-    return new_entries, EpsilonMatrix(k, pairs, diag=diag)
+    return EpsilonMatrix(k, pairs, diag=[e.diagonal(v) for v in order])
 
 
-def all_tuples(nlabels, max_n, min_n=1):
-    for n in range(min_n, max_n + 1):
-        yield from product(range(nlabels), repeat=n)
+def canonical_instance(entries, e):
+    """Relabel a tuple by first occurrence and restrict the matrix to the
+    labels it uses; results are invariant under this renaming."""
+    order = list(dict.fromkeys(entries))
+    return tuple(order.index(v) for v in entries), _restrict(e, order)
+
+
+def _restricted_growth_tuples(n, k):
+    """The tuples of length n over the labels 0..k-1 in which each label
+    first occurs after all smaller ones, in lexicographic order."""
+
+    def extend(prefix, used):
+        left = n - len(prefix)
+        if used + left < k:
+            return
+        if left == 0:
+            yield prefix
+            return
+        for v in range(min(used + 1, k)):
+            yield from extend(prefix + (v,), max(used, v + 1))
+
+    return extend((), 0)
 
 
 def canonical_instances(e, max_n, seen=None):
     """The canonical (tuple, restricted matrix) pairs of the tuples up to
-    max_n, each once; seen holds the keys already checked and is extended."""
+    max_n, each once, in order of the number of labels; seen holds the
+    keys already checked and is extended.
+
+    A canonical tuple over k labels is a restricted-growth tuple and its
+    matrix is e restricted to some ordered choice of k labels, so the
+    pairs are generated directly rather than by canonicalizing every one
+    of the e.size**n tuples."""
     seen = set() if seen is None else seen
-    for entries in all_tuples(e.size, max_n):
-        canon, ce = canonical_instance(entries, e)
-        key = (canon, ce.key())
-        if key not in seen:
-            seen.add(key)
-            yield canon, ce
+    for k in range(1, min(e.size, max_n) + 1):
+        matrices = {}
+        for order in permutations(range(e.size), k):
+            ce = _restrict(e, order)
+            matrices.setdefault(ce.key(), ce)
+        tuples = [t for n in range(k, max_n + 1) for t in _restricted_growth_tuples(n, k)]
+        for ce in matrices.values():
+            for canon in tuples:
+                key = (canon, ce.key())
+                if key not in seen:
+                    seen.add(key)
+                    yield canon, ce
 
 
 def partitions_below_kernel(entries):
@@ -91,15 +116,14 @@ class CheckResult:
 
 
 def membership_equivalence_check(e, max_n, seen=None):
-    """Pairwise-crossing characterization vs reduce-to-empty search, for
-    every partition below the kernel of every tuple up to max_n.  One
-    reduction cache serves the whole check."""
+    """Pairwise-crossing characterization vs reduce-to-empty by greedy
+    block removal (no cache, no crossing test), for every partition below
+    the kernel of every tuple up to max_n."""
     result = CheckResult("membership_equivalence")
-    cache = {}
     for canon, ce in canonical_instances(e, max_n, seen):
         for p in partitions_below_kernel(canon):
             fast = is_epsilon_noncrossing(p, canon, ce)
-            slow = reduction_membership(p, canon, ce, cache)
+            slow = reduction_membership(p, canon, ce)
             result.record(
                 fast == slow,
                 detail={"tuple": list(canon), "partition": p.to_json(), "fast": fast, "slow": slow},

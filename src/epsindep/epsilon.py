@@ -37,10 +37,6 @@ class EpsilonMatrix:
         self._key = self._mat
 
     @classmethod
-    def from_edge_list(cls, size, independent_pairs, labels=None):
-        return cls(size, offdiag_pairs=independent_pairs, labels=labels)
-
-    @classmethod
     def from_json(cls, data):
         """Schema: {"labels": [...], "independent_pairs": [[a,b],...],
         "diagonal": {name: 0|1}} -- pair entries are label names."""

@@ -1,8 +1,9 @@
 """Membership and enumeration for the epsilon-non-crossing partition sets.
 
-Membership has two routes: the polynomial pairwise-crossing
-characterization (production path) and the reduce-to-empty search over
-interval-block removals and allowed adjacent swaps (verification oracle).
+Membership has two routes: the pairwise-crossing characterization
+(production path) and the reduce-to-empty definition (verification
+oracle), decided by greedily removing a block that adjacent swaps of
+eps = 1 points can bring together; both are polynomial and keep no cache.
 
 Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
 one step, first_blocks: the blocks that the first remaining point may head
@@ -13,7 +14,6 @@ is_epsilon_noncrossing (generate-and-test) is the reference the tests
 compare both against.
 """
 
-from collections import deque
 from itertools import combinations
 
 from .errors import DimensionMismatchError, DomainError
@@ -48,100 +48,40 @@ def is_epsilon_noncrossing(p, entries, e):
     return True
 
 
-def _interval_removals(blocks, labels):
-    """Successor states obtained by deleting one block of consecutive points."""
-    for idx, b in enumerate(blocks):
-        if b[-1] - b[0] != len(b) - 1:
-            continue
-        lo, hi = b[0], b[-1]
-        width = hi - lo + 1
-        new_blocks = []
-        for j, other in enumerate(blocks):
-            if j == idx:
-                continue
-            new_blocks.append(tuple(x if x < lo else x - width for x in other))
-        new_labels = labels[: lo - 1] + labels[hi:]
-        yield _canon(new_blocks), new_labels
+def reduction_membership(p, entries, e):
+    """Decide membership by the reduce-to-empty definition: repeatedly
+    remove a block of consecutive points, after any swaps of adjacent
+    points whose labels have eps = 1.
 
-
-def _swaps(blocks, labels, e):
-    """Successor states from exchanging adjacent points k, k+1 with eps=1."""
-    n = len(labels)
-    for k in range(1, n):  # swap points k and k+1 (1-based)
-        if e.eps(labels[k - 1], labels[k]) != 1:
-            continue
-        new_blocks = []
-        for b in blocks:
-            nb = []
-            for x in b:
-                if x == k:
-                    nb.append(k + 1)
-                elif x == k + 1:
-                    nb.append(k)
-                else:
-                    nb.append(x)
-            nb.sort()
-            new_blocks.append(tuple(nb))
-        new_labels = labels[: k - 1] + (labels[k], labels[k - 1]) + labels[k + 1 :]
-        yield _canon(new_blocks), new_labels
-
-
-def _canon(blocks):
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-
-
-def reduction_membership(p, entries, e, cache=None):
-    """Decide membership by searching for a reduction to the empty
-    partition via interval-block removals and allowed adjacent swaps.
-
-    cache maps (eps key, blocks, labels) to the answer for every state
-    decided so far.  Sharing one dict across calls is sound, because the
-    states reachable from a successor are reachable from the state itself;
-    without one, each call starts from a fresh dict."""
-    cache = {} if cache is None else cache
+    Swaps leave only the dependency order, the transitive closure of
+    i < j with eps != 1 (for equal labels, the diagonal), and a block can
+    be brought together and removed iff it is convex in that order.  The
+    points of a block share one label l, so a chain from one of them up to
+    another begins with a point inside the block's span that depends on l:
+    the block is convex iff no other remaining point inside its span
+    depends on l.  Removing points never makes a convex block non-convex,
+    so removing any convex block at each step empties the partition
+    whenever some sequence of removals does."""
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
     if not refines(p, kernel(entries)):
         raise DomainError("partition does not refine the kernel of the tuple")
 
-    ekey = e.key()
-    start = (p.blocks, tuple(entries))
-    full_key = (ekey, *start)
-    if full_key in cache:
-        return cache[full_key]
-
-    parent = {start: None}
-    queue = deque([start])
-    goal = None
-    while queue:
-        state = queue.popleft()
-        blocks, labels = state
-        if not blocks:
-            goal = state
-            break
-        cached = cache.get((ekey, *state))
-        if cached is True:
-            goal = state
-            break
-        if cached is False:
-            continue
-        for nxt in _interval_removals(blocks, labels):
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
-        for nxt in _swaps(blocks, labels, e):
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
-
-    if goal is None:
-        for state in parent:
-            cache[(ekey, *state)] = False
-        return False
-    while goal is not None:
-        cache[(ekey, *goal)] = True
-        goal = parent[goal]
+    lab, against = encode(entries, e)
+    # bars[k]: the positions whose label cannot be swapped past label k
+    bars = [sum(1 << j for j, r in enumerate(lab) if mask >> r & 1) for mask in against]
+    blocks = [(sum(1 << (x - 1) for x in b), lab[b[0] - 1]) for b in p.blocks]
+    left = (1 << p.n) - 1  # the points not yet removed
+    while blocks:
+        for block, k in blocks:
+            span = (1 << block.bit_length()) - (block & -block)
+            if not span & left & bars[k] & ~block:
+                break
+        else:
+            return False
+        blocks.remove((block, k))
+        left &= ~block
     return True
 
 

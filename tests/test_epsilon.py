@@ -23,11 +23,11 @@ def all_matrices(size, diag=None):
 
 class TestConstruction:
     def test_pure_freeness(self):
-        e = EpsilonMatrix.from_edge_list(2, [])
+        e = EpsilonMatrix(2, [])
         assert e.eps(0, 1) == 0 and e.eps(1, 0) == 0
 
     def test_pure_independence(self):
-        e = EpsilonMatrix.from_edge_list(2, [(0, 1)])
+        e = EpsilonMatrix(2, [(0, 1)])
         assert e.eps(0, 1) == 1 and e.eps(1, 0) == 1
         assert e.diagonal(0) == 0
 
@@ -44,9 +44,9 @@ class TestConstruction:
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
-            EpsilonMatrix.from_edge_list(2, [(0, 2)])
+            EpsilonMatrix(2, [(0, 2)])
         with pytest.raises(DomainError):
-            EpsilonMatrix.from_edge_list(2, [(1, 1)])
+            EpsilonMatrix(2, [(1, 1)])
 
     def test_symmetry_everywhere(self):
         for e in all_matrices(3):

@@ -1,5 +1,6 @@
 """Property tests: the enumerator and the cumulant recursion, both built on
-ncpartitions.first_blocks, against generate-and-test, the moment/cumulant
+ncpartitions.first_blocks, against generate-and-test, the greedy
+reduce-to-empty check against a literal search, the moment/cumulant
 conversions, the word reducer, and the CLI's exit codes on random input
 files."""
 
@@ -10,7 +11,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsindep import (
@@ -30,6 +31,7 @@ from epsindep import (
     normal_form,
     normalize_tuple,
     reduce_word,
+    reduction_membership,
 )
 from epsindep.cli import main
 from epsindep.crosscheck import partitions_below_kernel
@@ -94,6 +96,44 @@ def test_cumulant_moment_with_sparse_tables(instance, data):
     }
     want = sum(kappa_pi(p, entries, tables) for p in oracle_members(entries, e))
     assert mixed_moment_cumulant(entries, e, tables) == want
+
+
+def reduces_to_empty(p, entries, e):
+    """The reduce-to-empty definition searched literally: every state
+    reachable by swapping adjacent points whose labels have eps = 1 or by
+    removing a block whose points are consecutive.  A state is the
+    remaining points in order, each as (label, block index)."""
+    block_of = {x: b for b, block in enumerate(p.blocks) for x in block}
+    start = tuple((entries[x - 1], block_of[x]) for x in range(1, p.n + 1))
+    seen = {start}
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        if not state:
+            return True
+        moves = [
+            state[:k] + (state[k + 1], state[k]) + state[k + 2 :]
+            for k in range(len(state) - 1)
+            if e.eps(state[k][0], state[k + 1][0]) == 1
+        ]
+        for b in {b for _, b in state}:
+            at = [k for k, (_, c) in enumerate(state) if c == b]
+            if at[-1] - at[0] == len(at) - 1:
+                moves.append(state[: at[0]] + state[at[-1] + 1 :])
+        for nxt in moves:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(instances(max_n=7))
+@example(((0, 0, 0, 0), EpsilonMatrix(1, diag=[1])))  # {1,3}{2,4} needs the diagonal
+def test_greedy_reduction_matches_search(instance):
+    entries, e = instance
+    for p in partitions_below_kernel(entries):
+        assert reduction_membership(p, entries, e) == reduces_to_empty(p, entries, e)
 
 
 @settings(max_examples=150, deadline=None)
