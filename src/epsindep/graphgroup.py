@@ -4,6 +4,8 @@ normal form, the canonical trace, and generator mixed moments.
 Commutation between generators follows the off-diagonal entries of the
 independence matrix; diagonal entries play no role here.  A reduced
 nonempty word is never the identity, so triviality is a syntactic check.
+_fold_step expands products of sums of syllables, merging equal reduced
+prefixes, for the group trace and the definition route in moments.
 """
 
 from fractions import Fraction
@@ -33,6 +35,19 @@ def _append_syllable(word, lbl, exp, e, modulus):
         if not e.independent(lbl, wl):
             break
     return word + ((lbl, _norm_exp(exp, modulus)),)
+
+
+def _fold_step(prefixes, choices, e):
+    """One position of a prefix-merged expansion: each prefix (a reduced
+    word, mapped to its coefficient) takes each choice (syllable or None,
+    factor) by _append_syllable (None keeps it) times the factor; equal
+    results merge and zero coefficients are dropped."""
+    out = {}
+    for word, coeff in prefixes.items():
+        for syllable, factor in choices:
+            nxt = word if syllable is None else _append_syllable(word, *syllable, e, None)
+            out[nxt] = out.get(nxt, 0) + coeff * factor
+    return {word: coeff for word, coeff in out.items() if coeff}
 
 
 def reduce_word(syllables, e, modulus=None):
@@ -152,32 +167,21 @@ def single_power_trace(entries, exponents, e, modulus=None):
     return Fraction(not reduce_word(zip(entries, exponents), e, modulus))
 
 
-def generator_mixed_moment(entries, e, exponent_pattern="selfadjoint", modulus=None, cap=GENERATOR_MOMENT_CAP):
-    """Trace of the product over positions of u+u^{-1} (self-adjoint sum
-    mode) or of prescribed single powers; exact, expansion over sign
-    patterns with prefix merging."""
+def generator_mixed_moment(entries, e, cap=GENERATOR_MOMENT_CAP):
+    """Trace of the product over positions of u + u^{-1}: the coefficient
+    of () after folding the choices u, u^{-1} per position (_fold_step).
+    A prefix is dropped once the appended label's sum of |exponent|
+    exceeds its count among the positions left: these reduce to no more
+    of the label, yet must equal the prefix's inverse, and all reduced
+    forms of an element carry the same syllables (E. R. Green, Graph
+    products of groups, Leeds 1990)."""
     n = len(entries)
     if n > cap:
         raise EnumerationLimitError(f"length {n} exceeds cap {cap}")
     e.check_tuple(entries)
-    if exponent_pattern != "selfadjoint":
-        return single_power_trace(entries, exponent_pattern, e, modulus)
-
-    cache = {}
-
-    def count(k, word):
-        if k == n:
-            return 1 if not word else 0
-        key = (k, word)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        lbl = entries[k]
-        total = count(k + 1, _append_syllable(word, lbl, 1, e, modulus)) + count(
-            k + 1, _append_syllable(word, lbl, -1, e, modulus)
-        )
-        cache[key] = total
-        return total
-
-    return Fraction(count(0, ()))
-
+    prefixes = {(): 1}
+    for k, lbl in enumerate(entries):
+        left = entries[k + 1 :].count(lbl)
+        step = _fold_step(prefixes, (((lbl, 1), 1), ((lbl, -1), 1)), e)
+        prefixes = {w: c for w, c in step.items() if sum(abs(x) for wl, x in w if wl == lbl) <= left}
+    return Fraction(prefixes.get((), 0))

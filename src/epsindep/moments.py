@@ -2,11 +2,12 @@
 centering recursion, and the kernel-factorization shortcut."""
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .cumulants import CLASSICAL, FREE
 from .errors import TableError
-from .graphgroup import reduce_word
+from .graphgroup import _fold_step, reduce_word
 from .ncpartitions import encode, first_blocks, is_epsilon_noncrossing
 from .partitions import _check_cap, kernel
 
@@ -96,51 +97,43 @@ def normalize_tuple(entries, e):
     return tuple(f[0] for f in factors), [f[1] for f in factors]
 
 
-def _phi_word(word, e, moments, cache):
-    word = reduce_word(word, e)
-    if not word:
-        return Fraction(1)
-    if len(word) == 1:
-        lbl, pw = word[0]
-        return moments[lbl][pw - 1]
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    m = len(word)
-    means = [moments[lbl][pw - 1] for lbl, pw in word]
-    # centering: the fully-centered term vanishes (the merged label
-    # sequence is admissible), the rest telescopes over proper subsets
-    total = Fraction(0)
-    for mask in range((1 << m) - 1):
-        sub = tuple(word[k] for k in range(m) if mask >> k & 1)
-        coeff = Fraction(1)
-        for k in range(m):
-            if not mask >> k & 1:
-                coeff *= means[k]
-        sign = -1 if (m - bin(mask).count("1")) % 2 else 1
-        total -= sign * coeff * _phi_word(sub, e, moments, cache)
-    cache[word] = total
-    return total
-
-
 def mixed_moment_by_definition(entries, e, moments, cap=None):
     """Evaluate the mixed moment straight from the independence
-    definition: normalize, center each factor, expand, recurse on
-    strictly shorter words.  Exponential; an oracle, not a fast path.
+    definition.  moments maps each label to its moment sequence m_1..m_N
+    (N >= n); the length cap is the enumeration cap unless given.
 
-    moments maps each label to its moment sequence m_1..m_N (N >= n).
-    The length cap is the enumeration cap unless given.
-    """
+    The tuple's reduced word a_1...a_m is admissible, so phi((a_1 - m_1)
+    ...(a_m - m_m)) = 0: _fold_step expands that product with the choices
+    a_k or -m_k (a_k alone when m_k = 0), and phi(a_1...a_m) is minus the
+    other terms, each a shorter reduced word evaluated once per call, in
+    integers as in mixed_moment_cumulant."""
     n = len(entries)
     _check_cap(n, cap)
     e.check_tuple(entries)
+    scaled, scale = {}, 1
     for label in set(entries):
         if label not in moments:
             raise TableError(f"no moments for label {label}")
         if len(moments[label]) < n:
             raise TableError(f"moments for label {label} too short for order {n}")
-    word = tuple((lbl, 1) for lbl in entries)
-    return _phi_word(word, e, moments, {})
+        seq = [Fraction(m) for m in moments[label][:n]]
+        d = lcm(*(m.denominator for m in seq))
+        scaled[label] = [m.numerator * d**p // m.denominator for p, m in enumerate(seq, 1)]
+        scale *= d ** entries.count(label)
+
+    @cache
+    def phi(word):
+        if len(word) < 2:
+            return scaled[word[0][0]][word[0][1] - 1] if word else 1
+        terms = {(): 1}
+        for lbl, pw in word:
+            mean = scaled[lbl][pw - 1]
+            choices = (((lbl, pw), 1), (None, -mean)) if mean else (((lbl, pw), 1),)
+            terms = _fold_step(terms, choices, e)
+        del terms[word]  # the term taking every a_k
+        return -sum(coeff * phi(u) for u, coeff in terms.items())
+
+    return Fraction(phi(reduce_word(((lbl, 1) for lbl in entries), e)), scale)
 
 
 def factorization_shortcut(entries, e, tables):

@@ -42,10 +42,6 @@ class SetPartition:
         """Index (into .blocks) of the block containing point x."""
         return self._block_of[x - 1]
 
-    def rgs(self):
-        """Restricted-growth string: class label per point, first-seen order."""
-        return self._block_of
-
     def to_json(self):
         return [list(b) for b in self.blocks]
 
