@@ -8,18 +8,15 @@ from .cumulants import (
     JointMomentOracle,
     arcsine_moments,
     arcsine_table,
-    bernoulli_table,
     classical_cumulants_to_moments,
     free_cumulants_to_moments,
     format_fraction,
     kappa_pi,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
-    point_mass_table,
     product_as_arguments_check,
     random_joint_oracle,
     semicircle_table,
-    table_from_spec,
 )
 from .epsilon import (
     EpsilonMatrix,
@@ -37,13 +34,8 @@ from .errors import (
     TableError,
 )
 from .graphgroup import (
-    GroupAlgebraElement,
     generator_mixed_moment,
-    multiply_reduce,
-    normal_form,
     reduce_word,
-    single_power_trace,
-    trace,
 )
 from .moments import (
     factorization_shortcut,

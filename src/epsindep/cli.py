@@ -167,6 +167,7 @@ def cmd_crosscheck(args):
         seed=args.seed,
         instances=args.instances,
         corrupt=args.self_test_corrupt,
+        cap=args.cap,
     )
     _emit(report, args.table)
     return 0 if ok else 1

@@ -37,13 +37,6 @@ def _restrict(e, order):
     return EpsilonMatrix(k, pairs, diag=[e.diagonal(v) for v in order])
 
 
-def canonical_instance(entries, e):
-    """Relabel a tuple by first occurrence and restrict the matrix to the
-    labels it uses; results are invariant under this renaming."""
-    order = list(dict.fromkeys(entries))
-    return tuple(order.index(v) for v in entries), _restrict(e, order)
-
-
 def _restricted_growth_tuples(n, k):
     """The tuples of length n over the labels 0..k-1 in which each label
     first occurs after all smaller ones, in lexicographic order."""
@@ -146,7 +139,7 @@ def _random_tables(rng, e, entries, max_num=20, max_den=20):
     return tables
 
 
-def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
+def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False, cap=None):
     """Cumulant-formula evaluator vs definition-based centering recursion
     on random tuples with random rational moment data."""
     result = CheckResult("evaluator_equivalence")
@@ -159,8 +152,8 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
             lbl = entries[0]
             moments[lbl] = list(moments[lbl])
             moments[lbl][-1] += 1
-        a = mixed_moment_cumulant(entries, e, tables)
-        b = mixed_moment_by_definition(entries, e, moments)
+        a = mixed_moment_cumulant(entries, e, tables, cap=cap)
+        b = mixed_moment_by_definition(entries, e, moments, cap=cap)
         result.record(
             a == b,
             detail={"tuple": list(entries), "cumulant": str(a), "definition": str(b)},
@@ -181,7 +174,7 @@ def _arcsine_tables(entries, e, arcsine):
     return tables
 
 
-def group_model_check(e, max_n, seen=None, arcsine=None):
+def group_model_check(e, max_n, seen=None, arcsine=None, cap=None):
     """Trace of products of u+u^{-1} in the graph product group vs the
     cumulant formula with arcsine tables, for every tuple up to max_n.
     arcsine caches the tables by (kind, order) across calls."""
@@ -189,8 +182,8 @@ def group_model_check(e, max_n, seen=None, arcsine=None):
     arcsine = {} if arcsine is None else arcsine
     for canon, ce in canonical_instances(e, max_n, seen):
         tables = _arcsine_tables(canon, ce, arcsine)
-        group_value = generator_mixed_moment(canon, ce)
-        cumulant_value = mixed_moment_cumulant(canon, ce, tables)
+        group_value = generator_mixed_moment(canon, ce, cap=cap)
+        cumulant_value = mixed_moment_cumulant(canon, ce, tables, cap=cap)
         result.record(
             group_value == cumulant_value,
             detail={
@@ -202,7 +195,7 @@ def group_model_check(e, max_n, seen=None, arcsine=None):
     return result
 
 
-def factorization_check(e, max_n, seen=None, arcsine=None):
+def factorization_check(e, max_n, seen=None, arcsine=None, cap=None):
     """Wherever the kernel is epsilon-non-crossing, the shortcut must
     agree with the cumulant evaluator (arcsine data, cached as in
     group_model_check)."""
@@ -213,7 +206,7 @@ def factorization_check(e, max_n, seen=None, arcsine=None):
         short = factorization_shortcut(canon, ce, tables)
         if short is None:
             continue
-        full = mixed_moment_cumulant(canon, ce, tables)
+        full = mixed_moment_cumulant(canon, ce, tables, cap=cap)
         result.record(
             short == full,
             detail={"tuple": list(canon), "shortcut": str(short), "full": str(full)},
@@ -221,15 +214,17 @@ def factorization_check(e, max_n, seen=None, arcsine=None):
     return result
 
 
-def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):
-    """The whole battery; returns (report dict, ok flag)."""
+def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False, cap=None):
+    """The whole battery; returns (report dict, ok flag).  cap is the
+    length limit of every evaluator call (the enumeration cap unless
+    given)."""
     rng = random.Random(seed)
     arcsine = {}
     checks = [
         membership_equivalence_check(e, min(max_n, 6)),
-        evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt),
-        group_model_check(e, max_n, arcsine=arcsine),
-        factorization_check(e, min(max_n, 6), arcsine=arcsine),
+        evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt, cap=cap),
+        group_model_check(e, max_n, arcsine=arcsine, cap=cap),
+        factorization_check(e, min(max_n, 6), arcsine=arcsine, cap=cap),
     ]
     report = {
         "max_n": max_n,

@@ -178,17 +178,9 @@ def bernoulli_moments(max_order=12):
     return [Fraction(0) if n % 2 else Fraction(1) for n in range(1, max_order + 1)]
 
 
-def bernoulli_table(kind=FREE, max_order=12, label=None):
-    return CumulantTable.from_moments(kind, bernoulli_moments(max_order), label=label)
-
-
 def point_mass_moments(value, max_order=12):
     v = Fraction(value)
     return [v**n for n in range(1, max_order + 1)]
-
-
-def point_mass_table(value, kind=FREE, max_order=12, label=None):
-    return CumulantTable.from_moments(kind, point_mass_moments(value, max_order), label=label)
 
 
 def parse_fraction(text):
@@ -233,12 +225,6 @@ def spec_moments(spec, order=12):
         value = parse_fraction(str(spec.get("value", "1")))
         return kind, point_mass_moments(value, order)
     raise InputError(f"distribution spec needs 'moments' or a known 'named': {spec!r}")
-
-
-def table_from_spec(spec, max_order=12):
-    """Build a table from a JSON distribution spec (see spec_moments)."""
-    kind, moments = spec_moments(spec, max_order)
-    return CumulantTable.from_moments(kind, moments, label=spec.get("label"))
 
 
 # -- products-as-arguments identity harness ---------------------------------

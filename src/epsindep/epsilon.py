@@ -11,7 +11,7 @@ from .errors import DomainError, InputError
 class EpsilonMatrix:
     """Symmetric 0/1 matrix over labels 0..size-1, immutable."""
 
-    __slots__ = ("size", "_mat", "labels", "_key")
+    __slots__ = ("size", "_mat", "labels")
 
     def __init__(self, size, offdiag_pairs=(), diag=None, labels=None):
         if labels is not None and len(labels) != size:
@@ -34,7 +34,6 @@ class EpsilonMatrix:
         self.size = size
         self._mat = tuple(tuple(row) for row in mat)
         self.labels = tuple(labels) if labels is not None else None
-        self._key = self._mat
 
     @classmethod
     def from_json(cls, data):
@@ -76,20 +75,6 @@ class EpsilonMatrix:
             diag[index[name]] = d
         return cls(len(names), pairs, diag=diag, labels=names)
 
-    def to_json(self):
-        names = self.labels or [str(k) for k in range(self.size)]
-        pairs = [
-            [names[a], names[b]]
-            for a in range(self.size)
-            for b in range(a + 1, self.size)
-            if self._mat[a][b]
-        ]
-        diag = {names[k]: self._mat[k][k] for k in range(self.size) if self._mat[k][k]}
-        out = {"labels": list(names), "independent_pairs": pairs}
-        if diag:
-            out["diagonal"] = diag
-        return out
-
     def eps(self, i, j):
         return self._mat[i][j]
 
@@ -110,7 +95,7 @@ class EpsilonMatrix:
 
     def key(self):
         """Hashable identity of the matrix contents."""
-        return self._key
+        return self._mat
 
     def check_tuple(self, entries):
         for v in entries:

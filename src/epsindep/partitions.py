@@ -1,6 +1,7 @@
 """Set partitions of {1,...,n}: canonical form, refinement, crossing tests."""
 
 import os
+from bisect import bisect
 
 from .errors import DimensionMismatchError, EnumerationLimitError
 
@@ -44,12 +45,6 @@ class SetPartition:
 
     def to_json(self):
         return [list(b) for b in self.blocks]
-
-    @classmethod
-    def from_json(cls, data):
-        blocks = [tuple(b) for b in data]
-        n = sum(len(b) for b in blocks)
-        return cls(n, blocks)
 
     def __eq__(self, other):
         return (
@@ -158,15 +153,12 @@ def refines(p, q):
 
 
 def blocks_cross(p, i_block, j_block):
-    """Whether blocks with given indices interleave (ABAB pattern)."""
-    merged = sorted(
-        [(x, 0) for x in p.blocks[i_block]] + [(x, 1) for x in p.blocks[j_block]]
-    )
-    runs = 1
-    for (_, a), (_, b) in zip(merged, merged[1:]):
-        if a != b:
-            runs += 1
-    return runs >= 4
+    """Whether blocks with given indices interleave (ABAB pattern): the
+    points of one fall into more than one gap of the other, and not just
+    before and after it."""
+    a = p.blocks[i_block]
+    gaps = {bisect(a, x) for x in p.blocks[j_block]}
+    return len(gaps) > 1 and gaps != {0, len(a)}
 
 
 def bell_numbers(upto):

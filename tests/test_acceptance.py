@@ -32,7 +32,6 @@ from epsindep import (
     semicircle_table,
 )
 from epsindep.crosscheck import (
-    canonical_instance,
     canonical_instances,
     membership_equivalence_check,
     partitions_below_kernel,
@@ -179,34 +178,24 @@ def test_criterion_4_extreme_cases():
     # all-zero eps: the set is the non-crossing partitions below the kernel
     cases = failures = 0
     for nlabels in (2, 3):
-        zero = empty_graph_matrix(nlabels)
-        one = complete_graph_matrix(nlabels)
-        seen_zero, seen_one = set(), set()
-        for n in range(1, 7):
-            for entries in product(range(nlabels), repeat=n):
-                ker = kernel(entries)
-                canon, cz = canonical_instance(entries, zero)
-                if (canon, cz.key()) not in seen_zero:
-                    seen_zero.add((canon, cz.key()))
-                    expected = sorted(
-                        (p for p in enumerate_noncrossing(n) if refines(p, ker)),
-                        key=lambda p: p.blocks,
-                    )
-                    cases += 1
-                    failures += enumerate_nc_epsilon(entries, zero) != expected
-                canon, co = canonical_instance(entries, one)
-                if (canon, co.key()) not in seen_one:
-                    seen_one.add((canon, co.key()))
-                    got = set(enumerate_nc_epsilon(entries, one))
-                    expected_set = {
-                        q
-                        for q in partitions_below_kernel(entries)
-                        if all(
-                            _restricted_noncrossing(q, b) for b in ker.blocks
-                        )
-                    }
-                    cases += 1
-                    failures += got != expected_set
+        for entries, cz in canonical_instances(empty_graph_matrix(nlabels), 6):
+            ker = kernel(entries)
+            expected = sorted(
+                (p for p in enumerate_noncrossing(len(entries)) if refines(p, ker)),
+                key=lambda p: p.blocks,
+            )
+            cases += 1
+            failures += enumerate_nc_epsilon(entries, cz) != expected
+        for entries, co in canonical_instances(complete_graph_matrix(nlabels), 6):
+            ker = kernel(entries)
+            got = set(enumerate_nc_epsilon(entries, co))
+            expected_set = {
+                q
+                for q in partitions_below_kernel(entries)
+                if all(_restricted_noncrossing(q, b) for b in ker.blocks)
+            }
+            cases += 1
+            failures += got != expected_set
     report("4b set-identities", failures == 0, f"{cases} cases")
 
 

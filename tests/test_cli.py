@@ -251,6 +251,15 @@ class TestCrosscheck:
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    def test_cap_reaches_every_evaluator(self, tmp_path, capsys):
+        # --max-n above the default cap of 12 runs once --cap allows it
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"]}))
+        argv = ["crosscheck", "--graph", str(graph), "--cap", "13", "--max-n", "13"]
+        code, out = run(capsys, argv + ["--instances", "0"])
+        assert code == 0
+        assert json.loads(out)["total_failures"] == 0
+
 
 class TestInputHandling:
     def test_bad_json(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from epsindep import (
     SetPartition,
     TableError,
     arcsine_moments,
-    bernoulli_table,
     classical_cumulants_to_moments,
     enumerate_noncrossing,
     enumerate_set_partitions,
@@ -19,12 +18,11 @@ from epsindep import (
     kappa_pi,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
-    point_mass_table,
     product_as_arguments_check,
     random_joint_oracle,
     semicircle_table,
-    table_from_spec,
 )
+from epsindep.cumulants import spec_moments
 
 F = Fraction
 
@@ -210,23 +208,30 @@ class TestKappaPi:
 
 class TestTableSpecs:
     def test_moment_list_spec(self):
-        t = table_from_spec(
+        kind, moments = spec_moments(
             {"label": "x", "kind": "free", "moments": ["0", "1", "0", "2"]}
         )
+        assert kind == "free" and moments == [F(0), F(1), F(0), F(2)]
+        t = CumulantTable.from_moments(kind, moments)
         assert t.cumulants == (F(0), F(1), F(0), F(0))
 
     def test_named_semicircle_classical_kind(self):
-        t = table_from_spec(
+        kind, moments = spec_moments(
             {"label": "x", "named": "semicircle", "variance": "1", "kind": "classical"},
-            max_order=6,
+            order=6,
         )
-        assert t.moments() == [F(0), F(1), F(0), F(2), F(0), F(5)]
+        assert kind == "classical"
+        assert moments == [F(0), F(1), F(0), F(2), F(0), F(5)]
 
     def test_bernoulli_and_point_mass(self):
-        b = bernoulli_table("classical", 4)
-        assert b.moments() == [F(0), F(1), F(0), F(1)]
-        pm = point_mass_table(F(3, 2), "free", 3)
-        assert pm.moments() == [F(3, 2), F(9, 4), F(27, 8)]
+        assert spec_moments({"named": "bernoulli", "kind": "classical"}, 4) == (
+            "classical",
+            [F(0), F(1), F(0), F(1)],
+        )
+        assert spec_moments({"named": "point_mass", "value": "3/2"}, 3) == (
+            "free",
+            [F(3, 2), F(9, 4), F(27, 8)],
+        )
 
     def test_empty_moments_rejected(self):
         with pytest.raises(TableError):

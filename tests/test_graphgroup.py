@@ -7,18 +7,13 @@ import pytest
 
 from epsindep import (
     EnumerationLimitError,
-    GroupAlgebraElement,
     complete_graph_matrix,
     empty_graph_matrix,
     generator_mixed_moment,
     is_admissible_tuple,
-    multiply_reduce,
-    normal_form,
     reduce_word,
-    single_power_trace,
-    trace,
 )
-from epsindep.graphgroup import invert_word, word_from_json, word_to_json
+from test_properties import inverse, sign_sum_trace
 
 F = Fraction
 FREE2 = empty_graph_matrix(2)
@@ -36,32 +31,27 @@ def all_matrices(size):
 
 class TestReduction:
     def test_inverse_cancellation(self):
-        assert multiply_reduce(((0, 1),), ((0, -1),), FREE2) == ()
+        assert reduce_word(((0, 1), (0, -1)), FREE2) == ()
 
     def test_commute_and_cancel(self):
-        w = multiply_reduce(((0, 1), (1, 1)), ((0, -1),), INDEP2)
+        w = reduce_word(((0, 1), (1, 1), (0, -1)), INDEP2)
         assert w == ((1, 1),)
 
     def test_no_cancellation_when_free(self):
-        w = multiply_reduce(((0, 1), (1, 1)), ((0, -1),), FREE2)
+        w = reduce_word(((0, 1), (1, 1), (0, -1)), FREE2)
         assert len(w) == 3 and w != ()
 
     def test_exponent_merge(self):
         assert reduce_word(((0, 2), (0, 3)), FREE2) == ((0, 5),)
         assert reduce_word(((0, 2), (0, -2)), FREE2) == ()
 
-    def test_mod_two_exponents(self):
-        assert reduce_word(((0, 1), (0, 1)), FREE2, modulus=2) == ()
-        assert reduce_word(((0, 1), (1, 1), (0, 1)), INDEP2, modulus=2) == ((1, 1),)
-
-    def test_json_round_trip(self):
-        w = ((0, 2), (1, -1))
-        assert word_from_json(word_to_json(w)) == w
-
 
 class TestNormalForm:
+    """Two words name the same group element iff one times the inverse of
+    the other reduces to the empty word."""
+
     def test_uniqueness_under_commutation(self):
-        # any legal adjacent exchange yields the same normal form
+        # any legal adjacent exchange yields the same element
         rng = random.Random(31)
         mats = list(all_matrices(3))
         for _ in range(300):
@@ -69,13 +59,12 @@ class TestNormalForm:
             word = tuple(
                 (rng.randrange(3), rng.choice((-2, -1, 1, 2))) for _ in range(6)
             )
-            base = normal_form(word, e)
             for k in range(len(word) - 1):
                 if e.independent(word[k][0], word[k + 1][0]):
                     swapped = (
                         word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
                     )
-                    assert normal_form(swapped, e) == base
+                    assert reduce_word(swapped + inverse(word), e) == ()
 
     def test_two_letter_exhaustive_associativity(self):
         for e in (FREE2, INDEP2):
@@ -88,9 +77,9 @@ class TestNormalForm:
             for a in words:
                 for b in words:
                     for c in words:
-                        ab_c = multiply_reduce(multiply_reduce(a, b, e), c, e)
-                        a_bc = multiply_reduce(a, multiply_reduce(b, c, e), e)
-                        assert ab_c == a_bc
+                        ab_c = reduce_word(reduce_word(a + b, e) + c, e)
+                        a_bc = reduce_word(a + reduce_word(b + c, e), e)
+                        assert reduce_word(ab_c + inverse(a_bc), e) == ()
 
     def test_random_associativity_and_inverses(self):
         rng = random.Random(32)
@@ -105,36 +94,30 @@ class TestNormalForm:
                 for _ in range(3)
             ]
             a, b, c = words
-            assert multiply_reduce(multiply_reduce(a, b, e), c, e) == multiply_reduce(
-                a, multiply_reduce(b, c, e), e
-            )
-            assert multiply_reduce(a, invert_word(a), e) == ()
-            assert multiply_reduce(invert_word(a), a, e) == ()
+            ab_c = reduce_word(reduce_word(a + b, e) + c, e)
+            a_bc = reduce_word(a + reduce_word(b + c, e), e)
+            assert reduce_word(ab_c + inverse(a_bc), e) == ()
+            assert reduce_word(a + inverse(a), e) == ()
+            assert reduce_word(inverse(a) + a, e) == ()
 
 
 class TestTrace:
     def test_identity(self):
-        one = GroupAlgebraElement.one(FREE2)
-        assert trace(one) == F(1)
+        assert generator_mixed_moment((), FREE2) == F(1)
 
     def test_single_generator(self):
-        s = GroupAlgebraElement.generator(FREE2, 0)
-        assert trace(s) == F(0)
+        assert reduce_word(((0, 1),), FREE2) != ()
+        assert generator_mixed_moment((0,), FREE2) == F(0)
 
     def test_commutator(self):
-        for e, expected in ((INDEP2, F(1)), (FREE2, F(0))):
-            u = GroupAlgebraElement.generator(e, 0)
-            v = GroupAlgebraElement.generator(e, 1)
-            ui = GroupAlgebraElement.generator(e, 0, -1)
-            vi = GroupAlgebraElement.generator(e, 1, -1)
-            assert trace(u * v * ui * vi) == expected
+        word = ((0, 1), (1, 1), (0, -1), (1, -1))
+        assert reduce_word(word, INDEP2) == ()
+        assert reduce_word(word, FREE2) != ()
 
     def test_algebra_arithmetic(self):
-        u = GroupAlgebraElement.generator(INDEP2, 0)
-        x = u + GroupAlgebraElement.generator(INDEP2, 0, -1)
-        sq = x * x
-        assert trace(sq) == F(2)
-        assert trace(2 * x) == F(0)
+        # (u + u^-1)^2 = u^2 + 2 + u^-2
+        assert generator_mixed_moment((0, 0), INDEP2) == F(2)
+        assert sign_sum_trace((0, 0), INDEP2) == 2
 
 
 class TestGeneratorMoments:
@@ -155,13 +138,7 @@ class TestGeneratorMoments:
             e = rng.choice(mats)
             n = rng.randint(1, 5)
             entries = tuple(rng.randrange(3) for _ in range(n))
-            elem = GroupAlgebraElement.one(e)
-            for lbl in entries:
-                elem = elem * (
-                    GroupAlgebraElement.generator(e, lbl)
-                    + GroupAlgebraElement.generator(e, lbl, -1)
-                )
-            assert generator_mixed_moment(entries, e) == trace(elem)
+            assert generator_mixed_moment(entries, e) == sign_sum_trace(entries, e)
 
     def test_admissible_single_powers_vanish(self):
         rng = random.Random(34)
@@ -173,7 +150,7 @@ class TestGeneratorMoments:
             if not is_admissible_tuple(entries, e):
                 continue
             exponents = [rng.choice((-1, 1)) for _ in range(n)]
-            assert single_power_trace(entries, exponents, e) == F(0)
+            assert reduce_word(zip(entries, exponents), e) != ()
 
     def test_complete_graph_is_free_abelian(self):
         e = complete_graph_matrix(3)
@@ -185,17 +162,15 @@ class TestGeneratorMoments:
             sums = [0, 0, 0]
             for lbl, x in zip(entries, exponents):
                 sums[lbl] += x
-            expected = F(1) if all(s == 0 for s in sums) else F(0)
-            assert single_power_trace(entries, exponents, e) == expected
-
-    def test_mod_two_bernoulli(self):
-        # generator of Z/2 is its own inverse: trace of u^n is [n even]
-        e = empty_graph_matrix(1)
-        for n in range(0, 9):
-            expected = F(1) if n % 2 == 0 else F(0)
-            assert single_power_trace((0,) * n, [1] * n, e, modulus=2) == expected
+            trivial = all(s == 0 for s in sums)
+            assert (reduce_word(zip(entries, exponents), e) == ()) == trivial
 
     def test_length_cap(self):
+        # the enumeration cap (12 by default) bounds the trace too
         e = empty_graph_matrix(1)
         with pytest.raises(EnumerationLimitError):
-            generator_mixed_moment((0,) * 15, e)
+            generator_mixed_moment((0,) * 13, e)
+
+    def test_length_cap_given(self):
+        e = empty_graph_matrix(1)
+        assert generator_mixed_moment((0,) * 14, e, cap=14) == F(math.comb(14, 7))
