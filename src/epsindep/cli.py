@@ -21,7 +21,7 @@ from .moments import (
     moments_from_tables,
 )
 from .ncpartitions import enumerate_nc_epsilon, is_epsilon_noncrossing
-from .partitions import DEFAULT_ENUMERATION_CAP, kernel
+from .partitions import default_cap, kernel
 
 
 def _load_json(path):
@@ -46,8 +46,8 @@ def _parse_tuple(text, e):
 
 
 def _load_tables(path, e, entries):
-    """Validate every spec in the distribution file, then build tables for
-    the labels of the tuple only, from their first len(entries) moments."""
+    """Validate every spec in the distribution file, then generate moments
+    and build tables for the tuple's labels only, to order len(entries)."""
     data = _load_json(path)
     if isinstance(data, dict):
         data = [
@@ -63,7 +63,7 @@ def _load_tables(path, e, entries):
             raise InputError(f"distribution spec without label: {spec!r}")
         idx = e.label_index(spec["label"])
         kind = CLASSICAL if e.diagonal(idx) == 1 else FREE
-        specs[idx] = spec_moments({"kind": kind, **spec}, n)
+        specs[idx] = spec_moments({"kind": kind, **spec}, n if idx in entries else 0)
     return {
         idx: CumulantTable.from_moments(kind, moments[:n])
         for idx, (kind, moments) in specs.items()
@@ -186,7 +186,7 @@ def build_parser():
         p.add_argument(
             "--cap",
             type=int,
-            default=DEFAULT_ENUMERATION_CAP,
+            default=None,
             help="largest tuple length any evaluator or enumeration accepts "
             "(default: EPSINDEP_MAX_N, else 12)",
         )
@@ -235,6 +235,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.cap is None:
+            args.cap = default_cap()
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

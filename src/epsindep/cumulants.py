@@ -2,12 +2,13 @@
 
 Free cumulants invert moments over non-crossing partitions, classical
 cumulants over all partitions; both by the same subtraction recursion
-(peel everything except the full block).  All arithmetic is Fraction.
+(peel everything except the full block).  Values are exact rationals,
+computed internally as scaled integers.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError, InputError, TableError
 from .partitions import enumerate_noncrossing, kernel, refines
@@ -17,8 +18,8 @@ CLASSICAL = "classical"
 
 
 def _convert(seq, kind, given):
-    """Moment and cumulant sequences from either one, in one pass over the
-    orders; given is "moments" or "cumulants" and says which seq holds.
+    """The cumulants of moments m_1..m_N or the moments of cumulants
+    kappa_1..kappa_N: given ("moments" or "cumulants") names seq's side.
 
     m_n = kappa_n + rest_n, where rest_n sums over the partitions whose
     block containing point 1 has size s < n (m_0 = 1):
@@ -27,47 +28,49 @@ def _convert(seq, kind, given):
     - free: the s gaps the block leaves fill independently, so
       rest_n = sum kappa_s [z^(n-s)] M(z)^s with M(z) = sum m_i z^i.
       powers[s][t] = [z^t] M(z)^s gains column t = n-1 at order n, from
-      the moments known by then, so the pass costs O(N^3) Fraction
-      operations.
+      the moments known by then, so the pass costs O(N^3) operations.
+    Both are homogeneous of degree n, so they run unchanged on the integers
+    value_p * d**p (seq holds Fractions, d their common denominator), and
+    each output is divided by d**p once.
     """
     order = len(seq)
-    moments = [Fraction(1)]
+    d = lcm(*(v.denominator for v in seq))
+    scale = [d**p for p in range(order + 1)]
+    moments = [1]
     cumulants = []
-    powers = [[Fraction(1)] + [Fraction(0)] * order] + [[] for _ in range(order)]
+    powers = [[1] + [0] * order] + [[] for _ in range(order)]
     for n in range(1, order + 1):
         if kind == FREE:
             t = n - 1
             for s in range(1, order - t + 1):
                 prev = powers[s - 1]
-                terms = (moments[i] * prev[t - i] for i in range(t + 1) if prev[t - i])
-                powers[s].append(sum(terms))
+                powers[s].append(sum(moments[i] * prev[t - i] for i in range(t + 1) if prev[t - i]))
             rest = sum(cumulants[s - 1] * powers[s][n - s] for s in range(1, n))
         else:
-            rest = sum(
-                comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s] for s in range(1, n)
-            )
-        value = Fraction(seq[n - 1])
+            rest = sum(comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s] for s in range(1, n))
+        value = seq[n - 1].numerator * (scale[n] // seq[n - 1].denominator)
         if given == "moments":
             moments.append(value)
             cumulants.append(value - rest)
         else:
             cumulants.append(value)
             moments.append(value + rest)
-    return moments[1:], cumulants
+    out = cumulants if given == "moments" else moments[1:]
+    return [Fraction(x, scale[p]) for p, x in enumerate(out, 1)]
 
 
-def _to_moments(cumulants, kind):
-    return _convert(cumulants, kind, "cumulants")[0]
+def _fractions(seq):
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in seq)
 
 
 def _to_cumulants(moments, kind):
     if not moments:
         raise TableError("empty moment sequence")
-    return _convert(moments, kind, "moments")[1]
+    return _convert(_fractions(moments), kind, "moments")
 
 
 def free_cumulants_to_moments(cumulants):
-    return _to_moments(cumulants, FREE)
+    return _convert(_fractions(cumulants), FREE, "cumulants")
 
 
 def moments_to_free_cumulants(moments):
@@ -75,7 +78,7 @@ def moments_to_free_cumulants(moments):
 
 
 def classical_cumulants_to_moments(cumulants):
-    return _to_moments(cumulants, CLASSICAL)
+    return _convert(_fractions(cumulants), CLASSICAL, "cumulants")
 
 
 def moments_to_classical_cumulants(moments):
@@ -95,12 +98,13 @@ class CumulantTable:
     def __post_init__(self):
         if self.kind not in (FREE, CLASSICAL):
             raise TableError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "cumulants", tuple(Fraction(c) for c in self.cumulants))
+        object.__setattr__(self, "cumulants", _fractions(self.cumulants))
 
     @classmethod
     def from_moments(cls, kind, moments, label=None):
+        moments = _fractions(moments)
         table = cls(kind, _to_cumulants(moments, kind), label=label)
-        object.__setattr__(table, "_moments", tuple(Fraction(m) for m in moments))
+        object.__setattr__(table, "_moments", moments)
         return table
 
     @property
@@ -116,7 +120,7 @@ class CumulantTable:
 
     def _moment_tuple(self):
         if self._moments is None:
-            object.__setattr__(self, "_moments", tuple(_to_moments(self.cumulants, self.kind)))
+            object.__setattr__(self, "_moments", tuple(_convert(self.cumulants, self.kind, "cumulants")))
         return self._moments
 
     def moments(self):
@@ -201,7 +205,7 @@ def spec_moments(spec, order=12):
     Either {"kind": "free"|"classical", "moments": ["p/q", ...]}, whose
     moments are returned in full, or a named one, e.g. {"named":
     "semicircle", "variance": "1", "kind": ...}, generated to the given
-    order.  kind defaults to free.
+    order (order 0 only validates it).  kind defaults to free.
     """
     if not isinstance(spec, dict):
         raise InputError(f"distribution spec must be a JSON object: {spec!r}")
@@ -215,8 +219,8 @@ def spec_moments(spec, order=12):
     name = spec.get("named")
     if name == "semicircle":
         variance = parse_fraction(str(spec.get("variance", "1")))
-        cumulants = [Fraction(0), variance] + [Fraction(0)] * (order - 2)
-        return kind, _to_moments(cumulants, FREE)
+        cumulants = ([Fraction(0), variance] + [Fraction(0)] * order)[:order]
+        return kind, free_cumulants_to_moments(cumulants)
     if name == "arcsine":
         return kind, arcsine_moments(order)
     if name == "bernoulli":

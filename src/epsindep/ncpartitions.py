@@ -167,20 +167,23 @@ def enumerate_nc_epsilon(entries, e, cap=None):
     e.check_tuple(entries)
     lab, against = encode(entries, e)
     out = []
-    blocks = []  # the blocks chosen on the current path, as positions
-    children = {}  # state -> its (block, next state) pairs: states recur
+    blocks = []  # the path's blocks, each holding the first point left: canonical
+    children = {}  # state -> (indices taken, indices kept, next state): states recur
 
     def expand(state, pos):
         if not state[0]:
-            out.append(SetPartition(n, blocks))
+            out.append(SetPartition._canonical(n, tuple(blocks)))
             return
         kids = children.get(state)
         if kids is None:
-            steps = first_blocks(*state, against, range(len(pos)))
-            kids = children[state] = [(block, nxt) for _, block, nxt in steps]
-        for block, nxt in kids:
-            blocks.append([x for j, x in enumerate(pos) if block >> j & 1])
-            expand(nxt, [x for j, x in enumerate(pos) if not block >> j & 1])
+            m = range(len(pos))
+            kids = children[state] = [
+                ([j for j in m if block >> j & 1], [j for j in m if not block >> j & 1], nxt)
+                for _, block, nxt in first_blocks(*state, against, m)
+            ]
+        for take, keep, nxt in kids:
+            blocks.append(tuple([pos[j] for j in take]))
+            expand(nxt, [pos[j] for j in keep])
             blocks.pop()
 
     expand((lab, (0,) * max(n - 1, 0)), range(1, n + 1))

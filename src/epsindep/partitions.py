@@ -3,9 +3,18 @@
 import os
 from bisect import bisect
 
-from .errors import DimensionMismatchError, EnumerationLimitError
+from .errors import DimensionMismatchError, EnumerationLimitError, InputError
 
-DEFAULT_ENUMERATION_CAP = int(os.environ.get("EPSINDEP_MAX_N", "12"))
+
+def default_cap():
+    """The size cap when none is given: EPSINDEP_MAX_N, else 12."""
+    text = os.environ.get("EPSINDEP_MAX_N", "12")
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise InputError(f"EPSINDEP_MAX_N must be a positive integer, got {text!r}")
 
 
 class SetPartition:
@@ -16,32 +25,31 @@ class SetPartition:
     partitions are equal iff they are the same partition.
     """
 
-    __slots__ = ("n", "blocks", "_block_of", "_hash")
+    __slots__ = ("n", "blocks")
 
     def __init__(self, n, blocks):
-        seen = set()
-        canon = []
-        for b in blocks:
-            b = tuple(sorted(b))
-            if not b:
-                raise ValueError("empty block")
-            canon.append(b)
-            seen.update(b)
-        if len(seen) != sum(len(b) for b in canon) or seen != set(range(1, n + 1)):
-            raise ValueError(f"blocks do not partition 1..{n}")
-        canon.sort(key=lambda b: b[0])
+        canon = sorted(tuple(sorted(b)) for b in blocks)
+        if not all(canon) or sorted(x for b in canon for x in b) != list(range(1, n + 1)):
+            raise ValueError(f"blocks do not partition 1..{n} into nonempty blocks")
         self.n = n
         self.blocks = tuple(canon)
-        block_of = [0] * n
-        for idx, b in enumerate(canon):
-            for x in b:
-                block_of[x - 1] = idx
-        self._block_of = tuple(block_of)
-        self._hash = hash((n, self.blocks))
 
-    def block_index(self, x):
-        """Index (into .blocks) of the block containing point x."""
-        return self._block_of[x - 1]
+    @classmethod
+    def _canonical(cls, n, blocks):
+        """A partition from blocks that partition 1..n in canonical form,
+        as a tuple of tuples; nothing is checked."""
+        p = object.__new__(cls)
+        p.n = n
+        p.blocks = blocks
+        return p
+
+    def block_indices(self):
+        """At x - 1, the index (into .blocks) of the block holding point x."""
+        out = [0] * self.n
+        for idx, b in enumerate(self.blocks):
+            for x in b:
+                out[x - 1] = idx
+        return out
 
     def to_json(self):
         return [list(b) for b in self.blocks]
@@ -54,7 +62,7 @@ class SetPartition:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.blocks))
 
     def __repr__(self):
         inner = "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -65,7 +73,7 @@ EMPTY_PARTITION = SetPartition(0, [])
 
 
 def _check_cap(n, cap):
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    limit = default_cap() if cap is None else cap
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > limit:
@@ -115,8 +123,9 @@ def is_noncrossing(p):
     Linear scan: a revisited block must sit on top of the stack of open
     blocks, otherwise some block opened in between is still open."""
     stack = []
+    block_of = p.block_indices()
     for x in range(1, p.n + 1):
-        idx = p.block_index(x)
+        idx = block_of[x - 1]
         block = p.blocks[idx]
         if x == block[0]:
             stack.append(idx)
@@ -144,7 +153,7 @@ def refines(p, q):
     """True iff every block of p lies inside some block of q."""
     if p.n != q.n:
         raise DimensionMismatchError(f"sizes differ: {p.n} vs {q.n}")
-    qb = q._block_of
+    qb = q.block_indices()
     for b in p.blocks:
         tag = qb[b[0] - 1]
         if any(qb[x - 1] != tag for x in b[1:]):

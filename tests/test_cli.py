@@ -1,9 +1,13 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import epsindep
 from epsindep.cli import main
 
 FIVE_CYCLE = {
@@ -160,6 +164,8 @@ class TestMoment:
             {"named": "unknown"},
             ["0", "1"],
             {"kind": "free", "moments": ["0", float("inf")]},
+            {"named": "point_mass", "value": "x"},
+            {"named": "semicircle", "variance": "1/0"},
         ],
     )
     def test_bad_spec_for_unused_label(self, five_cycle, tmp_path, capsys, spec):
@@ -341,3 +347,18 @@ class TestInputHandling:
         )
         assert code == 0
         assert "count\t1" in out
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_cap_variable(self, five_cycle, value):
+        # read when a command needs the default cap, not at import
+        graph, _ = five_cycle
+        src = str(Path(epsindep.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, EPSINDEP_MAX_N=value, PYTHONPATH=path)
+        argv = [sys.executable, "-m", "epsindep.cli", "enumerate", "--graph", graph, "--tuple", "x1"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error:")
+        assert "EPSINDEP_MAX_N" in proc.stderr
+        assert proc.stderr.count("\n") == 1

@@ -2,8 +2,9 @@
 ncpartitions.first_blocks, against generate-and-test, the greedy
 reduce-to-empty check against a literal search, the definition route and
 the group trace, both folds over graphgroup._fold_step, against literal
-expansions, the moment/cumulant conversions, the word reducer, and the
-CLI's exit codes on random input files."""
+expansions, the moment/cumulant conversions against each other and against
+partition sums, the word reducer, and the CLI's exit codes on random input
+files."""
 
 import io
 import json
@@ -38,6 +39,7 @@ from epsindep import (
 )
 from epsindep.cli import main
 from epsindep.crosscheck import partitions_below_kernel
+from test_cumulants import classical_cumulants_mobius, classical_moments_oracle, free_moments_oracle
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 sparse = st.one_of(st.just(0), st.just(0), st.just(0), rationals)
@@ -216,6 +218,35 @@ def test_conversions_round_trip(kind, seq):
     assert table.moments() == seq
     assert table == CumulantTable(kind, to_cumulants(seq))
     assert CumulantTable(kind, table.cumulants).moments() == seq
+
+
+# denominators up to 60, so the common denominator of a sequence runs far
+# beyond each entry's
+mixed_denominators = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-30, max_value=30, max_denominator=60)
+)
+COPRIME = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(0), Fraction(-4, 7),
+           Fraction(5, 11), Fraction(6, 13), Fraction(-7, 17)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FREE, CLASSICAL]), st.lists(mixed_denominators, min_size=1, max_size=8))
+@example(FREE, COPRIME)
+@example(CLASSICAL, COPRIME)
+def test_conversions_match_partition_sums(kind, seq):
+    """Both directions against the lattice sums over NC(n) or all
+    partitions and, classically, the Moebius sum."""
+    if kind == FREE:
+        assert free_cumulants_to_moments(seq) == free_moments_oracle(seq)
+        cumulants = moments_to_free_cumulants(seq)
+        assert free_moments_oracle(cumulants) == seq
+    else:
+        assert classical_cumulants_to_moments(seq) == classical_moments_oracle(seq)
+        cumulants = moments_to_classical_cumulants(seq)
+        assert cumulants == classical_cumulants_mobius(seq)
+    table = CumulantTable.from_moments(kind, seq)
+    assert table.cumulants == tuple(cumulants)
+    assert all(type(c) is Fraction for c in table.cumulants)
 
 
 @st.composite
