@@ -47,7 +47,9 @@ def _parse_tuple(text, e):
 
 def _load_tables(path, e, entries):
     """Validate every spec in the distribution file, then generate moments
-    and build tables for the tuple's labels only, to order len(entries)."""
+    and build tables for the tuple's labels only, to order len(entries).
+    A label's kind is fixed by the graph's diagonal; a spec that names
+    another kind is rejected, whether its label is used or not."""
     data = _load_json(path)
     if isinstance(data, dict):
         data = [
@@ -63,7 +65,13 @@ def _load_tables(path, e, entries):
             raise InputError(f"distribution spec without label: {spec!r}")
         idx = e.label_index(spec["label"])
         kind = CLASSICAL if e.diagonal(idx) == 1 else FREE
-        specs[idx] = spec_moments({"kind": kind, **spec}, n if idx in entries else 0)
+        given, moments = spec_moments({"kind": kind, **spec}, n if idx in entries else 0)
+        if given != kind:
+            raise InputError(
+                f"label {spec['label']!r} has diagonal {e.diagonal(idx)}, so its kind is "
+                f"{kind}, but its spec gives kind {given!r}"
+            )
+        specs[idx] = kind, moments
     return {
         idx: CumulantTable.from_moments(kind, moments[:n])
         for idx, (kind, moments) in specs.items()

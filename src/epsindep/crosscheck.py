@@ -5,7 +5,9 @@ run against each other.
 
 Instances are deduplicated up to relabeling: a tuple together with the
 restriction of the matrix to its labels determines every result, so each
-canonical (tuple, restricted matrix) pair is generated and checked once.
+canonical (tuple, restricted matrix) pair is generated once.  The battery
+walks them once, computes each one's cumulant sum once, and hands it to
+the per-instance checks that need it.
 """
 
 import random
@@ -22,7 +24,7 @@ from .moments import (
     moments_from_tables,
 )
 from .ncpartitions import is_epsilon_noncrossing, reduction_membership
-from .partitions import kernel, partitions_of_set, SetPartition
+from .partitions import SetPartition, kernel, partitions_of_set
 
 
 def _restrict(e, order):
@@ -57,7 +59,7 @@ def _restricted_growth_tuples(n, k):
 def canonical_instances(e, max_n, seen=None):
     """The canonical (tuple, restricted matrix) pairs of the tuples up to
     max_n, each once, in order of the number of labels; seen holds the
-    keys already checked and is extended.
+    pairs already checked and is extended.
 
     A canonical tuple over k labels is a restricted-growth tuple and its
     matrix is e restricted to some ordered choice of k labels, so the
@@ -65,26 +67,22 @@ def canonical_instances(e, max_n, seen=None):
     of the e.size**n tuples."""
     seen = set() if seen is None else seen
     for k in range(1, min(e.size, max_n) + 1):
-        matrices = {}
-        for order in permutations(range(e.size), k):
-            ce = _restrict(e, order)
-            matrices.setdefault(ce.key(), ce)
+        matrices = dict.fromkeys(_restrict(e, order) for order in permutations(range(e.size), k))
         tuples = [t for n in range(k, max_n + 1) for t in _restricted_growth_tuples(n, k)]
-        for ce in matrices.values():
+        for ce in matrices:
             for canon in tuples:
-                key = (canon, ce.key())
-                if key not in seen:
-                    seen.add(key)
+                if (canon, ce) not in seen:
+                    seen.add((canon, ce))
                     yield canon, ce
 
 
 def partitions_below_kernel(entries):
     """All partitions refining the kernel of the tuple."""
-    ker = kernel(entries)
-    per_block = [partitions_of_set(b) for b in ker.blocks]
+    per_block = [partitions_of_set(b) for b in kernel(entries).blocks]
     n = len(entries)
     for combo in product(*per_block):
-        yield SetPartition(n, [blk for part in combo for blk in part])
+        # blocks are disjoint, so sorting them orders them by first point
+        yield SetPartition._canonical(n, tuple(sorted(blk for part in combo for blk in part)))
 
 
 class CheckResult:
@@ -108,31 +106,26 @@ class CheckResult:
         return out
 
 
-def membership_equivalence_check(e, max_n, seen=None):
+def membership_equivalence_check(result, entries, e):
     """Pairwise-crossing characterization vs reduce-to-empty by greedy
     block removal (no cache, no crossing test), for every partition below
-    the kernel of every tuple up to max_n."""
-    result = CheckResult("membership_equivalence")
-    for canon, ce in canonical_instances(e, max_n, seen):
-        for p in partitions_below_kernel(canon):
-            fast = is_epsilon_noncrossing(p, canon, ce)
-            slow = reduction_membership(p, canon, ce)
-            result.record(
-                fast == slow,
-                detail={"tuple": list(canon), "partition": p.to_json(), "fast": fast, "slow": slow},
-            )
-    return result
+    the kernel of the tuple."""
+    for p in partitions_below_kernel(entries):
+        fast = is_epsilon_noncrossing(p, entries, e)
+        slow = reduction_membership(p, entries, e)
+        result.record(
+            fast == slow,
+            detail={"tuple": list(entries), "partition": p.to_json(), "fast": fast, "slow": slow},
+        )
 
 
-def _random_tables(rng, e, entries, max_num=20, max_den=20):
-    """Random moments of order len(entries) for every label, drawn in label
-    order; tables only for the labels of the tuple."""
+def _random_tables(rng, e, entries):
+    """Random moments p/q, |p| <= 20 and 1 <= q <= 20, of order
+    len(entries) for every label, drawn in label order; tables only for
+    the labels of the tuple."""
     tables = {}
     for label in range(e.size):
-        moments = [
-            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-            for _ in range(len(entries))
-        ]
+        moments = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(len(entries))]
         if label in entries:
             kind = CLASSICAL if e.diagonal(label) == 1 else FREE
             tables[label] = CumulantTable.from_moments(kind, moments)
@@ -161,57 +154,25 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False, cap
     return result
 
 
-def _arcsine_tables(entries, e, arcsine):
-    """Arcsine tables of order max(n, 2) for the labels of a tuple, taken
-    from (and added to) arcsine, a dict keyed by (kind, order)."""
-    order = max(len(entries), 2)
-    tables = {}
-    for lbl in set(entries):
-        key = (CLASSICAL if e.diagonal(lbl) == 1 else FREE, order)
-        if key not in arcsine:
-            arcsine[key] = arcsine_table(*key)
-        tables[lbl] = arcsine[key]
-    return tables
+def group_model_check(result, entries, e, value, cap=None):
+    """Trace of the product of u+u^{-1} in the graph product group vs
+    value, the tuple's cumulant sum with arcsine tables."""
+    group_value = generator_mixed_moment(entries, e, cap=cap)
+    result.record(
+        group_value == value,
+        detail={"tuple": list(entries), "group": str(group_value), "cumulant": str(value)},
+    )
 
 
-def group_model_check(e, max_n, seen=None, arcsine=None, cap=None):
-    """Trace of products of u+u^{-1} in the graph product group vs the
-    cumulant formula with arcsine tables, for every tuple up to max_n.
-    arcsine caches the tables by (kind, order) across calls."""
-    result = CheckResult("group_model")
-    arcsine = {} if arcsine is None else arcsine
-    for canon, ce in canonical_instances(e, max_n, seen):
-        tables = _arcsine_tables(canon, ce, arcsine)
-        group_value = generator_mixed_moment(canon, ce, cap=cap)
-        cumulant_value = mixed_moment_cumulant(canon, ce, tables, cap=cap)
+def factorization_check(result, entries, e, tables, value):
+    """Where the kernel is epsilon-non-crossing, the shortcut on tables
+    vs value, the cumulant sum on the same tables."""
+    short = factorization_shortcut(entries, e, tables)
+    if short is not None:
         result.record(
-            group_value == cumulant_value,
-            detail={
-                "tuple": list(canon),
-                "group": str(group_value),
-                "cumulant": str(cumulant_value),
-            },
+            short == value,
+            detail={"tuple": list(entries), "shortcut": str(short), "full": str(value)},
         )
-    return result
-
-
-def factorization_check(e, max_n, seen=None, arcsine=None, cap=None):
-    """Wherever the kernel is epsilon-non-crossing, the shortcut must
-    agree with the cumulant evaluator (arcsine data, cached as in
-    group_model_check)."""
-    result = CheckResult("factorization")
-    arcsine = {} if arcsine is None else arcsine
-    for canon, ce in canonical_instances(e, max_n, seen):
-        tables = _arcsine_tables(canon, ce, arcsine)
-        short = factorization_shortcut(canon, ce, tables)
-        if short is None:
-            continue
-        full = mixed_moment_cumulant(canon, ce, tables, cap=cap)
-        result.record(
-            short == full,
-            detail={"tuple": list(canon), "shortcut": str(short), "full": str(full)},
-        )
-    return result
 
 
 def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False, cap=None):
@@ -219,13 +180,21 @@ def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False, cap=None):
     length limit of every evaluator call (the enumeration cap unless
     given)."""
     rng = random.Random(seed)
-    arcsine = {}
-    checks = [
-        membership_equivalence_check(e, min(max_n, 6)),
-        evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt, cap=cap),
-        group_model_check(e, max_n, arcsine=arcsine, cap=cap),
-        factorization_check(e, min(max_n, 6), arcsine=arcsine, cap=cap),
-    ]
+    membership = CheckResult("membership_equivalence")
+    evaluator = evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt, cap=cap)
+    group = CheckResult("group_model")
+    factorization = CheckResult("factorization")
+    # arcsine moments and cumulants of order n do not depend on the order
+    # of the table, so one table per kind serves every instance
+    arcsine = {kind: arcsine_table(kind, max(max_n, 2)) for kind in (FREE, CLASSICAL)}
+    for entries, ce in canonical_instances(e, max_n):
+        tables = {lbl: arcsine[CLASSICAL if ce.diagonal(lbl) == 1 else FREE] for lbl in set(entries)}
+        value = mixed_moment_cumulant(entries, ce, tables, cap=cap)
+        group_model_check(group, entries, ce, value, cap=cap)
+        if len(entries) <= 6:
+            membership_equivalence_check(membership, entries, ce)
+            factorization_check(factorization, entries, ce, tables, value)
+    checks = [membership, evaluator, group, factorization]
     report = {
         "max_n": max_n,
         "seed": seed,

@@ -161,16 +161,12 @@ def semicircle_table(variance=1, max_order=12, label=None):
     return CumulantTable(FREE, cum, label=label)
 
 
-def arcsine_moments(max_order=12, scale=1):
-    """Even moments are central binomials C(2k,k)*scale^2k, odd are 0.
+def arcsine_moments(max_order=12):
+    """Even moments are central binomials C(2k,k), odd are 0.
 
     This is the distribution of a group generator plus its inverse under
     the canonical trace."""
-    s = Fraction(scale)
-    return [
-        Fraction(comb(n, n // 2)) * s**n if n % 2 == 0 else Fraction(0)
-        for n in range(1, max_order + 1)
-    ]
+    return [Fraction(comb(n, n // 2)) if n % 2 == 0 else Fraction(0) for n in range(1, max_order + 1)]
 
 
 def arcsine_table(kind=FREE, max_order=12, label=None):
@@ -238,13 +234,14 @@ class JointMomentOracle:
     """Joint moments of finitely many symbols of one algebra.
 
     phi() maps a word (tuple of symbol indices) to a rational; the empty
-    word has moment 1.  Values may be arbitrary: the identity under test
-    is purely combinatorial in the moment data.
+    word has moment 1, any other word's moment is default_factory(word),
+    asked once.  Values may be arbitrary: the identity under test is
+    purely combinatorial in the moment data.
     """
 
-    def __init__(self, nvars, values=None, default_factory=None):
+    def __init__(self, nvars, default_factory):
         self.nvars = nvars
-        self.values = {tuple(w): Fraction(v) for w, v in (values or {}).items()}
+        self.values = {}
         self.default_factory = default_factory
         self._kappa_cache = {}
 
@@ -253,8 +250,6 @@ class JointMomentOracle:
         if not word:
             return Fraction(1)
         if word not in self.values:
-            if self.default_factory is None:
-                raise TableError(f"joint moment for word {word} not supplied")
             self.values[word] = Fraction(self.default_factory(word))
         return self.values[word]
 
@@ -278,11 +273,12 @@ class JointMomentOracle:
         return total
 
 
-def random_joint_oracle(rng, nvars, max_num=20, max_den=20):
-    """Random rational joint moments, drawn lazily on first access."""
+def random_joint_oracle(rng, nvars):
+    """Random rational joint moments p/q, |p| <= 20 and 1 <= q <= 20,
+    drawn lazily on first access."""
 
     def draw(_word):
-        return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
 
     return JointMomentOracle(nvars, default_factory=draw)
 

@@ -93,10 +93,6 @@ class EpsilonMatrix:
         except ValueError:
             raise InputError(f"unknown label {name!r}")
 
-    def key(self):
-        """Hashable identity of the matrix contents."""
-        return self._mat
-
     def check_tuple(self, entries):
         for v in entries:
             if not (0 <= v < self.size):

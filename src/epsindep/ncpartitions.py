@@ -21,10 +21,14 @@ from .partitions import (
     SetPartition,
     _check_cap,
     blocks_cross,
-    kernel,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
-    refines,
 )
+
+
+def _below_kernel(p, entries):
+    """True iff every point of each block of p carries the label of the
+    block's first point: p refines the kernel of the tuple."""
+    return all(entries[x - 1] == entries[b[0] - 1] for b in p.blocks for x in b)
 
 
 def is_epsilon_noncrossing(p, entries, e):
@@ -33,8 +37,7 @@ def is_epsilon_noncrossing(p, entries, e):
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
-    ker = kernel(entries)
-    if not refines(p, ker):
+    if not _below_kernel(p, entries):
         return False
     nb = len(p.blocks)
     for a in range(nb):
@@ -65,7 +68,7 @@ def reduction_membership(p, entries, e):
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
-    if not refines(p, kernel(entries)):
+    if not _below_kernel(p, entries):
         raise DomainError("partition does not refine the kernel of the tuple")
 
     lab, against = encode(entries, e)

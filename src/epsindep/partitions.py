@@ -97,7 +97,8 @@ def enumerate_set_partitions(n, cap=None):
             blocks = [[] for _ in range(nclasses)]
             for i, c in enumerate(labels):
                 blocks[c].append(i + 1)
-            out.append(SetPartition(n, blocks))
+            # blocks open in order of their first point: canonical already
+            out.append(SetPartition._canonical(n, tuple(map(tuple, blocks))))
             return
         for c in range(nclasses + 1):
             labels[pos] = c

@@ -32,6 +32,7 @@ from epsindep import (
     semicircle_table,
 )
 from epsindep.crosscheck import (
+    CheckResult,
     canonical_instances,
     membership_equivalence_check,
     partitions_below_kernel,
@@ -79,18 +80,14 @@ def arcsine_tables_for(entries, e):
 def test_criterion_1_definition_equivalence():
     """Reduce-to-empty search agrees with the pairwise characterization."""
     seen = set()
-    cases = failures = 0
-    for e in all_matrices(3):
-        res = membership_equivalence_check(e, 6, seen)
-        cases += res.cases
-        failures += res.failures
+    res = CheckResult("membership_equivalence")
     rng = random.Random(20260823)
-    for _ in range(200):
-        e = random_matrix(rng, 4)
-        res = membership_equivalence_check(e, 6, seen)
-        cases += res.cases
-        failures += res.failures
-    report("1 definition-equivalence", failures == 0 and cases > 0, f"{cases} cases")
+    graphs = list(all_matrices(3)) + [random_matrix(rng, 4) for _ in range(200)]
+    for e in graphs:
+        for entries, ce in canonical_instances(e, 6, seen):
+            membership_equivalence_check(res, entries, ce)
+    cases = res.cases
+    report("1 definition-equivalence", res.failures == 0 and cases > 0, f"{cases} cases")
 
 
 def test_criterion_2_evaluator_equivalence():

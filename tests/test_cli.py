@@ -178,6 +178,25 @@ class TestMoment:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("method", ["cumulant", "definition", "both"])
+    @pytest.mark.parametrize("tuple_arg", ["x1,x2,x1,x2", "x1,x1,x2,x2"])
+    def test_kind_contradicting_diagonal(self, tmp_path, capsys, method, tuple_arg):
+        # the diagonal decides the kind, whatever the method or the tuple
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["x1", "x2"]}))
+        dist = tmp_path / "dist.json"
+        spec = {
+            "x1": {"kind": "classical", "moments": ["0", "1", "0", "2", "0", "5"]},
+            "x2": {"named": "arcsine"},
+        }
+        dist.write_text(json.dumps(spec))
+        argv = ["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg]
+        code = main(argv + ["--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+
     def test_tables_only_for_used_labels(self, five_cycle, tmp_path, capsys):
         # a short moment list on an unused label does not limit the order
         graph, _ = five_cycle
@@ -265,6 +284,37 @@ class TestCrosscheck:
         code, out = run(capsys, argv + ["--instances", "0"])
         assert code == 0
         assert json.loads(out)["total_failures"] == 0
+
+    def test_length_bounds_per_check(self, tmp_path, capsys):
+        # membership and factorization stop at length 6, the group model
+        # runs to --max-n
+        graph = tmp_path / "graph.json"
+        spec = {"labels": ["a", "b", "c"], "independent_pairs": [["a", "c"]], "diagonal": {"b": 1}}
+        graph.write_text(json.dumps(spec))
+        argv = ["crosscheck", "--graph", str(graph), "--max-n", "7", "--instances", "20"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
+        assert cases == {
+            "membership_equivalence": 7438,
+            "evaluator_equivalence": 20,
+            "group_model": 1643,
+            "factorization": 411,
+        }
+
+
+def test_bench_tracer_finds_every_call_site():
+    # bench/worker.py wraps module attributes by name; a renamed or
+    # removed one raises AttributeError here
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path[:0] = ['bench', 'src']; import worker; "
+        "worker.install_tracing(worker.Tracer())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInputHandling:

@@ -241,11 +241,8 @@ class TestTableSpecs:
 class TestProductsAsArguments:
     def test_semicircle_square(self):
         # kappa_1(x^2) = kappa_2(x,x) + kappa_1(x)^2 for a standard semicircle
-        values = {}
         sc = [F(0), F(1), F(0), F(2), F(0), F(5)]
-        for length in range(1, 7):
-            values[(0,) * length] = sc[length - 1]
-        oracle = JointMomentOracle(1, values)
+        oracle = JointMomentOracle(1, default_factory=lambda word: sc[len(word) - 1])
         assert oracle.cumulant(((0, 0),)) == F(1)
         assert oracle.cumulant(((0,), (0,))) == F(1)
         assert product_as_arguments_check(0, oracle, first=(0, 0))

@@ -43,6 +43,7 @@ CASES = [
     ["moment", "--method", "both", "--tuple", "x1,x2,x2,x1,x1,x2,x2,x1"],
     ["moment", "--method", "both", "--tuple", "x3,x2,x3,x3,x2,x3", "--table"],
     ["crosscheck", "--max-n", "3", "--instances", "20"],
+    ["crosscheck", "--max-n", "4", "--instances", "20", "--self-test-corrupt"],
 ]
 
 

@@ -51,6 +51,8 @@ class TestPairwiseMembership:
         assert not is_epsilon_noncrossing(
             SetPartition(2, [[1, 2]]), (0, 1), INDEP2
         )
+        # the block's mismatched point comes last
+        assert not is_epsilon_noncrossing(SetPartition(3, [[1, 2, 3]]), (0, 0, 1), INDEP2)
 
 
 class TestReduction:
@@ -66,6 +68,8 @@ class TestReduction:
     def test_kernel_precondition(self):
         with pytest.raises(DomainError):
             reduction_membership(SetPartition(2, [[1, 2]]), (0, 1), INDEP2)
+        with pytest.raises(DomainError):
+            reduction_membership(SetPartition(3, [[1, 2, 3]]), (0, 0, 1), INDEP2)
 
 
 class TestEquivalence:
