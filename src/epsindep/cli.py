@@ -32,6 +32,10 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:
+        # a number literal over the interpreter's int-to-str digit limit,
+        # or bytes that are not UTF-8
+        raise InputError(f"{path}: {exc}")
 
 
 def _load_graph(path):

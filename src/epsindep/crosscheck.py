@@ -23,8 +23,10 @@ from .moments import (
     mixed_moment_cumulant,
     moments_from_tables,
 )
-from .ncpartitions import is_epsilon_noncrossing, reduction_membership
-from .partitions import SetPartition, kernel, partitions_of_set
+from .ncpartitions import bar_masks, noncrossing_masks, reduces_masks
+# not called here: bench/worker.py wraps these two names in this module
+from .ncpartitions import is_epsilon_noncrossing, reduction_membership  # noqa: F401
+from .partitions import partitions_of_set
 
 
 def _restrict(e, order):
@@ -76,13 +78,18 @@ def canonical_instances(e, max_n, seen=None):
                     yield canon, ce
 
 
-def partitions_below_kernel(entries):
-    """All partitions refining the kernel of the tuple."""
-    per_block = [partitions_of_set(b) for b in kernel(entries).blocks]
-    n = len(entries)
+def mask_partitions_below_kernel(entries, tables):
+    """All partitions refining the kernel of the tuple, each a list of
+    (block bitmask over positions, its label); tables maps a block size k
+    to the partitions of range(k) and gains the sizes missing."""
+    per_block = []
+    for k in sorted(set(entries)):
+        bits = [1 << j for j, v in enumerate(entries) if v == k]
+        if len(bits) not in tables:
+            tables[len(bits)] = partitions_of_set(range(len(bits)))
+        per_block.append([[(sum(bits[i] for i in c), k) for c in q] for q in tables[len(bits)]])
     for combo in product(*per_block):
-        # blocks are disjoint, so sorting them orders them by first point
-        yield SetPartition._canonical(n, tuple(sorted(blk for part in combo for blk in part)))
+        yield [blk for part in combo for blk in part]
 
 
 class CheckResult:
@@ -106,17 +113,22 @@ class CheckResult:
         return out
 
 
-def membership_equivalence_check(result, entries, e):
+def membership_equivalence_check(result, entries, e, tables):
     """Pairwise-crossing characterization vs reduce-to-empty by greedy
     block removal (no cache, no crossing test), for every partition below
-    the kernel of the tuple."""
-    for p in partitions_below_kernel(entries):
-        fast = is_epsilon_noncrossing(p, entries, e)
-        slow = reduction_membership(p, entries, e)
-        result.record(
-            fast == slow,
-            detail={"tuple": list(entries), "partition": p.to_json(), "fast": fast, "slow": slow},
-        )
+    the kernel of the tuple, on one bitmask encoding of the tuple; tables
+    as in mask_partitions_below_kernel."""
+    bars = bar_masks(entries, e)
+    for blocks in mask_partitions_below_kernel(entries, tables):
+        fast = noncrossing_masks(blocks, bars)
+        slow = reduces_masks(blocks, bars, len(entries))
+        if fast == slow:
+            result.record(True)
+        else:
+            # the partition's to_json form: blocks ascending, by first point
+            part = sorted([j + 1 for j in range(len(entries)) if m >> j & 1] for m, _ in blocks)
+            detail = {"tuple": list(entries), "partition": part, "fast": fast, "slow": slow}
+            result.record(False, detail)
 
 
 def _random_tables(rng, e, entries):
@@ -187,12 +199,13 @@ def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False, cap=None):
     # arcsine moments and cumulants of order n do not depend on the order
     # of the table, so one table per kind serves every instance
     arcsine = {kind: arcsine_table(kind, max(max_n, 2)) for kind in (FREE, CLASSICAL)}
+    rgs = {}  # block size -> its set partitions, for the membership check
     for entries, ce in canonical_instances(e, max_n):
         tables = {lbl: arcsine[CLASSICAL if ce.diagonal(lbl) == 1 else FREE] for lbl in set(entries)}
         value = mixed_moment_cumulant(entries, ce, tables, cap=cap)
         group_model_check(group, entries, ce, value, cap=cap)
         if len(entries) <= 6:
-            membership_equivalence_check(membership, entries, ce)
+            membership_equivalence_check(membership, entries, ce, rgs)
             factorization_check(factorization, entries, ce, tables, value)
     checks = [membership, evaluator, group, factorization]
     report = {

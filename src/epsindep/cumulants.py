@@ -6,6 +6,7 @@ cumulants over all partitions; both by the same subtraction recursion
 computed internally as scaled integers.
 """
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -191,8 +192,18 @@ def parse_fraction(text):
 
 
 def format_fraction(f):
+    """f as "p/q", exactly: the interpreter's limit on the digits of an
+    int-to-str conversion (3.10.7 and later) is lifted while formatting."""
     f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return f"{f.numerator}/{f.denominator}"
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    finally:
+        set_limit(limit)
 
 
 def spec_moments(spec, order=12):

@@ -4,6 +4,8 @@ Membership has two routes: the pairwise-crossing characterization
 (production path) and the reduce-to-empty definition (verification
 oracle), decided by greedily removing a block that adjacent swaps of
 eps = 1 points can bring together; both are polynomial and keep no cache.
+Each is a core on block bitmasks, which the membership check calls with
+one encoding per tuple, under a wrapper that encodes a SetPartition.
 
 Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
 one step, first_blocks: the blocks that the first remaining point may head
@@ -20,7 +22,6 @@ from .errors import DimensionMismatchError, DomainError
 from .partitions import (
     SetPartition,
     _check_cap,
-    blocks_cross,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
 )
 
@@ -31,30 +32,52 @@ def _below_kernel(p, entries):
     return all(entries[x - 1] == entries[b[0] - 1] for b in p.blocks for x in b)
 
 
-def is_epsilon_noncrossing(p, entries, e):
-    """True iff p refines the kernel of the tuple and every crossing
-    between two blocks happens between independent (eps = 1) labels."""
+def _masks(p, entries, e):
+    """Validate p; its blocks as (position bitmask, label) and the tuple's
+    bar_masks, or None if p does not refine the kernel of the tuple."""
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
     if not _below_kernel(p, entries):
-        return False
-    nb = len(p.blocks)
-    for a in range(nb):
-        la = entries[p.blocks[a][0] - 1]
-        for b in range(a + 1, nb):
-            lb = entries[p.blocks[b][0] - 1]
-            if e.eps(la, lb) == 1:
-                continue
-            if blocks_cross(p, a, b):
-                return False
+        return None
+    blocks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in p.blocks]
+    return blocks, bar_masks(entries, e)
+
+
+def is_epsilon_noncrossing(p, entries, e):
+    """True iff p refines the kernel of the tuple and every crossing
+    between two blocks happens between independent (eps = 1) labels."""
+    masks = _masks(p, entries, e)
+    return masks is not None and noncrossing_masks(*masks)
+
+
+def noncrossing_masks(blocks, bars):
+    """The pairwise route on blocks as (position bitmask, label) below the
+    kernel: no two blocks whose labels have eps != 1 cross.  Block b
+    crosses block a iff b has points inside a's span and also points
+    outside it or on both sides of some point of a."""
+    for i, (a, k) in enumerate(blocks):
+        span = (1 << a.bit_length()) - (a & -a)
+        for b, _ in blocks[i + 1 :]:
+            inner = b & span
+            if inner and b & bars[k]:
+                if b & ~span or a & ((1 << inner.bit_length()) - (inner & -inner)):
+                    return False
     return True
 
 
 def reduction_membership(p, entries, e):
-    """Decide membership by the reduce-to-empty definition: repeatedly
-    remove a block of consecutive points, after any swaps of adjacent
-    points whose labels have eps = 1.
+    """Membership by the reduce-to-empty definition: remove blocks of
+    consecutive points, after swaps of adjacent points with eps = 1."""
+    masks = _masks(p, entries, e)
+    if masks is None:
+        raise DomainError("partition does not refine the kernel of the tuple")
+    return reduces_masks(*masks, p.n)
+
+
+def reduces_masks(blocks, bars, n):
+    """The reduce-to-empty route on blocks as (position bitmask, label)
+    below the kernel of a tuple of length n.
 
     Swaps leave only the dependency order, the transitive closure of
     i < j with eps != 1 (for equal labels, the diagonal), and a block can
@@ -65,17 +88,8 @@ def reduction_membership(p, entries, e):
     depends on l.  Removing points never makes a convex block non-convex,
     so removing any convex block at each step empties the partition
     whenever some sequence of removals does."""
-    if p.n != len(entries):
-        raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
-    e.check_tuple(entries)
-    if not _below_kernel(p, entries):
-        raise DomainError("partition does not refine the kernel of the tuple")
-
-    lab, against = encode(entries, e)
-    # bars[k]: the positions whose label cannot be swapped past label k
-    bars = [sum(1 << j for j, r in enumerate(lab) if mask >> r & 1) for mask in against]
-    blocks = [(sum(1 << (x - 1) for x in b), lab[b[0] - 1]) for b in p.blocks]
-    left = (1 << p.n) - 1  # the points not yet removed
+    blocks = list(blocks)
+    left = (1 << n) - 1  # the points not yet removed
     while blocks:
         for block, k in blocks:
             span = (1 << block.bit_length()) - (block & -block)
@@ -96,6 +110,13 @@ def encode(entries, e):
     lab = tuple(labels.index(v) for v in entries)
     against = [sum(1 << j for j, b in enumerate(labels) if e.eps(a, b) != 1) for a in labels]
     return lab, against
+
+
+def bar_masks(entries, e):
+    """bars[l] for each label l of the tuple: the bitmask of positions
+    whose label has eps != 1 with l, which can neither cross nor be
+    swapped past a block of label l."""
+    return {a: sum(1 << j for j, b in enumerate(entries) if e.eps(a, b) != 1) for a in set(entries)}
 
 
 def _remove_block(lab, gaps, block, mark):

@@ -1,7 +1,6 @@
 """Set partitions of {1,...,n}: canonical form, refinement, crossing tests."""
 
 import os
-from bisect import bisect
 
 from .errors import DimensionMismatchError, EnumerationLimitError, InputError
 
@@ -160,15 +159,6 @@ def refines(p, q):
         if any(qb[x - 1] != tag for x in b[1:]):
             return False
     return True
-
-
-def blocks_cross(p, i_block, j_block):
-    """Whether blocks with given indices interleave (ABAB pattern): the
-    points of one fall into more than one gap of the other, and not just
-    before and after it."""
-    a = p.blocks[i_block]
-    gaps = {bisect(a, x) for x in p.blocks[j_block]}
-    return len(gaps) > 1 and gaps != {0, len(a)}
 
 
 def bell_numbers(upto):

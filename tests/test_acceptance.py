@@ -35,9 +35,9 @@ from epsindep.crosscheck import (
     CheckResult,
     canonical_instances,
     membership_equivalence_check,
-    partitions_below_kernel,
 )
 from epsindep.cumulants import CLASSICAL, FREE, arcsine_table
+from test_ncpartitions import partitions_below_kernel
 
 F = Fraction
 
@@ -81,11 +81,12 @@ def test_criterion_1_definition_equivalence():
     """Reduce-to-empty search agrees with the pairwise characterization."""
     seen = set()
     res = CheckResult("membership_equivalence")
+    tables = {}
     rng = random.Random(20260823)
     graphs = list(all_matrices(3)) + [random_matrix(rng, 4) for _ in range(200)]
     for e in graphs:
         for entries, ce in canonical_instances(e, 6, seen):
-            membership_equivalence_check(res, entries, ce)
+            membership_equivalence_check(res, entries, ce, tables)
     cases = res.cases
     report("1 definition-equivalence", res.failures == 0 and cases > 0, f"{cases} cases")
 

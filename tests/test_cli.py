@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import epsindep
+from epsindep import EpsilonMatrix, crosscheck
 from epsindep.cli import main
 
 FIVE_CYCLE = {
@@ -251,6 +252,27 @@ class TestCrosscheck:
         assert code == 1
         assert json.loads(out)["total_failures"] > 0
 
+    def test_membership_failure_example(self, monkeypatch):
+        # flip the pairwise verdict on one partition: {1},{3} of label 0
+        # and {2} of label 1 in the tuple (0, 1, 0), listed in that order
+        # by the check and reported in canonical to_json form
+        pairwise = crosscheck.noncrossing_masks
+
+        def flipped(blocks, bars):
+            verdict = pairwise(blocks, bars)
+            return not verdict if blocks == [(1, 0), (4, 0), (2, 1)] else verdict
+
+        monkeypatch.setattr(crosscheck, "noncrossing_masks", flipped)
+        report, ok = crosscheck.run_crosscheck(EpsilonMatrix(2), max_n=4, instances=0)
+        assert not ok
+        membership = report["checks"][0]
+        assert membership["name"] == "membership_equivalence"
+        assert membership["failures"] == 1
+        assert membership["examples"] == [
+            {"tuple": [0, 1, 0], "partition": [[1], [2], [3]], "fast": False, "slow": True}
+        ]
+        assert report["total_failures"] == 1
+
     @pytest.mark.parametrize(
         "limits",
         [
@@ -332,6 +354,58 @@ class TestInputHandling:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("input error:")
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_bytes(b'\xff{"labels": ["a"]}')
+        code = main(["enumerate", "--graph", str(graph), "--tuple", "a"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "which, text",
+        [
+            ("dist", '{"x1": {"moments": [%s]}}'),
+            ("dist", '{"x1": {"moments": ["%s"]}}'),
+            ("graph", '{"labels": ["x1", "x2"], "diagonal": {"x1": %s}}'),
+        ],
+        ids=["dist-literal", "dist-string", "graph-literal"],
+    )
+    def test_numeral_beyond_digit_limit(self, tmp_path, capsys, which, text):
+        # more digits than the interpreter converts to int (4,300 by
+        # default), as a JSON number literal or inside a string
+        files = {"graph": '{"labels": ["x1", "x2"]}', "dist": '{"x1": {"moments": ["1"]}}'}
+        files[which] = text % ("9" * 5000)
+        paths = {}
+        for name, content in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(content)
+        argv = ["moment", "--graph", str(paths["graph"]), "--dist", str(paths["dist"])]
+        code = main(argv + ["--tuple", "x1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+
+    def test_result_beyond_digit_limit(self, tmp_path, capsys):
+        # every input numeral has 451 digits; the exact moment has more
+        # than 4,300, and is printed in full
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["x1", "x2"]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({
+            name: {"moments": [f"{a}/{10**450 + i}" for i in range(12)]}
+            for name, a in (("x1", 7), ("x2", 3))
+        }))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        tuple_arg = ",".join(["x1", "x2"] * 4)
+        argv = ["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg]
+        code, out = run(capsys, argv + ["--method", "both"])
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert values["cumulant"] == values["definition"]
+        assert len(values["cumulant"].partition("/")[2]) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     @pytest.mark.parametrize("labels", ["abc", {"a": 1, "b": 2}])
     def test_labels_not_an_array(self, tmp_path, capsys, labels):

@@ -18,7 +18,18 @@ from epsindep import (
     reduction_membership,
     refines,
 )
-from epsindep.crosscheck import partitions_below_kernel
+from epsindep.crosscheck import mask_partitions_below_kernel
+from epsindep.partitions import partitions_of_set
+
+
+def partitions_below_kernel(entries):
+    """All partitions refining the kernel of the tuple: generate-and-test's
+    candidates, built block by block apart from the battery's bitmasks."""
+    per_block = [partitions_of_set(b) for b in kernel(entries).blocks]
+    n = len(entries)
+    for combo in product(*per_block):
+        # blocks are disjoint, so sorting them orders them by first point
+        yield SetPartition._canonical(n, tuple(sorted(blk for part in combo for blk in part)))
 
 
 def all_matrices(size, diag=None):
@@ -95,6 +106,23 @@ class TestEquivalence:
                 assert reduction_membership(p, entries, e) == is_epsilon_noncrossing(
                     p, entries, e
                 )
+
+    def test_battery_lists_every_partition_below_the_kernel_once(self):
+        # the membership check's bitmask partitions, one set-partition
+        # table per block size shared across tuples, against the
+        # block-by-block enumeration above
+        tables = {}
+        tuples = [(), (0,), (0, 0, 1, 0), (0, 1, 0, 1, 2, 0), (1, 1, 1, 1, 1), (0, 0, 0, 1, 1, 1)]
+        for entries in tuples:
+            n = len(entries)
+            got = []
+            for blocks in mask_partitions_below_kernel(entries, tables):
+                points = [[j + 1 for j in range(n) if m >> j & 1] for m, _ in blocks]
+                assert all(entries[x - 1] == k for (_, k), b in zip(blocks, points) for x in b)
+                got.append(SetPartition(n, points))
+            assert sorted(got, key=lambda p: p.blocks) == sorted(
+                partitions_below_kernel(entries), key=lambda p: p.blocks
+            )
 
 
 class TestEnumeration:

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tempfile
+from bisect import bisect
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,6 +23,7 @@ from epsindep import (
     FREE,
     CumulantTable,
     EpsilonMatrix,
+    SetPartition,
     classical_cumulants_to_moments,
     enumerate_nc_epsilon,
     free_cumulants_to_moments,
@@ -33,13 +35,15 @@ from epsindep import (
     mixed_moment_cumulant,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
+    moments_from_tables,
     normalize_tuple,
     reduce_word,
     reduction_membership,
 )
 from epsindep.cli import main
-from epsindep.crosscheck import partitions_below_kernel
+from epsindep.ncpartitions import bar_masks, noncrossing_masks, reduces_masks
 from test_cumulants import classical_cumulants_mobius, classical_moments_oracle, free_moments_oracle
+from test_ncpartitions import partitions_below_kernel
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 sparse = st.one_of(st.just(0), st.just(0), st.just(0), rationals)
@@ -205,6 +209,61 @@ def test_greedy_reduction_matches_search(instance):
         assert reduction_membership(p, entries, e) == reduces_to_empty(p, entries, e)
 
 
+def blocks_cross(p, i_block, j_block):
+    """Whether blocks with given indices interleave (ABAB pattern): the
+    points of one fall into more than one gap of the other, and not just
+    before and after it."""
+    a = p.blocks[i_block]
+    gaps = {bisect(a, x) for x in p.blocks[j_block]}
+    return len(gaps) > 1 and gaps != {0, len(a)}
+
+
+def pairwise_by_gaps(p, entries, e):
+    """The pairwise characterization block pair by block pair, with
+    crossings found by bisecting into the gaps of a block, for p below the
+    kernel of the tuple."""
+    nb = len(p.blocks)
+    for a in range(nb):
+        la = entries[p.blocks[a][0] - 1]
+        for b in range(a + 1, nb):
+            lb = entries[p.blocks[b][0] - 1]
+            if e.eps(la, lb) == 1:
+                continue
+            if blocks_cross(p, a, b):
+                return False
+    return True
+
+
+@st.composite
+def below_kernel(draw, max_n=8):
+    """An instance and one partition below the kernel of its tuple: each
+    point joins an open block of its label or opens one."""
+    entries, e = draw(instances(max_n=max_n))
+    blocks = []
+    for x, lbl in enumerate(entries, 1):
+        same = [b for b in blocks if entries[b[0] - 1] == lbl]
+        k = draw(st.integers(0, len(same)))
+        if k < len(same):
+            same[k].append(x)
+        else:
+            blocks.append([x])
+    return entries, e, SetPartition(len(entries), blocks)
+
+
+@settings(max_examples=600, deadline=None)
+@given(below_kernel())
+@example(((0, 0, 0, 0), EpsilonMatrix(1), SetPartition(4, [[1, 3], [2, 4]])))
+@example(((0, 1, 0), EpsilonMatrix(2), SetPartition(3, [[1, 3], [2]])))
+def test_mask_cores_match_references(instance):
+    """The battery's two cores on the tuple's bitmask encoding against the
+    gap-bisecting pairwise test and the literal reduce-to-empty search."""
+    entries, e, p = instance
+    bars = bar_masks(entries, e)
+    blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p.blocks]
+    assert noncrossing_masks(blocks, bars) == pairwise_by_gaps(p, entries, e)
+    assert reduces_masks(blocks, bars, len(entries)) == reduces_to_empty(p, entries, e)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([FREE, CLASSICAL]), st.lists(rationals, min_size=1, max_size=10))
 def test_conversions_round_trip(kind, seq):
@@ -297,6 +356,67 @@ def test_normalize_tuple_groups_partition_positions(instance):
         assert {entries[pos - 1] for pos in group} == {label}
 
 
+# -- dihedral symmetry: rotating or reversing the tuple, renaming labels -----
+
+
+@st.composite
+def dihedral_images(draw):
+    """An instance with a rational cumulant sequence per label, and its
+    image: the tuple rotated left by a drawn shift, reversed or not, with
+    its labels renamed by a drawn permutation, which the matrix follows.
+    Returns (entries, e, cumulants, image entries, image e, image
+    cumulants, position map)."""
+    entries, e, cumulants = draw(with_sequences(rationals))
+    n = len(entries)
+    shift = draw(st.integers(0, max(n - 1, 0)))
+    flip = draw(st.booleans())
+    perm = draw(st.permutations(range(e.size)))
+
+    def moved(x):  # the position of point x in the image
+        j = (x - 1 - shift) % n
+        return (n - 1 - j if flip else j) + 1
+
+    image = [None] * n
+    for x, lbl in enumerate(entries, 1):
+        image[moved(x) - 1] = perm[lbl]
+    pairs = [(perm[a], perm[b]) for a, b in combinations(range(e.size), 2) if e.eps(a, b) == 1]
+    diag = [0] * e.size
+    for a in range(e.size):
+        diag[perm[a]] = e.diagonal(a)
+    image_e = EpsilonMatrix(e.size, pairs, diag=diag)
+    image_cumulants = {perm[lbl]: seq for lbl, seq in cumulants.items()}
+    return entries, e, cumulants, tuple(image), image_e, image_cumulants, moved
+
+
+@settings(max_examples=100, deadline=None)
+@given(dihedral_images())
+def test_nc_set_maps_onto_image(instance):
+    """Crossings and kernel refinement depend only on the cyclic order of
+    the points and on which labels are equal or independent."""
+    entries, e, _, image, image_e, _, moved = instance
+    want = {SetPartition(len(entries), [[moved(x) for x in b] for b in p.blocks])
+            for p in enumerate_nc_epsilon(entries, e)}
+    assert set(enumerate_nc_epsilon(image, image_e)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(dihedral_images())
+def test_every_route_invariant_under_dihedral_image(instance):
+    """The cumulant sum only reads block sizes and labels; the definition
+    route and the group trace never use the symmetry, so each is checked
+    on its own."""
+    entries, e, cumulants, image, image_e, image_cumulants, _ = instance
+    tables = cumulant_tables(e, cumulants)
+    image_tables = cumulant_tables(image_e, image_cumulants)
+    value = mixed_moment_cumulant(entries, e, tables)
+    assert mixed_moment_cumulant(image, image_e, image_tables) == value
+    moments = moments_from_tables(tables)
+    image_moments = moments_from_tables(image_tables)
+    value = mixed_moment_by_definition(entries, e, moments)
+    assert mixed_moment_by_definition(image, image_e, image_moments) == value
+    assert generator_mixed_moment(image, image_e) == generator_mixed_moment(entries, e)
+
+
 # -- the CLI on random files: exit 0 or 2, never a traceback -----------------
 
 NAMES = ["a", "b", "c"]
@@ -324,7 +444,10 @@ graphs = st.fixed_dictionaries(
         ),
     },
 )
-moment_entries = st.sampled_from(["0", "1", "2", "-1/2", "3/4"]) | st.floats()
+# a numeral over the interpreter's 4,300-digit int limit, and one whose
+# products soon give results over it
+LONG_NUMERALS = ["9" * 5000, "1/" + "9" * 1000]
+moment_entries = st.sampled_from(["0", "1", "2", "-1/2", "3/4"] + LONG_NUMERALS) | st.floats()
 specs = st.fixed_dictionaries(
     {},
     optional={
