@@ -5,7 +5,6 @@ from .cumulants import (
     CLASSICAL,
     FREE,
     CumulantTable,
-    JointMomentOracle,
     arcsine_moments,
     arcsine_table,
     classical_cumulants_to_moments,
@@ -14,8 +13,6 @@ from .cumulants import (
     kappa_pi,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
-    product_as_arguments_check,
-    random_joint_oracle,
     semicircle_table,
 )
 from .epsilon import (

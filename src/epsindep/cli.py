@@ -12,7 +12,7 @@ import sys
 
 from .cumulants import CLASSICAL, FREE, CumulantTable, format_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
-from .errors import EpsIndepError, InputError
+from .errors import EpsIndepError, InputError, excerpt
 from .crosscheck import run_crosscheck
 from .moments import (
     factorization_shortcut,
@@ -66,13 +66,15 @@ def _load_tables(path, e, entries):
     specs = {}
     for spec in data:
         if not isinstance(spec, dict) or "label" not in spec:
-            raise InputError(f"distribution spec without label: {spec!r}")
+            raise InputError(f"distribution spec without label: {excerpt(spec)}")
         idx = e.label_index(spec["label"])
+        if idx in specs:
+            raise InputError(f"label {excerpt(spec['label'])} has more than one spec")
         kind = CLASSICAL if e.diagonal(idx) == 1 else FREE
         given, moments = spec_moments({"kind": kind, **spec}, n if idx in entries else 0)
         if given != kind:
             raise InputError(
-                f"label {spec['label']!r} has diagonal {e.diagonal(idx)}, so its kind is "
+                f"label {excerpt(spec['label'])} has diagonal {e.diagonal(idx)}, so its kind is "
                 f"{kind}, but its spec gives kind {given!r}"
             )
         specs[idx] = kind, moments

@@ -6,13 +6,14 @@ cumulants over all partitions; both by the same subtraction recursion
 computed internally as scaled integers.
 """
 
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import DomainError, InputError, TableError
-from .partitions import enumerate_noncrossing, kernel, refines
+from .errors import DomainError, InputError, TableError, excerpt
+from .partitions import kernel, refines
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -184,11 +185,22 @@ def point_mass_moments(value, max_order=12):
     return [v**n for n in range(1, max_order + 1)]
 
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+
+
 def parse_fraction(text):
+    """A rational from a JSON number or string.  A string in exponent
+    notation is rejected, before its value is built, when the exponent
+    exceeds the interpreter's int-to-str digit limit: the policy for a
+    numeral with that many digits."""
     try:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        exponent = _EXPONENT.search(text) if isinstance(text, str) and limit else None
+        if exponent and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent beyond the {limit}-digit limit on integers")
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}")
+        raise InputError(f"bad rational {excerpt(text)}: {exc}")
 
 
 def format_fraction(f):
@@ -215,13 +227,13 @@ def spec_moments(spec, order=12):
     order (order 0 only validates it).  kind defaults to free.
     """
     if not isinstance(spec, dict):
-        raise InputError(f"distribution spec must be a JSON object: {spec!r}")
+        raise InputError(f"distribution spec must be a JSON object: {excerpt(spec)}")
     kind = spec.get("kind", FREE)
     if kind not in (FREE, CLASSICAL):
-        raise InputError(f"unknown kind {kind!r}")
+        raise InputError(f"unknown kind {excerpt(kind)}")
     if "moments" in spec:
         if not isinstance(spec["moments"], list) or not spec["moments"]:
-            raise InputError(f"'moments' must be a non-empty array: {spec!r}")
+            raise InputError(f"'moments' must be a non-empty array: {excerpt(spec)}")
         return kind, [parse_fraction(m) for m in spec["moments"]]
     name = spec.get("named")
     if name == "semicircle":
@@ -235,76 +247,4 @@ def spec_moments(spec, order=12):
     if name == "point_mass":
         value = parse_fraction(str(spec.get("value", "1")))
         return kind, point_mass_moments(value, order)
-    raise InputError(f"distribution spec needs 'moments' or a known 'named': {spec!r}")
-
-
-# -- products-as-arguments identity harness ---------------------------------
-
-
-class JointMomentOracle:
-    """Joint moments of finitely many symbols of one algebra.
-
-    phi() maps a word (tuple of symbol indices) to a rational; the empty
-    word has moment 1, any other word's moment is default_factory(word),
-    asked once.  Values may be arbitrary: the identity under test is
-    purely combinatorial in the moment data.
-    """
-
-    def __init__(self, nvars, default_factory):
-        self.nvars = nvars
-        self.values = {}
-        self.default_factory = default_factory
-        self._kappa_cache = {}
-
-    def phi(self, word):
-        word = tuple(word)
-        if not word:
-            return Fraction(1)
-        if word not in self.values:
-            self.values[word] = Fraction(self.default_factory(word))
-        return self.values[word]
-
-    def cumulant(self, args):
-        """Multivariate free cumulant; each argument is a word (a product
-        of symbols), spliced into moments by concatenation."""
-        args = tuple(tuple(a) for a in args)
-        if args in self._kappa_cache:
-            return self._kappa_cache[args]
-        n = len(args)
-        total = self.phi(tuple(x for a in args for x in a))
-        if n > 1:
-            for p in enumerate_noncrossing(n):
-                if len(p.blocks) == 1:
-                    continue
-                term = Fraction(1)
-                for block in p.blocks:
-                    term *= self.cumulant(tuple(args[r - 1] for r in block))
-                total -= term
-        self._kappa_cache[args] = total
-        return total
-
-
-def random_joint_oracle(rng, nvars):
-    """Random rational joint moments p/q, |p| <= 20 and 1 <= q <= 20,
-    drawn lazily on first access."""
-
-    def draw(_word):
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-
-    return JointMomentOracle(nvars, default_factory=draw)
-
-
-def product_as_arguments_check(p, oracle, first=(0, 1), rest=None):
-    """Check the two-factor product-in-first-slot expansion of a free
-    cumulant against its order-(p+2) refinement plus split terms."""
-    b1, b1t = first
-    rest = tuple(rest if rest is not None else range(2, 2 + p))
-    if len(rest) != p:
-        raise DomainError(f"need exactly p={p} trailing positions, got {len(rest)}")
-    lhs = oracle.cumulant(((b1, b1t),) + tuple((r,) for r in rest))
-    rhs = oracle.cumulant(((b1,), (b1t,)) + tuple((r,) for r in rest))
-    for q in range(p + 1):
-        left = oracle.cumulant(((b1,),) + tuple((r,) for r in rest[q:]))
-        right = oracle.cumulant(((b1t,),) + tuple((r,) for r in rest[:q]))
-        rhs += left * right
-    return lhs == rhs
+    raise InputError(f"distribution spec needs 'moments' or a known 'named': {excerpt(spec)}")

@@ -5,7 +5,7 @@ Entry eps(i, j) = 1 means algebras i and j are classically independent
 per-algebra convention: 0 = free cumulants (default), 1 = classical.
 """
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, excerpt
 
 
 class EpsilonMatrix:
@@ -54,14 +54,14 @@ class EpsilonMatrix:
         pairs = []
         for pair in pair_list:
             if not isinstance(pair, list) or len(pair) != 2:
-                raise InputError(f"bad pair {pair!r}")
+                raise InputError(f"bad pair {excerpt(pair)}")
             a, b = pair
             try:
                 ia, ib = index[a], index[b]
             except (KeyError, TypeError):
-                raise InputError(f"unknown label in pair {pair!r}")
+                raise InputError(f"unknown label in pair {excerpt(pair)}")
             if ia == ib:
-                raise InputError(f"self-loop on {a!r}")
+                raise InputError(f"self-loop on {excerpt(a)}")
             pairs.append((ia, ib))
         diagonal = data.get("diagonal", {})
         if not isinstance(diagonal, dict):
@@ -69,7 +69,7 @@ class EpsilonMatrix:
         diag = [0] * len(names)
         for name, d in diagonal.items():
             if name not in index:
-                raise InputError(f"unknown label {name!r} in diagonal")
+                raise InputError(f"unknown label {excerpt(name)} in diagonal")
             if type(d) is not int or d not in (0, 1):
                 raise InputError("diagonal entries must be the integers 0 or 1")
             diag[index[name]] = d
@@ -91,7 +91,7 @@ class EpsilonMatrix:
         try:
             return self.labels.index(name)
         except ValueError:
-            raise InputError(f"unknown label {name!r}")
+            raise InputError(f"unknown label {excerpt(name)}")
 
     def check_tuple(self, entries):
         for v in entries:

@@ -20,3 +20,13 @@ class TableError(EpsIndepError):
 
 class InputError(EpsIndepError):
     """Malformed external input (JSON files, CLI arguments)."""
+
+
+def excerpt(value, width=40):
+    """repr(value) for an error message, cut to its first width
+    characters plus the length of the text when longer."""
+    shown = repr(value)
+    if len(shown) <= width:
+        return shown
+    size = len(value) if isinstance(value, str) else len(shown)
+    return f"{shown[:width]}... ({size} characters)"

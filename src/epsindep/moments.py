@@ -106,7 +106,16 @@ def mixed_moment_by_definition(entries, e, moments, cap=None):
     ...(a_m - m_m)) = 0: _fold_step expands that product with the choices
     a_k or -m_k (a_k alone when m_k = 0), and phi(a_1...a_m) is minus the
     other terms, each a shorter reduced word evaluated once per call, in
-    integers as in mixed_moment_cumulant."""
+    integers as in mixed_moment_cumulant.
+
+    Before folding, every syllable b whose label occurs in no other
+    syllable is factored out: phi(x b y) = phi(b) phi(x y).  Proof: with
+    b = b° + phi(b), expand x and y into centred syllables plus means;
+    every reduced term of x b° y keeps b° as its own factor, so it is a
+    centred admissible word and phi of it is 0 by definition.  The rest
+    goes back through reduce_word, as dropping b may let two syllables
+    merge (x1 x2 x1 on a free pair is x1^2); each position still carries
+    its d once, so the scaling is unchanged."""
     n = len(entries)
     _check_cap(n, cap)
     e.check_tuple(entries)
@@ -123,8 +132,17 @@ def mixed_moment_by_definition(entries, e, moments, cap=None):
 
     @cache
     def phi(word):
-        if len(word) < 2:
-            return scaled[word[0][0]][word[0][1] - 1] if word else 1
+        if not word:
+            return 1
+        labels = [lbl for lbl, _ in word]
+        factor, rest = 1, []
+        for lbl, pw in word:
+            if labels.count(lbl) == 1:
+                factor *= scaled[lbl][pw - 1]
+            else:
+                rest.append((lbl, pw))
+        if len(rest) < len(word):
+            return factor and factor * phi(reduce_word(rest, e))
         terms = {(): 1}
         for lbl, pw in word:
             mean = scaled[lbl][pw - 1]

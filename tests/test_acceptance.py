@@ -26,8 +26,6 @@ from epsindep import (
     mixed_moment_by_definition,
     mixed_moment_cumulant,
     moments_from_tables,
-    product_as_arguments_check,
-    random_joint_oracle,
     refines,
     semicircle_table,
 )
@@ -37,6 +35,7 @@ from epsindep.crosscheck import (
     membership_equivalence_check,
 )
 from epsindep.cumulants import CLASSICAL, FREE, arcsine_table
+from oracles import product_as_arguments_check, random_joint_oracle
 from test_ncpartitions import partitions_below_kernel
 
 F = Fraction

@@ -22,6 +22,8 @@ FIVE_CYCLE = {
     ],
 }
 
+NINES = "9" * 5000
+
 SEMICIRCLES = [
     {"label": name, "named": "semicircle", "variance": "1"}
     for name in FIVE_CYCLE["labels"]
@@ -210,6 +212,19 @@ class TestMoment:
         assert code == 0
         assert json.loads(out)["values"] == {"cumulant": "2/1", "definition": "2/1"}
 
+    def test_duplicate_label(self, five_cycle, tmp_path, capsys):
+        # an array-form file with two specs for one label is ambiguous
+        graph, _ = five_cycle
+        dist = tmp_path / "dist.json"
+        specs = [{"label": "x1", "moments": ["1", "2"]}, {"label": "x1", "moments": ["5", "7"]}]
+        dist.write_text(json.dumps(specs))
+        code = main(["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "'x1'" in captured.err
+
     def test_missing_distribution(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "short.json"
@@ -365,17 +380,24 @@ class TestInputHandling:
     @pytest.mark.parametrize(
         "which, text",
         [
-            ("dist", '{"x1": {"moments": [%s]}}'),
-            ("dist", '{"x1": {"moments": ["%s"]}}'),
-            ("graph", '{"labels": ["x1", "x2"], "diagonal": {"x1": %s}}'),
+            ("dist", '{"x1": {"moments": [%s]}}' % NINES),
+            ("dist", '{"x1": {"moments": ["%s"]}}' % NINES),
+            ("graph", '{"labels": ["x1", "x2"], "diagonal": {"x1": %s}}' % NINES),
+            ("dist", '{"x1": {"moments": ["1e300000"]}}'),
+            ("dist", '{"x1": {"moments": ["1E-300000"]}}'),
+            ("dist", '{"x1": {"moments": ["2.5e+4301"]}}'),
         ],
-        ids=["dist-literal", "dist-string", "graph-literal"],
+        ids=[
+            "dist-literal", "dist-string", "graph-literal",
+            "exponent", "negative-exponent", "decimal-exponent",
+        ],
     )
     def test_numeral_beyond_digit_limit(self, tmp_path, capsys, which, text):
         # more digits than the interpreter converts to int (4,300 by
-        # default), as a JSON number literal or inside a string
+        # default), as a JSON number literal or inside a string, or an
+        # exponent beyond that limit, rejected before the value is built
         files = {"graph": '{"labels": ["x1", "x2"]}', "dist": '{"x1": {"moments": ["1"]}}'}
-        files[which] = text % ("9" * 5000)
+        files[which] = text
         paths = {}
         for name, content in files.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -386,6 +408,40 @@ class TestInputHandling:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error:")
+        # one short line: a long rejected string is echoed as a prefix
+        # and its length
+        assert len(captured.err) < 300
+
+    @pytest.mark.parametrize(
+        "graph_spec, dist_spec, tuple_arg",
+        [
+            ({"labels": ["x1", "x2"]}, {"x1": {"moments": ["1"]}}, "x1," + NINES),
+            ({"labels": ["x1", "x2"]}, {"x1": {"moments": NINES}}, "x1"),
+            ({"labels": ["x1", "x2"], "diagonal": {NINES: 1}}, {"x1": {"moments": ["1"]}}, "x1"),
+        ],
+        ids=["tuple-label", "moments-not-array", "diagonal-label"],
+    )
+    def test_long_input_echoed_short(self, tmp_path, capsys, graph_spec, dist_spec, tuple_arg):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(graph_spec))
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(dist_spec))
+        code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("input error:")
+        assert " characters)" in captured.err
+        assert len(captured.err) < 300
+
+    def test_exponent_within_digit_limit(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["x1", "x2"]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"x1": {"moments": ["25e-1", "1e300"]}}))
+        argv = ["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", "x1,x1"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["values"]["definition"] == f"{10**300}/1"
 
     def test_result_beyond_digit_limit(self, tmp_path, capsys):
         # every input numeral has 451 digits; the exact moment has more

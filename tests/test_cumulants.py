@@ -7,7 +7,6 @@ import pytest
 from epsindep import (
     CumulantTable,
     DomainError,
-    JointMomentOracle,
     SetPartition,
     TableError,
     arcsine_moments,
@@ -18,11 +17,10 @@ from epsindep import (
     kappa_pi,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
-    product_as_arguments_check,
-    random_joint_oracle,
     semicircle_table,
 )
 from epsindep.cumulants import spec_moments
+from oracles import JointMomentOracle, product_as_arguments_check, random_joint_oracle
 
 F = Fraction
 

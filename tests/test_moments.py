@@ -233,6 +233,30 @@ class TestLengthTwelve:
         }
         assert mixed_moment_cumulant(entries, e, tables) == generator_mixed_moment(entries, e)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1),
+            (0, 1, 0, 2, 1, 3, 2, 4, 3, 0, 4, 1),
+            (0, 2, 4, 1, 3, 0, 2, 4, 1, 3, 0, 2),
+        ],
+        ids=["(x1..x5)^2,x1,x2", "x1,x2,x1,x3,x2,x4,x3,x5,x4,x1,x5,x2", "(x1,x3,x5,x2,x4)^2,x1,x3"],
+    )
+    def test_definition_agrees_with_cumulants(self, entries):
+        # five labels, random nonzero moments: no factor of the centered
+        # words has mean 0, so the definition route expands them in full
+        e = self.E
+        rng = random.Random(repr(entries))
+        tables = {
+            lbl: CumulantTable.from_moments(
+                CLASSICAL if e.diagonal(lbl) else FREE,
+                [F(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20)) for _ in range(12)],
+            )
+            for lbl in range(5)
+        }
+        value = mixed_moment_by_definition(entries, e, moments_from_tables(tables))
+        assert value == mixed_moment_cumulant(entries, e, tables)
+
     def test_one_cap_for_both_evaluators(self):
         entries = (0, 2) * 6
         tables = {lbl: arcsine_table(FREE, 12) for lbl in (0, 2)}

@@ -150,6 +150,34 @@ def test_definition_route_matches_mask_expansion(instance):
     assert mixed_moment_by_definition(entries, e, moments) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(with_sequences(rationals))
+# dropping the singleton x2 lets the two x1 merge into x1^2
+@example(((0, 1, 0), EpsilonMatrix(2), {
+    0: [Fraction(1, 2), Fraction(3), Fraction(-2, 3)],
+    1: [Fraction(2), Fraction(5, 7), Fraction(1)],
+}))
+# every syllable a singleton: the moment is the product of the means
+@example(((0, 1, 2), EpsilonMatrix(3, [(0, 2)]), {
+    0: [Fraction(-3, 4)] * 3,
+    1: [Fraction(5)] * 3,
+    2: [Fraction(2, 9)] * 3,
+}))
+# the singleton x3 has mean 0, so the moment is 0
+@example(((0, 1, 0, 2, 1), EpsilonMatrix(3), {
+    0: [Fraction(k, 3) for k in range(1, 6)],
+    1: [Fraction(-2)] * 5,
+    2: [Fraction(0), Fraction(4), Fraction(1), Fraction(1), Fraction(1)],
+}))
+def test_definition_route_matches_mask_expansion_dense(instance):
+    """Moments mostly nonzero, so every singly-occurring label the
+    definition route factors out carries a nonzero mean and the rest of
+    the word is expanded in full."""
+    entries, e, moments = instance
+    want = phi_by_masks(tuple((lbl, 1) for lbl in entries), e, moments, {})
+    assert mixed_moment_by_definition(entries, e, moments) == want
+
+
 def inverse(word):
     return tuple((lbl, -exp) for lbl, exp in reversed(word))
 
