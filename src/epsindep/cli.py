@@ -10,24 +10,34 @@ import argparse
 import json
 import sys
 
-from .cumulants import CLASSICAL, FREE, CumulantTable, format_fraction, spec_moments
+from .cumulants import CLASSICAL, FREE, CumulantTable, format_fraction, parse_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
 from .errors import EpsIndepError, InputError, excerpt
 from .crosscheck import run_crosscheck
-from .moments import (
-    factorization_shortcut,
-    mixed_moment_by_definition,
-    mixed_moment_cumulant,
-    moments_from_tables,
-)
+from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
+# not called here: bench/worker.py wraps this name in this module
+from .moments import moments_from_tables  # noqa: F401
 from .ncpartitions import enumerate_nc_epsilon, is_epsilon_noncrossing
 from .partitions import default_cap, kernel
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is an input error, not
+    a silent override."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"repeated key {excerpt(key)} in a JSON object")
+        out[key] = value
+    return out
+
+
 def _load_json(path):
+    """The file's JSON, with number literals in decimal or exponent form
+    read as the exact rationals they spell."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_float=parse_fraction)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -149,7 +159,7 @@ def cmd_moment(args):
         )
     if args.method in ("definition", "both"):
         values["definition"] = format_fraction(
-            mixed_moment_by_definition(entries, e, moments_from_tables(tables), cap=args.cap)
+            mixed_moment_by_definition(entries, e, tables, cap=args.cap)
         )
     short = factorization_shortcut(entries, e, tables)
     payload = {

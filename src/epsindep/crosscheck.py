@@ -17,14 +17,10 @@ from itertools import permutations, product
 from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table
 from .epsilon import EpsilonMatrix
 from .graphgroup import generator_mixed_moment
-from .moments import (
-    factorization_shortcut,
-    mixed_moment_by_definition,
-    mixed_moment_cumulant,
-    moments_from_tables,
-)
+from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
 from .ncpartitions import bar_masks, noncrossing_masks, reduces_masks
-# not called here: bench/worker.py wraps these two names in this module
+# not called here: bench/worker.py wraps these three names in this module
+from .moments import moments_from_tables  # noqa: F401
 from .ncpartitions import is_epsilon_noncrossing, reduction_membership  # noqa: F401
 from .partitions import partitions_of_set
 
@@ -152,13 +148,13 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False, cap
         n = rng.randint(1, max_n)
         entries = tuple(rng.randrange(e.size) for _ in range(n))
         tables = _random_tables(rng, e, entries)
-        moments = moments_from_tables(tables)
+        a = mixed_moment_cumulant(entries, e, tables, cap=cap)
         if corrupt:
             lbl = entries[0]
-            moments[lbl] = list(moments[lbl])
-            moments[lbl][-1] += 1
-        a = mixed_moment_cumulant(entries, e, tables, cap=cap)
-        b = mixed_moment_by_definition(entries, e, moments, cap=cap)
+            moments = tables[lbl].moments()
+            moments[-1] += 1
+            tables = {**tables, lbl: CumulantTable.from_moments(tables[lbl].kind, moments)}
+        b = mixed_moment_by_definition(entries, e, tables, cap=cap)
         result.record(
             a == b,
             detail={"tuple": list(entries), "cumulant": str(a), "definition": str(b)},

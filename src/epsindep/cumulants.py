@@ -8,7 +8,6 @@ computed internally as scaled integers.
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -20,8 +19,10 @@ CLASSICAL = "classical"
 
 
 def _convert(seq, kind, given):
-    """The cumulants of moments m_1..m_N or the moments of cumulants
-    kappa_1..kappa_N: given ("moments" or "cumulants") names seq's side.
+    """(d, scaled moments, scaled cumulants) of moments m_1..m_N or of
+    cumulants kappa_1..kappa_N, given ("moments" or "cumulants") naming
+    seq's side: d is the common denominator of seq, and the p-th entries
+    are the integers m_p * d**p and kappa_p * d**p.
 
     m_n = kappa_n + rest_n, where rest_n sums over the partitions whose
     block containing point 1 has size s < n (m_0 = 1):
@@ -31,13 +32,13 @@ def _convert(seq, kind, given):
       rest_n = sum kappa_s [z^(n-s)] M(z)^s with M(z) = sum m_i z^i.
       powers[s][t] = [z^t] M(z)^s gains column t = n-1 at order n, from
       the moments known by then, so the pass costs O(N^3) operations.
-    Both are homogeneous of degree n, so they run unchanged on the integers
-    value_p * d**p (seq holds Fractions, d their common denominator), and
-    each output is divided by d**p once.
+    Both are homogeneous of degree n, so they run unchanged on the scaled
+    integers, and every output is an integer too.
     """
+    if given == "moments" and not seq:
+        raise TableError("empty moment sequence")
     order = len(seq)
     d = lcm(*(v.denominator for v in seq))
-    scale = [d**p for p in range(order + 1)]
     moments = [1]
     cumulants = []
     powers = [[1] + [0] * order] + [[] for _ in range(order)]
@@ -50,90 +51,92 @@ def _convert(seq, kind, given):
             rest = sum(cumulants[s - 1] * powers[s][n - s] for s in range(1, n))
         else:
             rest = sum(comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s] for s in range(1, n))
-        value = seq[n - 1].numerator * (scale[n] // seq[n - 1].denominator)
+        value = seq[n - 1].numerator * (d**n // seq[n - 1].denominator)
         if given == "moments":
             moments.append(value)
             cumulants.append(value - rest)
         else:
             cumulants.append(value)
             moments.append(value + rest)
-    out = cumulants if given == "moments" else moments[1:]
-    return [Fraction(x, scale[p]) for p, x in enumerate(out, 1)]
+    return d, tuple(moments[1:]), tuple(cumulants)
 
 
 def _fractions(seq):
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in seq)
 
 
-def _to_cumulants(moments, kind):
-    if not moments:
-        raise TableError("empty moment sequence")
-    return _convert(_fractions(moments), kind, "moments")
-
-
 def free_cumulants_to_moments(cumulants):
-    return _convert(_fractions(cumulants), FREE, "cumulants")
+    return CumulantTable(FREE, cumulants).moments()
 
 
 def moments_to_free_cumulants(moments):
-    return _to_cumulants(moments, FREE)
+    return list(CumulantTable.from_moments(FREE, moments).cumulants)
 
 
 def classical_cumulants_to_moments(cumulants):
-    return _convert(_fractions(cumulants), CLASSICAL, "cumulants")
+    return CumulantTable(CLASSICAL, cumulants).moments()
 
 
 def moments_to_classical_cumulants(moments):
-    return _to_cumulants(moments, CLASSICAL)
+    return list(CumulantTable.from_moments(CLASSICAL, moments).cumulants)
 
 
-@dataclass(frozen=True)
 class CumulantTable:
-    """Cumulant sequence of one variable, free or classical flavour."""
+    """The law of one variable, free or classical flavour, held as d and
+    the integers m_p * d**p and kappa_p * d**p (_convert), d the common
+    denominator of the sequence it was built from.  Tables compare and
+    hash by (kind, cumulants, label)."""
 
-    kind: str
-    cumulants: tuple
-    label: object = None
-    # the moment sequence, computed at most once per table
-    _moments: tuple = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("kind", "label", "d", "scaled_moments", "scaled_cumulants")
 
-    def __post_init__(self):
-        if self.kind not in (FREE, CLASSICAL):
-            raise TableError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "cumulants", _fractions(self.cumulants))
+    def __init__(self, kind, cumulants, label=None):
+        self._fill(kind, cumulants, label, "cumulants")
 
     @classmethod
     def from_moments(cls, kind, moments, label=None):
-        moments = _fractions(moments)
-        table = cls(kind, _to_cumulants(moments, kind), label=label)
-        object.__setattr__(table, "_moments", moments)
+        table = cls.__new__(cls)
+        table._fill(kind, moments, label, "moments")
         return table
+
+    def _fill(self, kind, seq, label, given):
+        if kind not in (FREE, CLASSICAL):
+            raise TableError(f"unknown kind {kind!r}")
+        self.kind, self.label = kind, label
+        self.d, self.scaled_moments, self.scaled_cumulants = _convert(_fractions(seq), kind, given)
+
+    def _key(self):
+        return self.kind, self.cumulants, self.label
+
+    def __eq__(self, other):
+        return isinstance(other, CumulantTable) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"CumulantTable({self.kind!r}, {self.cumulants!r}, label={self.label!r})"
 
     @property
     def max_order(self):
-        return len(self.cumulants)
+        return len(self.scaled_cumulants)
 
-    def cumulant(self, order):
-        if not 1 <= order <= len(self.cumulants):
-            raise TableError(
-                f"order {order} outside table (max {len(self.cumulants)})"
-            )
-        return self.cumulants[order - 1]
-
-    def _moment_tuple(self):
-        if self._moments is None:
-            object.__setattr__(self, "_moments", tuple(_convert(self.cumulants, self.kind, "cumulants")))
-        return self._moments
+    @property
+    def cumulants(self):
+        return tuple(self.cumulant(p) for p in range(1, self.max_order + 1))
 
     def moments(self):
-        return list(self._moment_tuple())
+        return [self.moment(p) for p in range(1, self.max_order + 1)]
+
+    def cumulant(self, order):
+        return Fraction(self._scaled(self.scaled_cumulants, order), self.d**order)
 
     def moment(self, order):
-        if not 1 <= order <= len(self.cumulants):
-            raise TableError(
-                f"order {order} outside table (max {len(self.cumulants)})"
-            )
-        return self._moment_tuple()[order - 1]
+        return Fraction(self._scaled(self.scaled_moments, order), self.d**order)
+
+    def _scaled(self, values, order):
+        if not 1 <= order <= len(values):
+            raise TableError(f"order {order} outside table (max {len(values)})")
+        return values[order - 1]
 
 
 def kappa_pi(p, entries, tables):

@@ -37,15 +37,16 @@ class EpsilonMatrix:
 
     @classmethod
     def from_json(cls, data):
-        """Schema: {"labels": [...], "independent_pairs": [[a,b],...],
-        "diagonal": {name: 0|1}} -- pair entries are label names."""
+        """Schema: {"labels": [name, ...], "independent_pairs": [[a,b],...],
+        "diagonal": {name: 0|1}} -- names are strings, pair entries are
+        label names."""
         names = data.get("labels") if isinstance(data, dict) else None
         if not isinstance(names, list):
             raise InputError("graph spec must contain a 'labels' array")
-        try:
-            index = {name: k for k, name in enumerate(names)}
-        except TypeError:
-            raise InputError("label names must be strings or numbers")
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"label names must be strings, not {excerpt(name)}")
+        index = {name: k for k, name in enumerate(names)}
         if len(index) != len(names):
             raise InputError("duplicate label names")
         pair_list = data.get("independent_pairs", [])

@@ -3,7 +3,7 @@ centering recursion, and the kernel-factorization shortcut."""
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import prod
 
 from .cumulants import CLASSICAL, FREE
 from .errors import TableError
@@ -35,6 +35,12 @@ def _check_tables(entries, e, tables):
             )
 
 
+def _scale(entries, tables):
+    """The divisor of a value summed in the tables' scaled integers: a
+    product of scaled values carries label l's d once per l-point."""
+    return prod(tables[label].d ** entries.count(label) for label in set(entries))
+
+
 def mixed_moment_cumulant(entries, e, tables, cap=None):
     """Sum of block cumulant products over the epsilon-non-crossing set,
     by a memoised recursion on the block that holds the first point
@@ -42,10 +48,9 @@ def mixed_moment_cumulant(entries, e, tables, cap=None):
     nonzero are passed to it, so no block of a zero-cumulant size is
     built.  Partitions are never listed.
 
-    The sum runs in integers: with d_l the common denominator of label
-    l's cumulants, a block of size s contributes kappa_l(s) * d_l**s, and
-    the product over any partition carries d_l once per l-point, so the
-    total is divided by prod(d_l ** count_l) at the end.
+    The sum runs in the tables' scaled integers: a block of size s and
+    label l contributes kappa_l(s) * d_l**s, so every product carries d_l
+    once per l-point (_scale).
     """
     n = len(entries)
     _check_cap(n, cap)
@@ -54,16 +59,10 @@ def mixed_moment_cumulant(entries, e, tables, cap=None):
     lab, against = encode(entries, e)
     # per label rank: {r: kappa(r + 1) * d ** (r + 1)} over the nonzero
     # cumulants, r (a block's further points) ascending
-    scaled = []
-    scale = 1
-    for a in sorted(set(entries)):
-        kappas = tables[a].cumulants[:n]
-        d = lcm(*(kappa.denominator for kappa in kappas))
-        scaled.append(
-            {r: kappa.numerator * d ** (r + 1) // kappa.denominator
-             for r, kappa in enumerate(kappas) if kappa}
-        )
-        scale *= d ** entries.count(a)
+    scaled = [
+        {r: kappa for r, kappa in enumerate(tables[a].scaled_cumulants[:n]) if kappa}
+        for a in sorted(set(entries))
+    ]
     memo = {}
 
     def total(lab, gaps):
@@ -80,7 +79,7 @@ def mixed_moment_cumulant(entries, e, tables, cap=None):
         memo[key] = value
         return value
 
-    return Fraction(total(lab, (0,) * max(n - 1, 0)), scale)
+    return Fraction(total(lab, (0,) * max(n - 1, 0)), _scale(entries, tables))
 
 
 def normalize_tuple(entries, e):
@@ -97,10 +96,10 @@ def normalize_tuple(entries, e):
     return tuple(f[0] for f in factors), [f[1] for f in factors]
 
 
-def mixed_moment_by_definition(entries, e, moments, cap=None):
+def mixed_moment_by_definition(entries, e, tables, cap=None):
     """Evaluate the mixed moment straight from the independence
-    definition.  moments maps each label to its moment sequence m_1..m_N
-    (N >= n); the length cap is the enumeration cap unless given.
+    definition, on the tables' scaled moments; the length cap is the
+    enumeration cap unless given.
 
     The tuple's reduced word a_1...a_m is admissible, so phi((a_1 - m_1)
     ...(a_m - m_m)) = 0: _fold_step expands that product with the choices
@@ -116,19 +115,10 @@ def mixed_moment_by_definition(entries, e, moments, cap=None):
     goes back through reduce_word, as dropping b may let two syllables
     merge (x1 x2 x1 on a free pair is x1^2); each position still carries
     its d once, so the scaling is unchanged."""
-    n = len(entries)
-    _check_cap(n, cap)
+    _check_cap(len(entries), cap)
     e.check_tuple(entries)
-    scaled, scale = {}, 1
-    for label in set(entries):
-        if label not in moments:
-            raise TableError(f"no moments for label {label}")
-        if len(moments[label]) < n:
-            raise TableError(f"moments for label {label} too short for order {n}")
-        seq = [Fraction(m) for m in moments[label][:n]]
-        d = lcm(*(m.denominator for m in seq))
-        scaled[label] = [m.numerator * d**p // m.denominator for p, m in enumerate(seq, 1)]
-        scale *= d ** entries.count(label)
+    _check_tables(entries, e, tables)
+    scaled = {label: tables[label].scaled_moments for label in set(entries)}
 
     @cache
     def phi(word):
@@ -151,7 +141,7 @@ def mixed_moment_by_definition(entries, e, moments, cap=None):
         del terms[word]  # the term taking every a_k
         return -sum(coeff * phi(u) for u, coeff in terms.items())
 
-    return Fraction(phi(reduce_word(((lbl, 1) for lbl in entries), e)), scale)
+    return Fraction(phi(reduce_word(((lbl, 1) for lbl in entries), e)), _scale(entries, tables))
 
 
 def factorization_shortcut(entries, e, tables):
@@ -162,13 +152,10 @@ def factorization_shortcut(entries, e, tables):
     if not is_epsilon_noncrossing(ker, entries, e):
         return None
     _check_tables(entries, e, tables)
-    total = Fraction(1)
-    for block in ker.blocks:
-        label = entries[block[0] - 1]
-        total *= tables[label].moment(len(block))
-    return total
+    total = prod(tables[entries[b[0] - 1]].scaled_moments[len(b) - 1] for b in ker.blocks)
+    return Fraction(total, _scale(entries, tables))
 
 
 def moments_from_tables(tables):
-    """Per-label moment sequences for the definition-based evaluator."""
+    """Per-label moment sequences of the tables."""
     return {label: table.moments() for label, table in tables.items()}

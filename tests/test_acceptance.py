@@ -25,7 +25,6 @@ from epsindep import (
     kernel,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
-    moments_from_tables,
     refines,
     semicircle_table,
 )
@@ -107,7 +106,7 @@ def test_criterion_2_evaluator_equivalence():
             kind = CLASSICAL if e.diagonal(lbl) == 1 else FREE
             tables[lbl] = CumulantTable.from_moments(kind, moments)
         a = mixed_moment_cumulant(entries, e, tables)
-        b = mixed_moment_by_definition(entries, e, moments_from_tables(tables))
+        b = mixed_moment_by_definition(entries, e, tables)
         cases += 1
         failures += a != b
     # exhaustive semicircle instances
@@ -117,7 +116,7 @@ def test_criterion_2_evaluator_equivalence():
         for entries, ce in canonical_instances(e, 6, seen):
             tables = {lbl: sc6 for lbl in set(entries)}
             a = mixed_moment_cumulant(entries, ce, tables)
-            b = mixed_moment_by_definition(entries, ce, moments_from_tables(tables))
+            b = mixed_moment_by_definition(entries, ce, tables)
             cases += 1
             failures += a != b
     report("2 evaluator-equivalence", failures == 0, f"{cases} cases")
@@ -166,7 +165,7 @@ def test_criterion_4_extreme_cases():
             mixed_moment_cumulant(t, e, tabs) for t in product((0, 1), repeat=4)
         )
         by_def = sum(
-            mixed_moment_by_definition(t, e, moments_from_tables(tabs))
+            mixed_moment_by_definition(t, e, tabs)
             for t in product((0, 1), repeat=4)
         )
         failures += not (main == by_def == expected)
@@ -276,6 +275,6 @@ def test_criterion_8_vanishing_condition():
                 tables[lbl] = CumulantTable.from_moments(kind, moments)
             cases += 1
             value = mixed_moment_cumulant(entries, ce, tables)
-            by_def = mixed_moment_by_definition(entries, ce, moments_from_tables(tables))
+            by_def = mixed_moment_by_definition(entries, ce, tables)
             failures += not (value == by_def == F(0))
     report("8 vanishing-condition", failures == 0 and cases > 0, f"{cases} cases")

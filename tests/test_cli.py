@@ -386,10 +386,11 @@ class TestInputHandling:
             ("dist", '{"x1": {"moments": ["1e300000"]}}'),
             ("dist", '{"x1": {"moments": ["1E-300000"]}}'),
             ("dist", '{"x1": {"moments": ["2.5e+4301"]}}'),
+            ("dist", '{"x1": {"moments": [1e300000]}}'),
         ],
         ids=[
             "dist-literal", "dist-string", "graph-literal",
-            "exponent", "negative-exponent", "decimal-exponent",
+            "exponent", "negative-exponent", "decimal-exponent", "exponent-literal",
         ],
     )
     def test_numeral_beyond_digit_limit(self, tmp_path, capsys, which, text):
@@ -463,14 +464,53 @@ class TestInputHandling:
         assert len(values["cumulant"].partition("/")[2]) > 4300
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
-    @pytest.mark.parametrize("labels", ["abc", {"a": 1, "b": 2}])
+    @pytest.mark.parametrize("labels", ["abc", {"a": 1, "b": 2}, [1, 2], [1, "1"]])
     def test_labels_not_an_array(self, tmp_path, capsys, labels):
-        # iterating either would give the labels a, b, ...
+        # iterating either of the first two would give the labels a, b,
+        # ...; names that are not strings no tuple could name, and 1 and
+        # "1" would be two labels
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps({"labels": labels}))
-        code = main(["enumerate", "--graph", str(graph), "--tuple", "a"])
+        code = main(["enumerate", "--graph", str(graph), "--tuple", str(next(iter(labels)))])
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "which, text",
+        [
+            ("dist", '{"a": {"moments": ["1", "2"]}, "a": {"moments": ["5", "7"]}}'),
+            ("graph", '{"labels": ["b"], "labels": ["a", "b"]}'),
+            ("graph", '{"labels": ["a", "b"], "diagonal": {"a": 1, "a": 0}}'),
+        ],
+        ids=["dist-label", "graph-labels", "graph-diagonal"],
+    )
+    def test_repeated_json_key(self, tmp_path, capsys, which, text):
+        # json.load would keep the last value of the key
+        files = {"graph": '{"labels": ["a", "b"]}', "dist": '{"a": {"moments": ["1", "2"]}}'}
+        files[which] = text
+        for name, content in files.items():
+            (tmp_path / f"{name}.json").write_text(content)
+        argv = ["moment", "--graph", str(tmp_path / "graph.json"), "--dist", str(tmp_path / "dist.json")]
+        code = main(argv + ["--tuple", "a,a"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: repeated key ")
+
+    def test_decimal_literals_read_exactly(self, tmp_path, capsys):
+        # as JSON number literals, as strings, and as a named law's value
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a", "b", "c"], "independent_pairs": [["a", "b"]]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text(
+            '{"a": {"moments": [0.1, 0.01]}, "b": {"moments": ["0.1", "0.01"]},'
+            ' "c": {"named": "point_mass", "value": 0.1}}'
+        )
+        for tuple_arg in ("a,a", "b,b", "c,c", "a,b"):
+            argv = ["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg]
+            code, out = run(capsys, argv)
+            assert code == 0
+            assert json.loads(out)["values"] == {"cumulant": "1/100", "definition": "1/100"}
 
     @pytest.mark.parametrize("which", ["graph", "dist"])
     def test_deeply_nested_json(self, five_cycle, tmp_path, capsys, which):

@@ -28,6 +28,15 @@ GRAPH = {
     "diagonal": {"x3": 1},
 }
 DIST = {name: {"named": "arcsine"} for name in LABELS}
+# a second file whose laws have non-integer moments: common denominators
+# of 1 (arcsine) would hide a wrong divisor
+RATIONAL_DIST = {
+    "x1": {"moments": ["1/2", "-1/3", "2/5", "3/7", "-5/11", "7/13", "9/17", "11/19"]},
+    "x2": {"named": "semicircle", "variance": "1/3"},
+    "x3": {"named": "point_mass", "value": "2/7"},
+    "x5": {"moments": [f"7/{10**30 + i}" for i in range(1, 9)]},
+}
+DISTS = {"arcsine": DIST, "rational": RATIONAL_DIST}
 
 CASES = [
     ["enumerate", "--tuple", "x1,x3,x1,x3"],
@@ -44,24 +53,31 @@ CASES = [
     ["moment", "--method", "both", "--tuple", "x3,x2,x3,x3,x2,x3", "--table"],
     ["crosscheck", "--max-n", "3", "--instances", "20"],
     ["crosscheck", "--max-n", "4", "--instances", "20", "--self-test-corrupt"],
+    # the factorization shortcut applies to the first two, not the others
+    ["moment", "--dist", "rational", "--method", "both", "--tuple", "x1,x3,x1,x3"],
+    ["moment", "--dist", "rational", "--method", "both", "--tuple", "x5,x3,x5,x3,x5,x2,x2"],
+    ["moment", "--dist", "rational", "--method", "both", "--tuple", "x1,x2,x1,x2"],
+    ["moment", "--dist", "rational", "--method", "both", "--tuple", "x1,x5,x1,x5,x5,x1,x3,x3"],
 ]
 
 
 def run_cases():
     """[argv, exit code, stdout] per case, with the fixed graph and
-    distribution written to a temporary directory."""
+    distributions written to a temporary directory; a moment case names
+    its distribution after --dist, arcsine if it names none."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        graph = os.path.join(tmp, "graph.json")
-        dist = os.path.join(tmp, "dist.json")
-        with open(graph, "w") as fh:
-            json.dump(GRAPH, fh)
-        with open(dist, "w") as fh:
-            json.dump(DIST, fh)
+        files = {name: os.path.join(tmp, f"{name}.json") for name in ["graph", *DISTS]}
+        for name, data in dict(DISTS, graph=GRAPH).items():
+            with open(files[name], "w") as fh:
+                json.dump(data, fh)
         for case in CASES:
-            argv = [case[0], "--graph", graph] + case[1:]
-            if case[0] == "moment":
-                argv += ["--dist", dist]
+            argv = [case[0], "--graph", files["graph"]] + case[1:]
+            if "--dist" in argv:
+                at = argv.index("--dist") + 1
+                argv[at] = files[argv[at]]
+            elif case[0] == "moment":
+                argv += ["--dist", files["arcsine"]]
             buf = io.StringIO()
             with redirect_stdout(buf):
                 code = main(argv)

@@ -20,7 +20,6 @@ from epsindep import (
     is_admissible_tuple,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
-    moments_from_tables,
     normalize_tuple,
     semicircle_table,
 )
@@ -92,34 +91,59 @@ class TestCumulantEvaluator:
         sc = semicircle_table(1, 4)
         assert mixed_moment_cumulant((0, 0, 0, 0), FREE2, {0: sc, 1: sc}) == F(2)
 
-    def test_missing_table(self):
-        with pytest.raises(TableError):
-            mixed_moment_cumulant((0, 1), FREE2, {0: semicircle_table(1, 2)})
+    # both routes check their tables the same way (moments._check_tables)
+    routes = pytest.mark.parametrize(
+        "route", [mixed_moment_cumulant, mixed_moment_by_definition], ids=["cumulant", "definition"]
+    )
 
-    def test_kind_mismatch(self):
+    @routes
+    def test_missing_table(self, route):
+        with pytest.raises(TableError):
+            route((0, 1), FREE2, {0: semicircle_table(1, 2)})
+
+    @routes
+    def test_kind_mismatch(self, route):
         e = EpsilonMatrix(1, [], diag=[1])
         with pytest.raises(TableError):
-            mixed_moment_cumulant((0, 0), e, {0: semicircle_table(1, 2)})
+            route((0, 0), e, {0: semicircle_table(1, 2)})
 
-    def test_order_overflow(self):
+    @routes
+    def test_order_overflow(self, route):
         with pytest.raises(TableError):
-            mixed_moment_cumulant((0,) * 5, FREE2, {0: semicircle_table(1, 4), 1: semicircle_table(1, 4)})
+            route((0,) * 5, FREE2, {0: semicircle_table(1, 4), 1: semicircle_table(1, 4)})
+
+    def test_tables_built_either_way(self):
+        # equal laws with different d: from the moments d = 105, from the
+        # cumulants 1,488,375 (free) or 297,675 (classical)
+        moments = [F(1, 3), F(-2, 5), F(4, 7), F(1, 15), F(-3, 35), F(2, 21)]
+        e = EpsilonMatrix(3, [(0, 2)], diag=[0, 0, 1])
+        by_moments = {
+            lbl: CumulantTable.from_moments(CLASSICAL if e.diagonal(lbl) else FREE, moments)
+            for lbl in range(3)
+        }
+        by_cumulants = {lbl: CumulantTable(t.kind, t.cumulants) for lbl, t in by_moments.items()}
+        assert by_moments == by_cumulants
+        assert all(by_moments[lbl].d != by_cumulants[lbl].d for lbl in range(3))
+        for entries in [(0, 1, 0, 1, 2, 0), (2, 0, 2, 1, 0, 1), (1, 0, 0, 1, 2, 2)]:
+            for route in (mixed_moment_cumulant, mixed_moment_by_definition):
+                assert route(entries, e, by_moments) == route(entries, e, by_cumulants) != 0
 
 
 class TestDefinitionEvaluator:
     def test_alternating_semicircles(self):
         sc = semicircle_table(1, 4)
-        moments = moments_from_tables({0: sc, 1: sc})
-        assert mixed_moment_by_definition((0, 1, 0, 1), INDEP2, moments) == F(1)
-        assert mixed_moment_by_definition((0, 1, 0, 1), FREE2, moments) == F(0)
+        tabs = {0: sc, 1: sc}
+        assert mixed_moment_by_definition((0, 1, 0, 1), INDEP2, tabs) == F(1)
+        assert mixed_moment_by_definition((0, 1, 0, 1), FREE2, tabs) == F(0)
 
     def test_single_label_reproduces_moments(self):
         rng = random.Random(22)
         for e in (FREE2, INDEP2):
             moments = {0: [F(rng.randint(-9, 9)) for _ in range(6)], 1: [F(0)] * 6}
+            tables = {lbl: CumulantTable.from_moments(FREE, seq) for lbl, seq in moments.items()}
             for n in range(1, 7):
                 assert (
-                    mixed_moment_by_definition((0,) * n, e, moments) == moments[0][n - 1]
+                    mixed_moment_by_definition((0,) * n, e, tables) == moments[0][n - 1]
                 )
 
     def test_agrees_with_cumulant_evaluator(self):
@@ -134,7 +158,7 @@ class TestDefinitionEvaluator:
             entries = tuple(rng.randrange(3) for _ in range(n))
             tables = random_tables(rng, e, n)
             a = mixed_moment_cumulant(entries, e, tables)
-            b = mixed_moment_by_definition(entries, e, moments_from_tables(tables))
+            b = mixed_moment_by_definition(entries, e, tables)
             assert a == b, (entries, e)
 
     def test_swap_invariance(self):
@@ -165,7 +189,7 @@ class TestDefinitionEvaluator:
             tables = random_tables(rng, e, n, centered=True)
             assert mixed_moment_cumulant(entries, e, tables) == F(0)
             assert (
-                mixed_moment_by_definition(entries, e, moments_from_tables(tables))
+                mixed_moment_by_definition(entries, e, tables)
                 == F(0)
             )
 
@@ -206,9 +230,8 @@ class TestFiveCycle:
         # neighbours on the cycle are free, non-neighbours independent
         assert mixed_moment_cumulant((0, 1, 0, 1), e, tabs) == F(0)
         assert mixed_moment_cumulant((0, 2, 0, 2), e, tabs) == F(1)
-        moments = moments_from_tables(tabs)
-        assert mixed_moment_by_definition((0, 1, 0, 1), e, moments) == F(0)
-        assert mixed_moment_by_definition((0, 2, 0, 2), e, moments) == F(1)
+        assert mixed_moment_by_definition((0, 1, 0, 1), e, tabs) == F(0)
+        assert mixed_moment_by_definition((0, 2, 0, 2), e, tabs) == F(1)
 
 
 class TestLengthTwelve:
@@ -254,7 +277,7 @@ class TestLengthTwelve:
             )
             for lbl in range(5)
         }
-        value = mixed_moment_by_definition(entries, e, moments_from_tables(tables))
+        value = mixed_moment_by_definition(entries, e, tables)
         assert value == mixed_moment_cumulant(entries, e, tables)
 
     def test_one_cap_for_both_evaluators(self):
@@ -264,5 +287,5 @@ class TestLengthTwelve:
         with pytest.raises(EnumerationLimitError):
             mixed_moment_cumulant(entries, e, tables, cap=11)
         with pytest.raises(EnumerationLimitError):
-            mixed_moment_by_definition(entries, e, moments_from_tables(tables), cap=11)
-        assert mixed_moment_by_definition(entries, e, moments_from_tables(tables)) == F(400)
+            mixed_moment_by_definition(entries, e, tables, cap=11)
+        assert mixed_moment_by_definition(entries, e, tables) == F(400)

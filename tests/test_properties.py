@@ -14,6 +14,7 @@ from bisect import bisect
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,6 @@ from epsindep import (
     mixed_moment_cumulant,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
-    moments_from_tables,
     normalize_tuple,
     reduce_word,
     reduction_membership,
@@ -86,6 +86,13 @@ def with_sequences(draw, values, max_n=8):
 def cumulant_tables(e, sequences):
     return {
         label: CumulantTable(CLASSICAL if e.diagonal(label) else FREE, seq)
+        for label, seq in sequences.items()
+    }
+
+
+def moment_tables(e, sequences):
+    return {
+        label: CumulantTable.from_moments(CLASSICAL if e.diagonal(label) else FREE, seq)
         for label, seq in sequences.items()
     }
 
@@ -147,7 +154,7 @@ def test_definition_route_matches_mask_expansion(instance):
     """Moments mostly 0, so the fold often has a single choice."""
     entries, e, moments = instance
     want = phi_by_masks(tuple((lbl, 1) for lbl in entries), e, moments, {})
-    assert mixed_moment_by_definition(entries, e, moments) == want
+    assert mixed_moment_by_definition(entries, e, moment_tables(e, moments)) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,7 +182,7 @@ def test_definition_route_matches_mask_expansion_dense(instance):
     the word is expanded in full."""
     entries, e, moments = instance
     want = phi_by_masks(tuple((lbl, 1) for lbl in entries), e, moments, {})
-    assert mixed_moment_by_definition(entries, e, moments) == want
+    assert mixed_moment_by_definition(entries, e, moment_tables(e, moments)) == want
 
 
 def inverse(word):
@@ -305,6 +312,15 @@ def test_conversions_round_trip(kind, seq):
     assert table.moments() == seq
     assert table == CumulantTable(kind, to_cumulants(seq))
     assert CumulantTable(kind, table.cumulants).moments() == seq
+    # each table holds d, the common denominator of the sequence it was
+    # built from, and the integers value_p * d**p of both sides
+    for built, given in ((table, seq), (CumulantTable(kind, table.cumulants), table.cumulants)):
+        assert built.d == lcm(*(v.denominator for v in given))
+        for p in range(1, len(seq) + 1):
+            for scaled, value in ((built.scaled_cumulants, built.cumulant(p)),
+                                  (built.scaled_moments, built.moment(p))):
+                assert type(scaled[p - 1]) is int
+                assert scaled[p - 1] == value * built.d**p
 
 
 # denominators up to 60, so the common denominator of a sequence runs far
@@ -438,10 +454,8 @@ def test_every_route_invariant_under_dihedral_image(instance):
     image_tables = cumulant_tables(image_e, image_cumulants)
     value = mixed_moment_cumulant(entries, e, tables)
     assert mixed_moment_cumulant(image, image_e, image_tables) == value
-    moments = moments_from_tables(tables)
-    image_moments = moments_from_tables(image_tables)
-    value = mixed_moment_by_definition(entries, e, moments)
-    assert mixed_moment_by_definition(image, image_e, image_moments) == value
+    value = mixed_moment_by_definition(entries, e, tables)
+    assert mixed_moment_by_definition(image, image_e, image_tables) == value
     assert generator_mixed_moment(image, image_e) == generator_mixed_moment(entries, e)
 
 
