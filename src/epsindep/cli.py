@@ -8,17 +8,36 @@ Exit codes: 0 ok, 1 check/agreement failure, 2 input error.
 
 import argparse
 import json
+import os
 import sys
 
 from .cumulants import CLASSICAL, FREE, CumulantTable, format_fraction, parse_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
-from .errors import EpsIndepError, InputError, excerpt
+from .errors import EnumerationLimitError, EpsIndepError, InputError, excerpt
 from .crosscheck import run_crosscheck
 from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
 # not called here: bench/worker.py wraps this name in this module
 from .moments import moments_from_tables  # noqa: F401
 from .ncpartitions import enumerate_nc_epsilon, is_epsilon_noncrossing
-from .partitions import default_cap, kernel
+from .partitions import kernel
+
+
+def default_cap():
+    """The size cap when --cap is not given: EPSINDEP_MAX_N, else 12."""
+    text = os.environ.get("EPSINDEP_MAX_N", "12")
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise InputError(f"EPSINDEP_MAX_N must be a positive integer, got {text!r}")
+
+
+def _check_cap(entries, cap):
+    """Every evaluator and enumeration is exponential in the tuple
+    length; this is the one place that length is bounded."""
+    if len(entries) > cap:
+        raise EnumerationLimitError(f"n={len(entries)} exceeds enumeration cap {cap}")
 
 
 def _unique_keys(pairs):
@@ -125,7 +144,8 @@ def _as_table(payload, prefix=""):
 def cmd_enumerate(args):
     e = _load_graph(args.graph)
     entries, names = _parse_tuple(args.tuple, e)
-    parts = enumerate_nc_epsilon(entries, e, cap=args.cap)
+    _check_cap(entries, args.cap)
+    parts = enumerate_nc_epsilon(entries, e)
     ker = kernel(entries)
     size = e.size
     payload = {
@@ -152,15 +172,12 @@ def cmd_moment(args):
     e = _load_graph(args.graph)
     entries, names = _parse_tuple(args.tuple, e)
     tables = _load_tables(args.dist, e, entries)
+    _check_cap(entries, args.cap)
     values = {}
     if args.method in ("cumulant", "both"):
-        values["cumulant"] = format_fraction(
-            mixed_moment_cumulant(entries, e, tables, cap=args.cap)
-        )
+        values["cumulant"] = format_fraction(mixed_moment_cumulant(entries, e, tables))
     if args.method in ("definition", "both"):
-        values["definition"] = format_fraction(
-            mixed_moment_by_definition(entries, e, tables, cap=args.cap)
-        )
+        values["definition"] = format_fraction(mixed_moment_by_definition(entries, e, tables))
     short = factorization_shortcut(entries, e, tables)
     payload = {
         "tuple": names,
@@ -191,7 +208,6 @@ def cmd_crosscheck(args):
         seed=args.seed,
         instances=args.instances,
         corrupt=args.self_test_corrupt,
-        cap=args.cap,
     )
     _emit(report, args.table)
     return 0 if ok else 1

@@ -140,7 +140,7 @@ def _random_tables(rng, e, entries):
     return tables
 
 
-def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False, cap=None):
+def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
     """Cumulant-formula evaluator vs definition-based centering recursion
     on random tuples with random rational moment data."""
     result = CheckResult("evaluator_equivalence")
@@ -148,13 +148,13 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False, cap
         n = rng.randint(1, max_n)
         entries = tuple(rng.randrange(e.size) for _ in range(n))
         tables = _random_tables(rng, e, entries)
-        a = mixed_moment_cumulant(entries, e, tables, cap=cap)
+        a = mixed_moment_cumulant(entries, e, tables)
         if corrupt:
             lbl = entries[0]
             moments = tables[lbl].moments()
             moments[-1] += 1
             tables = {**tables, lbl: CumulantTable.from_moments(tables[lbl].kind, moments)}
-        b = mixed_moment_by_definition(entries, e, tables, cap=cap)
+        b = mixed_moment_by_definition(entries, e, tables)
         result.record(
             a == b,
             detail={"tuple": list(entries), "cumulant": str(a), "definition": str(b)},
@@ -162,10 +162,10 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False, cap
     return result
 
 
-def group_model_check(result, entries, e, value, cap=None):
+def group_model_check(result, entries, e, value):
     """Trace of the product of u+u^{-1} in the graph product group vs
     value, the tuple's cumulant sum with arcsine tables."""
-    group_value = generator_mixed_moment(entries, e, cap=cap)
+    group_value = generator_mixed_moment(entries, e)
     result.record(
         group_value == value,
         detail={"tuple": list(entries), "group": str(group_value), "cumulant": str(value)},
@@ -183,13 +183,11 @@ def factorization_check(result, entries, e, tables, value):
         )
 
 
-def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False, cap=None):
-    """The whole battery; returns (report dict, ok flag).  cap is the
-    length limit of every evaluator call (the enumeration cap unless
-    given)."""
+def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):
+    """The whole battery; returns (report dict, ok flag)."""
     rng = random.Random(seed)
     membership = CheckResult("membership_equivalence")
-    evaluator = evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt, cap=cap)
+    evaluator = evaluator_equivalence_check(e, min(max_n, 6), rng, instances, corrupt=corrupt)
     group = CheckResult("group_model")
     factorization = CheckResult("factorization")
     # arcsine moments and cumulants of order n do not depend on the order
@@ -198,8 +196,8 @@ def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False, cap=None):
     rgs = {}  # block size -> its set partitions, for the membership check
     for entries, ce in canonical_instances(e, max_n):
         tables = {lbl: arcsine[CLASSICAL if ce.diagonal(lbl) == 1 else FREE] for lbl in set(entries)}
-        value = mixed_moment_cumulant(entries, ce, tables, cap=cap)
-        group_model_check(group, entries, ce, value, cap=cap)
+        value = mixed_moment_cumulant(entries, ce, tables)
+        group_model_check(group, entries, ce, value)
         if len(entries) <= 6:
             membership_equivalence_check(membership, entries, ce, rgs)
             factorization_check(factorization, entries, ce, tables, value)

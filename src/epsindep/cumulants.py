@@ -195,8 +195,11 @@ def parse_fraction(text):
     """A rational from a JSON number or string.  A string in exponent
     notation is rejected, before its value is built, when the exponent
     exceeds the interpreter's int-to-str digit limit: the policy for a
-    numeral with that many digits."""
+    numeral with that many digits.  A JSON boolean is not a number, though
+    Fraction(True) == 1."""
     try:
+        if isinstance(text, bool):
+            raise TypeError("a boolean is not a number")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         exponent = _EXPONENT.search(text) if isinstance(text, str) and limit else None
         if exponent and abs(int(exponent[1])) > limit:

@@ -3,7 +3,8 @@ class EpsIndepError(Exception):
 
 
 class EnumerationLimitError(EpsIndepError):
-    """Requested enumeration exceeds the configured size cap."""
+    """A tuple is longer than the CLI's size cap (--cap, else
+    EPSINDEP_MAX_N); the library functions take no cap."""
 
 
 class DimensionMismatchError(EpsIndepError):

@@ -11,7 +11,6 @@ prefixes, for the group trace and the definition route in moments.
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import _check_cap
 
 
 def _append_syllable(word, lbl, exp, e):
@@ -58,16 +57,14 @@ def reduce_word(syllables, e):
     return word
 
 
-def generator_mixed_moment(entries, e, cap=None):
+def generator_mixed_moment(entries, e):
     """Trace of the product over positions of u + u^{-1}: the coefficient
-    of () after folding the choices u, u^{-1} per position (_fold_step);
-    the length cap is the enumeration cap unless given.
+    of () after folding the choices u, u^{-1} per position (_fold_step).
     A prefix is dropped once the appended label's sum of |exponent|
     exceeds its count among the positions left: these reduce to no more
     of the label, yet must equal the prefix's inverse, and all reduced
     forms of an element carry the same syllables (E. R. Green, Graph
     products of groups, Leeds 1990)."""
-    _check_cap(len(entries), cap)
     e.check_tuple(entries)
     prefixes = {(): 1}
     for k, lbl in enumerate(entries):

@@ -9,7 +9,7 @@ from .cumulants import CLASSICAL, FREE
 from .errors import TableError
 from .graphgroup import _fold_step, reduce_word
 from .ncpartitions import encode, first_blocks, is_epsilon_noncrossing
-from .partitions import _check_cap, kernel
+from .partitions import kernel
 
 # Not called here: bench/worker.py wraps these module attributes to trace
 # the per-partition path, which now shows zero calls.
@@ -41,7 +41,7 @@ def _scale(entries, tables):
     return prod(tables[label].d ** entries.count(label) for label in set(entries))
 
 
-def mixed_moment_cumulant(entries, e, tables, cap=None):
+def mixed_moment_cumulant(entries, e, tables):
     """Sum of block cumulant products over the epsilon-non-crossing set,
     by a memoised recursion on the block that holds the first point
     (ncpartitions.first_blocks).  Only block sizes whose cumulant is
@@ -53,7 +53,6 @@ def mixed_moment_cumulant(entries, e, tables, cap=None):
     once per l-point (_scale).
     """
     n = len(entries)
-    _check_cap(n, cap)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
     lab, against = encode(entries, e)
@@ -96,10 +95,9 @@ def normalize_tuple(entries, e):
     return tuple(f[0] for f in factors), [f[1] for f in factors]
 
 
-def mixed_moment_by_definition(entries, e, tables, cap=None):
+def mixed_moment_by_definition(entries, e, tables):
     """Evaluate the mixed moment straight from the independence
-    definition, on the tables' scaled moments; the length cap is the
-    enumeration cap unless given.
+    definition, on the tables' scaled moments.
 
     The tuple's reduced word a_1...a_m is admissible, so phi((a_1 - m_1)
     ...(a_m - m_m)) = 0: _fold_step expands that product with the choices
@@ -115,7 +113,6 @@ def mixed_moment_by_definition(entries, e, tables, cap=None):
     goes back through reduce_word, as dropping b may let two syllables
     merge (x1 x2 x1 on a free pair is x1^2); each position still carries
     its d once, so the scaling is unchanged."""
-    _check_cap(len(entries), cap)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
     scaled = {label: tables[label].scaled_moments for label in set(entries)}

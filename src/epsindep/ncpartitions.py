@@ -21,7 +21,6 @@ from itertools import combinations
 from .errors import DimensionMismatchError, DomainError
 from .partitions import (
     SetPartition,
-    _check_cap,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
 )
 
@@ -183,11 +182,10 @@ def first_blocks(lab, gaps, against, sizes):
             yield r, block, _remove_block(lab, gaps, block, against[k])
 
 
-def enumerate_nc_epsilon(entries, e, cap=None):
+def enumerate_nc_epsilon(entries, e):
     """All partitions below the kernel of the tuple that are
     epsilon-non-crossing, in lexicographic order of canonical form."""
     n = len(entries)
-    _check_cap(n, cap)
     e.check_tuple(entries)
     lab, against = encode(entries, e)
     out = []

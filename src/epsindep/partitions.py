@@ -1,19 +1,6 @@
 """Set partitions of {1,...,n}: canonical form, refinement, crossing tests."""
 
-import os
-
-from .errors import DimensionMismatchError, EnumerationLimitError, InputError
-
-
-def default_cap():
-    """The size cap when none is given: EPSINDEP_MAX_N, else 12."""
-    text = os.environ.get("EPSINDEP_MAX_N", "12")
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise InputError(f"EPSINDEP_MAX_N must be a positive integer, got {text!r}")
+from .errors import DimensionMismatchError
 
 
 class SetPartition:
@@ -71,20 +58,11 @@ class SetPartition:
 EMPTY_PARTITION = SetPartition(0, [])
 
 
-def _check_cap(n, cap):
-    limit = default_cap() if cap is None else cap
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > limit:
-        raise EnumerationLimitError(f"n={n} exceeds enumeration cap {limit}")
-
-
-def enumerate_set_partitions(n, cap=None):
+def enumerate_set_partitions(n):
     """All partitions of {1,...,n} in lexicographic RGS order.
 
     Count is the n-th Bell number.
     """
-    _check_cap(n, cap)
     if n == 0:
         return [EMPTY_PARTITION]
     out = []
@@ -107,12 +85,12 @@ def enumerate_set_partitions(n, cap=None):
     return out
 
 
-def partitions_of_set(positions, cap=None):
+def partitions_of_set(positions):
     """All partitions of an arbitrary finite set of integers (as block tuples)."""
     positions = sorted(positions)
     n = len(positions)
     out = []
-    for p in enumerate_set_partitions(n, cap=cap):
+    for p in enumerate_set_partitions(n):
         out.append(tuple(tuple(positions[x - 1] for x in b) for b in p.blocks))
     return out
 
@@ -136,9 +114,9 @@ def is_noncrossing(p):
     return True
 
 
-def enumerate_noncrossing(n, cap=None):
+def enumerate_noncrossing(n):
     """All non-crossing partitions of {1,...,n}; count is Catalan(n)."""
-    return [p for p in enumerate_set_partitions(n, cap=cap) if is_noncrossing(p)]
+    return [p for p in enumerate_set_partitions(n) if is_noncrossing(p)]
 
 
 def kernel(entries):

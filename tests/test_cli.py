@@ -45,6 +45,15 @@ def run(capsys, argv):
     return code, out
 
 
+def run_with_cap_variable(value, argv):
+    """The CLI in a fresh interpreter with EPSINDEP_MAX_N set to value."""
+    src = str(Path(epsindep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, EPSINDEP_MAX_N=value, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "epsindep.cli"] + argv
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestEnumerate:
     def test_cycle_edge_pair(self, five_cycle, capsys):
         graph, _ = five_cycle
@@ -78,11 +87,9 @@ class TestEnumerate:
 
     def test_cap_exceeded(self, five_cycle, capsys):
         graph, _ = five_cycle
-        code, _ = run(
-            capsys,
-            ["enumerate", "--graph", graph, "--cap", "3", "--tuple", "x1,x2,x1,x2"],
-        )
+        code = main(["enumerate", "--graph", graph, "--cap", "3", "--tuple", "x1,x2,x1,x2"])
         assert code == 2
+        assert capsys.readouterr().err == "error: n=4 exceeds enumeration cap 3\n"
 
 
 class TestMoment:
@@ -135,9 +142,11 @@ class TestMoment:
         tuple_arg = "x1,x2,x1,x2,x1,x2,x1,x2"
         argv = ["moment", "--graph", graph, "--dist", dist, "--tuple", tuple_arg]
         for method in ("cumulant", "both"):
-            code, out = run(capsys, argv + ["--cap", "3", "--method", method])
+            code = main(argv + ["--cap", "3", "--method", method])
+            captured = capsys.readouterr()
             assert code == 2
-            assert out == ""
+            assert captured.out == ""
+            assert captured.err == "error: n=8 exceeds enumeration cap 3\n"
 
     def test_length_11_both_methods(self, five_cycle, capsys):
         # x1 and x3 commute, so the definition route sees two factors
@@ -568,17 +577,36 @@ class TestInputHandling:
         assert code == 0
         assert "count\t1" in out
 
+    def test_boolean_moment(self, tmp_path, capsys):
+        # Fraction(True) == 1, but a JSON boolean is no moment
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["x1"]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text('{"x1": {"moments": [true, false, true]}}')
+        code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", "x1,x1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: bad rational True")
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_cap_variable(self, five_cycle, value):
         # read when a command needs the default cap, not at import
         graph, _ = five_cycle
-        src = str(Path(epsindep.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, EPSINDEP_MAX_N=value, PYTHONPATH=path)
-        argv = [sys.executable, "-m", "epsindep.cli", "enumerate", "--graph", graph, "--tuple", "x1"]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        proc = run_with_cap_variable(value, ["enumerate", "--graph", graph, "--tuple", "x1"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error:")
         assert "EPSINDEP_MAX_N" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    def test_cap_option_overrides_variable(self, tmp_path):
+        # the membership check's blocks of 4 points are not held to
+        # EPSINDEP_MAX_N once --cap is given
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a", "b"]}))
+        argv = ["crosscheck", "--graph", str(graph), "--cap", "6", "--max-n", "5", "--instances", "2"]
+        proc = run_with_cap_variable("3", argv)
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["total_failures"] == 0

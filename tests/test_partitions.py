@@ -4,7 +4,6 @@ import pytest
 
 from epsindep import (
     DimensionMismatchError,
-    EnumerationLimitError,
     SetPartition,
     bell_numbers,
     catalan_numbers,
@@ -50,13 +49,6 @@ class TestEnumeration:
     def test_helper_sequences_match_oracles(self):
         assert bell_numbers(8) == [bell_oracle(n) for n in range(9)]
         assert catalan_numbers(8) == [catalan_oracle(n) for n in range(9)]
-
-    def test_cap(self):
-        with pytest.raises(EnumerationLimitError):
-            enumerate_set_partitions(13)
-        assert len(enumerate_set_partitions(4, cap=4)) == 15
-        with pytest.raises(EnumerationLimitError):
-            enumerate_set_partitions(5, cap=4)
 
 
 class TestCanonicalForm:
