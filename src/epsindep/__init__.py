@@ -7,19 +7,11 @@ from .cumulants import (
     CumulantTable,
     arcsine_moments,
     arcsine_table,
-    classical_cumulants_to_moments,
-    free_cumulants_to_moments,
     format_fraction,
     kappa_pi,
-    moments_to_classical_cumulants,
-    moments_to_free_cumulants,
-    semicircle_table,
 )
 from .epsilon import (
     EpsilonMatrix,
-    complete_graph_matrix,
-    cycle_graph_matrix,
-    empty_graph_matrix,
     is_admissible_tuple,
 )
 from .errors import (
@@ -38,8 +30,6 @@ from .moments import (
     factorization_shortcut,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
-    moments_from_tables,
-    normalize_tuple,
 )
 from .ncpartitions import (
     enumerate_nc_epsilon,
@@ -48,13 +38,7 @@ from .ncpartitions import (
 )
 from .partitions import (
     SetPartition,
-    bell_numbers,
-    catalan_numbers,
-    enumerate_noncrossing,
-    enumerate_set_partitions,
-    is_noncrossing,
     kernel,
-    refines,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .cumulants import CLASSICAL, FREE, CumulantTable, format_fraction, parse_fraction, spec_moments
+from .cumulants import CumulantTable, format_fraction, parse_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
 from .errors import EnumerationLimitError, EpsIndepError, InputError, excerpt
 from .crosscheck import run_crosscheck
@@ -99,7 +99,7 @@ def _load_tables(path, e, entries):
         idx = e.label_index(spec["label"])
         if idx in specs:
             raise InputError(f"label {excerpt(spec['label'])} has more than one spec")
-        kind = CLASSICAL if e.diagonal(idx) == 1 else FREE
+        kind = e.kind(idx)
         given, moments = spec_moments({"kind": kind, **spec}, n if idx in entries else 0)
         if given != kind:
             raise InputError(

@@ -22,7 +22,7 @@ from .ncpartitions import bar_masks, noncrossing_masks, reduces_masks
 # not called here: bench/worker.py wraps these three names in this module
 from .moments import moments_from_tables  # noqa: F401
 from .ncpartitions import is_epsilon_noncrossing, reduction_membership  # noqa: F401
-from .partitions import partitions_of_set
+from .partitions import partitions_of_set, restricted_growth
 
 
 def _restrict(e, order):
@@ -37,23 +37,6 @@ def _restrict(e, order):
     return EpsilonMatrix(k, pairs, diag=[e.diagonal(v) for v in order])
 
 
-def _restricted_growth_tuples(n, k):
-    """The tuples of length n over the labels 0..k-1 in which each label
-    first occurs after all smaller ones, in lexicographic order."""
-
-    def extend(prefix, used):
-        left = n - len(prefix)
-        if used + left < k:
-            return
-        if left == 0:
-            yield prefix
-            return
-        for v in range(min(used + 1, k)):
-            yield from extend(prefix + (v,), max(used, v + 1))
-
-    return extend((), 0)
-
-
 def canonical_instances(e, max_n, seen=None):
     """The canonical (tuple, restricted matrix) pairs of the tuples up to
     max_n, each once, in order of the number of labels; seen holds the
@@ -66,7 +49,7 @@ def canonical_instances(e, max_n, seen=None):
     seen = set() if seen is None else seen
     for k in range(1, min(e.size, max_n) + 1):
         matrices = dict.fromkeys(_restrict(e, order) for order in permutations(range(e.size), k))
-        tuples = [t for n in range(k, max_n + 1) for t in _restricted_growth_tuples(n, k)]
+        tuples = [t for n in range(k, max_n + 1) for t in restricted_growth(n, k)]
         for ce in matrices:
             for canon in tuples:
                 if (canon, ce) not in seen:
@@ -135,8 +118,7 @@ def _random_tables(rng, e, entries):
     for label in range(e.size):
         moments = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(len(entries))]
         if label in entries:
-            kind = CLASSICAL if e.diagonal(label) == 1 else FREE
-            tables[label] = CumulantTable.from_moments(kind, moments)
+            tables[label] = CumulantTable.from_moments(e.kind(label), moments)
     return tables
 
 
@@ -195,7 +177,7 @@ def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):
     arcsine = {kind: arcsine_table(kind, max(max_n, 2)) for kind in (FREE, CLASSICAL)}
     rgs = {}  # block size -> its set partitions, for the membership check
     for entries, ce in canonical_instances(e, max_n):
-        tables = {lbl: arcsine[CLASSICAL if ce.diagonal(lbl) == 1 else FREE] for lbl in set(entries)}
+        tables = {lbl: arcsine[ce.kind(lbl)] for lbl in set(entries)}
         value = mixed_moment_cumulant(entries, ce, tables)
         group_model_check(group, entries, ce, value)
         if len(entries) <= 6:

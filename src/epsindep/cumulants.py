@@ -11,11 +11,9 @@ import sys
 from fractions import Fraction
 from math import comb, lcm
 
+from .epsilon import CLASSICAL, FREE
 from .errors import DomainError, InputError, TableError, excerpt
-from .partitions import kernel, refines
-
-FREE = "free"
-CLASSICAL = "classical"
+from .partitions import below_kernel
 
 
 def _convert(seq, kind, given):
@@ -63,22 +61,6 @@ def _convert(seq, kind, given):
 
 def _fractions(seq):
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in seq)
-
-
-def free_cumulants_to_moments(cumulants):
-    return CumulantTable(FREE, cumulants).moments()
-
-
-def moments_to_free_cumulants(moments):
-    return list(CumulantTable.from_moments(FREE, moments).cumulants)
-
-
-def classical_cumulants_to_moments(cumulants):
-    return CumulantTable(CLASSICAL, cumulants).moments()
-
-
-def moments_to_classical_cumulants(moments):
-    return list(CumulantTable.from_moments(CLASSICAL, moments).cumulants)
 
 
 class CumulantTable:
@@ -144,7 +126,7 @@ def kappa_pi(p, entries, tables):
     the block's label.  Requires the partition to sit below the kernel."""
     if p.n != len(entries):
         raise DomainError("partition size differs from tuple length")
-    if not refines(p, kernel(entries)):
+    if not below_kernel(p, entries):
         raise DomainError("partition does not refine the kernel of the tuple")
     total = Fraction(1)
     for block in p.blocks:
@@ -156,14 +138,6 @@ def kappa_pi(p, entries, tables):
 
 
 # -- named distributions ----------------------------------------------------
-
-
-def semicircle_table(variance=1, max_order=12, label=None):
-    """Free analogue of the Gaussian: only the second free cumulant."""
-    cum = [Fraction(0)] * max_order
-    if max_order >= 2:
-        cum[1] = Fraction(variance)
-    return CumulantTable(FREE, cum, label=label)
 
 
 def arcsine_moments(max_order=12):
@@ -224,33 +198,49 @@ def format_fraction(f):
         set_limit(limit)
 
 
+# the named laws of a distribution spec, each with its parameter's key
+_NAMED = {"semicircle": ("variance",), "arcsine": (), "bernoulli": (), "point_mass": ("value",)}
+
+
 def spec_moments(spec, order=12):
     """Validate a JSON distribution spec and return (kind, moments).
 
     Either {"kind": "free"|"classical", "moments": ["p/q", ...]}, whose
     moments are returned in full, or a named one, e.g. {"named":
     "semicircle", "variance": "1", "kind": ...}, generated to the given
-    order (order 0 only validates it).  kind defaults to free.
+    order (order 0 only validates it).  kind defaults to free, and
+    "label" is allowed; any other key is an input error.
     """
     if not isinstance(spec, dict):
         raise InputError(f"distribution spec must be a JSON object: {excerpt(spec)}")
     kind = spec.get("kind", FREE)
     if kind not in (FREE, CLASSICAL):
         raise InputError(f"unknown kind {excerpt(kind)}")
+    if "moments" in spec and "named" in spec:
+        raise InputError(f"distribution spec gives both 'moments' and 'named': {excerpt(spec)}")
+    name = spec.get("named")
+    if "moments" in spec:
+        allowed = ("label", "kind", "moments")
+    elif isinstance(name, str) and name in _NAMED:
+        allowed = ("label", "kind", "named") + _NAMED[name]
+    else:
+        raise InputError(f"distribution spec needs 'moments' or a known 'named': {excerpt(spec)}")
+    for key in spec:
+        if key not in allowed:
+            raise InputError(
+                f"unknown key {excerpt(key)} in distribution spec (allowed: {', '.join(allowed)})"
+            )
     if "moments" in spec:
         if not isinstance(spec["moments"], list) or not spec["moments"]:
             raise InputError(f"'moments' must be a non-empty array: {excerpt(spec)}")
         return kind, [parse_fraction(m) for m in spec["moments"]]
-    name = spec.get("named")
     if name == "semicircle":
         variance = parse_fraction(str(spec.get("variance", "1")))
         cumulants = ([Fraction(0), variance] + [Fraction(0)] * order)[:order]
-        return kind, free_cumulants_to_moments(cumulants)
+        return kind, CumulantTable(FREE, cumulants).moments()
     if name == "arcsine":
         return kind, arcsine_moments(order)
     if name == "bernoulli":
         return kind, bernoulli_moments(order)
-    if name == "point_mass":
-        value = parse_fraction(str(spec.get("value", "1")))
-        return kind, point_mass_moments(value, order)
-    raise InputError(f"distribution spec needs 'moments' or a known 'named': {excerpt(spec)}")
+    value = parse_fraction(str(spec.get("value", "1")))
+    return kind, point_mass_moments(value, order)

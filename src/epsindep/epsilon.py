@@ -7,6 +7,9 @@ per-algebra convention: 0 = free cumulants (default), 1 = classical.
 
 from .errors import DomainError, InputError, excerpt
 
+FREE = "free"
+CLASSICAL = "classical"
+
 
 class EpsilonMatrix:
     """Symmetric 0/1 matrix over labels 0..size-1, immutable."""
@@ -82,6 +85,10 @@ class EpsilonMatrix:
     def diagonal(self, i):
         return self._mat[i][i]
 
+    def kind(self, i):
+        """The cumulant kind of label i, fixed by its diagonal entry."""
+        return CLASSICAL if self._mat[i][i] == 1 else FREE
+
     def independent(self, i, j):
         """Off-diagonal commutation: distinct labels with eps = 1."""
         return i != j and self._mat[i][j] == 1
@@ -126,27 +133,3 @@ def is_admissible_tuple(entries, e):
                 return False
     return True
 
-
-def cycle_graph_matrix(size):
-    """Matrix whose free pairs are the edges of the size-cycle and all
-    other pairs independent (the five-variable introductory example for
-    size=5)."""
-    cycle_edges = {frozenset((k, (k + 1) % size)) for k in range(size)}
-    pairs = [
-        (a, b)
-        for a in range(size)
-        for b in range(a + 1, size)
-        if frozenset((a, b)) not in cycle_edges
-    ]
-    return EpsilonMatrix(size, pairs)
-
-
-def complete_graph_matrix(size):
-    """All distinct pairs independent (classical independence)."""
-    pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-    return EpsilonMatrix(size, pairs)
-
-
-def empty_graph_matrix(size):
-    """No independent pairs (free independence)."""
-    return EpsilonMatrix(size, [])

@@ -47,7 +47,7 @@ def _fold_step(prefixes, choices, e):
 def reduce_word(syllables, e):
     """Fold the syllables, zero exponents dropped, onto the empty word by
     _append_syllable.  Exponents combine with +, so any type with + works
-    (moments.normalize_tuple merges position lists)."""
+    (position lists, say, which concatenate)."""
     word = ()
     for lbl, exp in syllables:
         if not 0 <= lbl < e.size:

@@ -5,7 +5,6 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .cumulants import CLASSICAL, FREE
 from .errors import TableError
 from .graphgroup import _fold_step, reduce_word
 from .ncpartitions import encode, first_blocks, is_epsilon_noncrossing
@@ -22,7 +21,7 @@ def _check_tables(entries, e, tables):
         if label not in tables:
             raise TableError(f"no table for label {label}")
         table = tables[label]
-        want = CLASSICAL if e.diagonal(label) == 1 else FREE
+        want = e.kind(label)
         if table.kind != want:
             raise TableError(
                 f"label {label} has diagonal {e.diagonal(label)} but a "
@@ -79,20 +78,6 @@ def mixed_moment_cumulant(entries, e, tables):
         return value
 
     return Fraction(total(lab, (0,) * max(n - 1, 0)), _scale(entries, tables))
-
-
-def normalize_tuple(entries, e):
-    """Bring same-label entries together through allowed commutations and
-    merge them.
-
-    Returns (labels, groups): the label per merged factor and, for each
-    factor, the original 1-based positions it absorbed (the word's
-    exponents are position lists, which reduce_word concatenates).  The
-    returned label sequence is always admissible: it is a reduced word.
-    """
-    e.check_tuple(entries)
-    factors = reduce_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
-    return tuple(f[0] for f in factors), [f[1] for f in factors]
 
 
 def mixed_moment_by_definition(entries, e, tables):

@@ -21,14 +21,9 @@ from itertools import combinations
 from .errors import DimensionMismatchError, DomainError
 from .partitions import (
     SetPartition,
+    below_kernel,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
 )
-
-
-def _below_kernel(p, entries):
-    """True iff every point of each block of p carries the label of the
-    block's first point: p refines the kernel of the tuple."""
-    return all(entries[x - 1] == entries[b[0] - 1] for b in p.blocks for x in b)
 
 
 def _masks(p, entries, e):
@@ -37,7 +32,7 @@ def _masks(p, entries, e):
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
-    if not _below_kernel(p, entries):
+    if not below_kernel(p, entries):
         return None
     blocks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in p.blocks]
     return blocks, bar_masks(entries, e)

@@ -1,6 +1,5 @@
-"""Set partitions of {1,...,n}: canonical form, refinement, crossing tests."""
-
-from .errors import DimensionMismatchError
+"""Set partitions of {1,...,n}: canonical form, restricted-growth strings,
+and the kernel of a tuple."""
 
 
 class SetPartition:
@@ -29,14 +28,6 @@ class SetPartition:
         p.blocks = blocks
         return p
 
-    def block_indices(self):
-        """At x - 1, the index (into .blocks) of the block holding point x."""
-        out = [0] * self.n
-        for idx, b in enumerate(self.blocks):
-            for x in b:
-                out[x - 1] = idx
-        return out
-
     def to_json(self):
         return [list(b) for b in self.blocks]
 
@@ -55,68 +46,36 @@ class SetPartition:
         return f"SetPartition({self.n}, {inner or '{}'})"
 
 
-EMPTY_PARTITION = SetPartition(0, [])
+def restricted_growth(n, k=None):
+    """The restricted-growth strings of length n, in lexicographic order:
+    tuples over 0, 1, ... in which each value first occurs after all
+    smaller ones.  With k, only those with exactly k distinct values."""
 
-
-def enumerate_set_partitions(n):
-    """All partitions of {1,...,n} in lexicographic RGS order.
-
-    Count is the n-th Bell number.
-    """
-    if n == 0:
-        return [EMPTY_PARTITION]
-    out = []
-    # depth-first over restricted-growth strings
-    labels = [0] * n
-
-    def rec(pos, nclasses):
-        if pos == n:
-            blocks = [[] for _ in range(nclasses)]
-            for i, c in enumerate(labels):
-                blocks[c].append(i + 1)
-            # blocks open in order of their first point: canonical already
-            out.append(SetPartition._canonical(n, tuple(map(tuple, blocks))))
+    def extend(prefix, used):
+        left = n - len(prefix)
+        if k is not None and used + left < k:
             return
-        for c in range(nclasses + 1):
-            labels[pos] = c
-            rec(pos + 1, max(nclasses, c + 1))
+        if left == 0:
+            yield prefix
+            return
+        for v in range(used + 1 if k is None else min(used + 1, k)):
+            yield from extend(prefix + (v,), max(used, v + 1))
 
-    rec(0, 0)
-    return out
+    return extend((), 0)
 
 
 def partitions_of_set(positions):
-    """All partitions of an arbitrary finite set of integers (as block tuples)."""
+    """All partitions of a finite set of integers, as tuples of blocks in
+    canonical form, in restricted-growth order."""
     positions = sorted(positions)
-    n = len(positions)
     out = []
-    for p in enumerate_set_partitions(n):
-        out.append(tuple(tuple(positions[x - 1] for x in b) for b in p.blocks))
+    for rgs in restricted_growth(len(positions)):
+        blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for pos, c in zip(positions, rgs):
+            blocks[c].append(pos)
+        # blocks open in order of their first point: canonical already
+        out.append(tuple(map(tuple, blocks)))
     return out
-
-
-def is_noncrossing(p):
-    """True iff no p1<q1<p2<q2 has p1~p2 and q1~q2 in different blocks.
-
-    Linear scan: a revisited block must sit on top of the stack of open
-    blocks, otherwise some block opened in between is still open."""
-    stack = []
-    block_of = p.block_indices()
-    for x in range(1, p.n + 1):
-        idx = block_of[x - 1]
-        block = p.blocks[idx]
-        if x == block[0]:
-            stack.append(idx)
-        elif stack[-1] != idx:
-            return False
-        if x == block[-1]:
-            stack.pop()
-    return True
-
-
-def enumerate_noncrossing(n):
-    """All non-crossing partitions of {1,...,n}; count is Catalan(n)."""
-    return [p for p in enumerate_set_partitions(n) if is_noncrossing(p)]
 
 
 def kernel(entries):
@@ -127,34 +86,7 @@ def kernel(entries):
     return SetPartition(len(entries), list(groups.values()))
 
 
-def refines(p, q):
-    """True iff every block of p lies inside some block of q."""
-    if p.n != q.n:
-        raise DimensionMismatchError(f"sizes differ: {p.n} vs {q.n}")
-    qb = q.block_indices()
-    for b in p.blocks:
-        tag = qb[b[0] - 1]
-        if any(qb[x - 1] != tag for x in b[1:]):
-            return False
-    return True
-
-
-def bell_numbers(upto):
-    """Bell numbers B(0)..B(upto) by the Bell-triangle recursion."""
-    row = [1]
-    out = [1]
-    for _ in range(upto):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-        out.append(row[0])
-    return out
-
-
-def catalan_numbers(upto):
-    """Catalan numbers C(0)..C(upto) by the convolution recursion."""
-    out = [1]
-    for n in range(1, upto + 1):
-        out.append(sum(out[k] * out[n - 1 - k] for k in range(n)))
-    return out
+def below_kernel(p, entries):
+    """True iff every point of each block of p carries the label of the
+    block's first point: p refines the kernel of the tuple."""
+    return all(entries[x - 1] == entries[b[0] - 1] for b in p.blocks for x in b)

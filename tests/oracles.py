@@ -1,11 +1,156 @@
-"""The products-as-arguments identity harness: multivariate free
-cumulants of one algebra's joint moments, computed by recursion over
-non-crossing partitions, and the two-factor product-in-first-slot
-expansion checked against them.  Tests only; epsindep never calls it."""
+"""What only the tests call: set-partition combinatorics (non-crossing
+partitions, refinement, Bell and Catalan numbers), conversion wrappers,
+named tables and graphs, and the products-as-arguments harness (free
+cumulants of one algebra's joint moments, by recursion over non-crossing
+partitions, against the product-in-first-slot expansion)."""
 
 from fractions import Fraction
 
-from epsindep import DomainError, enumerate_noncrossing
+from epsindep import (
+    CLASSICAL,
+    FREE,
+    CumulantTable,
+    DimensionMismatchError,
+    DomainError,
+    EpsilonMatrix,
+    SetPartition,
+    reduce_word,
+)
+from epsindep.partitions import partitions_of_set
+
+
+def block_indices(p):
+    """At x - 1, the index (into p.blocks) of the block holding point x."""
+    out = [0] * p.n
+    for idx, b in enumerate(p.blocks):
+        for x in b:
+            out[x - 1] = idx
+    return out
+
+
+def enumerate_set_partitions(n):
+    """All partitions of {1,...,n} in lexicographic RGS order; Bell(n) of them."""
+    return [SetPartition._canonical(n, blocks) for blocks in partitions_of_set(range(1, n + 1))]
+
+
+def is_noncrossing(p):
+    """True iff no p1<q1<p2<q2 has p1~p2 and q1~q2 in different blocks.
+
+    Linear scan: a revisited block must sit on top of the stack of open
+    blocks, otherwise some block opened in between is still open."""
+    stack = []
+    block_of = block_indices(p)
+    for x in range(1, p.n + 1):
+        idx = block_of[x - 1]
+        block = p.blocks[idx]
+        if x == block[0]:
+            stack.append(idx)
+        elif stack[-1] != idx:
+            return False
+        if x == block[-1]:
+            stack.pop()
+    return True
+
+
+def enumerate_noncrossing(n):
+    """All non-crossing partitions of {1,...,n}; count is Catalan(n)."""
+    return [p for p in enumerate_set_partitions(n) if is_noncrossing(p)]
+
+
+def refines(p, q):
+    """True iff every block of p lies inside some block of q."""
+    if p.n != q.n:
+        raise DimensionMismatchError(f"sizes differ: {p.n} vs {q.n}")
+    qb = block_indices(q)
+    for b in p.blocks:
+        tag = qb[b[0] - 1]
+        if any(qb[x - 1] != tag for x in b[1:]):
+            return False
+    return True
+
+
+def bell_numbers(upto):
+    """Bell numbers B(0)..B(upto) by the Bell-triangle recursion."""
+    row = [1]
+    out = [1]
+    for _ in range(upto):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        out.append(row[0])
+    return out
+
+
+def catalan_numbers(upto):
+    """Catalan numbers C(0)..C(upto) by the convolution recursion."""
+    out = [1]
+    for n in range(1, upto + 1):
+        out.append(sum(out[k] * out[n - 1 - k] for k in range(n)))
+    return out
+
+
+def free_cumulants_to_moments(cumulants):
+    return CumulantTable(FREE, cumulants).moments()
+
+
+def moments_to_free_cumulants(moments):
+    return list(CumulantTable.from_moments(FREE, moments).cumulants)
+
+
+def classical_cumulants_to_moments(cumulants):
+    return CumulantTable(CLASSICAL, cumulants).moments()
+
+
+def moments_to_classical_cumulants(moments):
+    return list(CumulantTable.from_moments(CLASSICAL, moments).cumulants)
+
+
+def semicircle_table(variance=1, max_order=12, label=None):
+    """Free analogue of the Gaussian: only the second free cumulant."""
+    cum = [Fraction(0)] * max_order
+    if max_order >= 2:
+        cum[1] = Fraction(variance)
+    return CumulantTable(FREE, cum, label=label)
+
+
+def normalize_tuple(entries, e):
+    """Bring same-label entries together through allowed commutations and
+    merge them.
+
+    Returns (labels, groups): the label per merged factor and, for each
+    factor, the original 1-based positions it absorbed (the word's
+    exponents are position lists, which reduce_word concatenates).  The
+    returned label sequence is always admissible: it is a reduced word.
+    """
+    e.check_tuple(entries)
+    factors = reduce_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
+    return tuple(f[0] for f in factors), [f[1] for f in factors]
+
+
+def cycle_graph_matrix(size):
+    """Matrix whose free pairs are the edges of the size-cycle and all
+    other pairs independent (the five-variable introductory example for
+    size=5)."""
+    cycle_edges = {frozenset((k, (k + 1) % size)) for k in range(size)}
+    pairs = [
+        (a, b)
+        for a in range(size)
+        for b in range(a + 1, size)
+        if frozenset((a, b)) not in cycle_edges
+    ]
+    return EpsilonMatrix(size, pairs)
+
+
+def complete_graph_matrix(size):
+    """All distinct pairs independent (classical independence)."""
+    pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    return EpsilonMatrix(size, pairs)
+
+
+def empty_graph_matrix(size):
+    """No independent pairs (free independence)."""
+    return EpsilonMatrix(size, [])
 
 
 class JointMomentOracle:

@@ -12,21 +12,13 @@ from itertools import combinations, product
 from epsindep import (
     CumulantTable,
     EpsilonMatrix,
-    bell_numbers,
-    catalan_numbers,
-    complete_graph_matrix,
-    cycle_graph_matrix,
-    empty_graph_matrix,
     enumerate_nc_epsilon,
-    enumerate_noncrossing,
     factorization_shortcut,
     generator_mixed_moment,
     is_admissible_tuple,
     kernel,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
-    refines,
-    semicircle_table,
 )
 from epsindep.crosscheck import (
     CheckResult,
@@ -34,7 +26,18 @@ from epsindep.crosscheck import (
     membership_equivalence_check,
 )
 from epsindep.cumulants import CLASSICAL, FREE, arcsine_table
-from oracles import product_as_arguments_check, random_joint_oracle
+from oracles import (
+    bell_numbers,
+    catalan_numbers,
+    complete_graph_matrix,
+    cycle_graph_matrix,
+    empty_graph_matrix,
+    enumerate_noncrossing,
+    product_as_arguments_check,
+    random_joint_oracle,
+    refines,
+    semicircle_table,
+)
 from test_ncpartitions import partitions_below_kernel
 
 F = Fraction
@@ -198,7 +201,8 @@ def test_criterion_4_extreme_cases():
 def _restricted_noncrossing(q, positions):
     """The blocks of q inside the given position set form a non-crossing
     partition of that set (after order-preserving renumbering)."""
-    from epsindep import SetPartition, is_noncrossing
+    from epsindep import SetPartition
+    from oracles import is_noncrossing
 
     rank = {x: r + 1 for r, x in enumerate(sorted(positions))}
     blocks = [

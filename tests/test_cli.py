@@ -190,6 +190,50 @@ class TestMoment:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("label", ["x1", "x5"])
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"named": "semicircle", "varience": "2"}, "varience"),
+            ({"named": "point_mass", "valu": "2"}, "valu"),
+            ({"moments": ["0", "1", "0", "2"], "kinds": "classical"}, "kinds"),
+            ({"named": "arcsine", "variance": "2"}, "variance"),
+            ({"named": "semicircle", "value": "2"}, "value"),
+            ({"moments": ["0", "1", "0", "2"], "variance": "2"}, "variance"),
+        ],
+    )
+    def test_unknown_spec_key(self, five_cycle, tmp_path, capsys, label, spec, key):
+        # a misspelt parameter is an input error, not its default in
+        # disguise, whether the tuple uses the label or not
+        graph, _ = five_cycle
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"x1": {"named": "semicircle"}, label: spec}))
+        code = main(["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: unknown key {key!r} in distribution spec")
+
+    def test_moments_and_named_together(self, five_cycle, tmp_path, capsys):
+        graph, _ = five_cycle
+        dist = tmp_path / "dist.json"
+        spec = {"named": "semicircle", "moments": ["0", "2"]}
+        dist.write_text(json.dumps({"x1": spec}))
+        code = main(["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "both 'moments' and 'named'" in captured.err
+
+    def test_long_unknown_key_is_excerpted(self, five_cycle, tmp_path, capsys):
+        graph, _ = five_cycle
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"x1": {"named": "arcsine", "k" * 5000: "1"}}))
+        code = main(["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "(5000 characters)" in err and len(err) < 200
+
     @pytest.mark.parametrize("method", ["cumulant", "definition", "both"])
     @pytest.mark.parametrize("tuple_arg", ["x1,x2,x1,x2", "x1,x1,x2,x2"])
     def test_kind_contradicting_diagonal(self, tmp_path, capsys, method, tuple_arg):
@@ -361,6 +405,45 @@ def test_bench_tracer_finds_every_call_site():
         [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names():
+    # the package exports the three routes, what the CLI and the battery
+    # read, and the errors; helpers only the tests call are in oracles.py
+    assert sorted(epsindep.__all__) == [
+        "CLASSICAL",
+        "CumulantTable",
+        "DimensionMismatchError",
+        "DomainError",
+        "EnumerationLimitError",
+        "EpsIndepError",
+        "EpsilonMatrix",
+        "FREE",
+        "InputError",
+        "SetPartition",
+        "TableError",
+        "arcsine_moments",
+        "arcsine_table",
+        "cumulants",
+        "enumerate_nc_epsilon",
+        "epsilon",
+        "errors",
+        "factorization_shortcut",
+        "format_fraction",
+        "generator_mixed_moment",
+        "graphgroup",
+        "is_admissible_tuple",
+        "is_epsilon_noncrossing",
+        "kappa_pi",
+        "kernel",
+        "mixed_moment_by_definition",
+        "mixed_moment_cumulant",
+        "moments",
+        "ncpartitions",
+        "partitions",
+        "reduce_word",
+        "reduction_membership",
+    ]
 
 
 class TestInputHandling:

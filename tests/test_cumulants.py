@@ -10,17 +10,21 @@ from epsindep import (
     SetPartition,
     TableError,
     arcsine_moments,
+    kappa_pi,
+)
+from epsindep.cumulants import spec_moments
+from oracles import (
+    JointMomentOracle,
     classical_cumulants_to_moments,
     enumerate_noncrossing,
     enumerate_set_partitions,
     free_cumulants_to_moments,
-    kappa_pi,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
+    product_as_arguments_check,
+    random_joint_oracle,
     semicircle_table,
 )
-from epsindep.cumulants import spec_moments
-from oracles import JointMomentOracle, product_as_arguments_check, random_joint_oracle
 
 F = Fraction
 

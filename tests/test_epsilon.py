@@ -7,11 +7,9 @@ from epsindep import (
     DomainError,
     EpsilonMatrix,
     InputError,
-    complete_graph_matrix,
-    cycle_graph_matrix,
-    empty_graph_matrix,
     is_admissible_tuple,
 )
+from oracles import complete_graph_matrix, cycle_graph_matrix, empty_graph_matrix
 
 
 def all_matrices(size, diag=None):

@@ -6,12 +6,11 @@ from itertools import combinations, product
 import pytest
 
 from epsindep import (
-    complete_graph_matrix,
-    empty_graph_matrix,
     generator_mixed_moment,
     is_admissible_tuple,
     reduce_word,
 )
+from oracles import complete_graph_matrix, empty_graph_matrix
 from test_properties import inverse, sign_sum_trace
 
 F = Fraction

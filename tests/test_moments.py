@@ -11,14 +11,16 @@ from epsindep import (
     EpsilonMatrix,
     TableError,
     arcsine_table,
-    complete_graph_matrix,
-    cycle_graph_matrix,
-    empty_graph_matrix,
     factorization_shortcut,
     generator_mixed_moment,
     is_admissible_tuple,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
+)
+from oracles import (
+    complete_graph_matrix,
+    cycle_graph_matrix,
+    empty_graph_matrix,
     normalize_tuple,
     semicircle_table,
 )

@@ -7,19 +7,21 @@ from epsindep import (
     DomainError,
     EpsilonMatrix,
     SetPartition,
-    catalan_numbers,
-    complete_graph_matrix,
-    empty_graph_matrix,
     enumerate_nc_epsilon,
-    enumerate_noncrossing,
-    enumerate_set_partitions,
     is_epsilon_noncrossing,
     kernel,
     reduction_membership,
-    refines,
 )
 from epsindep.crosscheck import mask_partitions_below_kernel
 from epsindep.partitions import partitions_of_set
+from oracles import (
+    catalan_numbers,
+    complete_graph_matrix,
+    empty_graph_matrix,
+    enumerate_noncrossing,
+    enumerate_set_partitions,
+    refines,
+)
 
 
 def partitions_below_kernel(entries):

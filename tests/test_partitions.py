@@ -5,12 +5,14 @@ import pytest
 from epsindep import (
     DimensionMismatchError,
     SetPartition,
+    kernel,
+)
+from oracles import (
     bell_numbers,
     catalan_numbers,
     enumerate_noncrossing,
     enumerate_set_partitions,
     is_noncrossing,
-    kernel,
     refines,
 )
 

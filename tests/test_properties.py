@@ -25,23 +25,27 @@ from epsindep import (
     CumulantTable,
     EpsilonMatrix,
     SetPartition,
-    classical_cumulants_to_moments,
     enumerate_nc_epsilon,
-    free_cumulants_to_moments,
     generator_mixed_moment,
     is_admissible_tuple,
     is_epsilon_noncrossing,
     kappa_pi,
     mixed_moment_by_definition,
     mixed_moment_cumulant,
-    moments_to_classical_cumulants,
-    moments_to_free_cumulants,
-    normalize_tuple,
     reduce_word,
     reduction_membership,
 )
 from epsindep.cli import main
 from epsindep.ncpartitions import bar_masks, noncrossing_masks, reduces_masks
+from epsindep.partitions import restricted_growth
+from oracles import (
+    bell_numbers,
+    classical_cumulants_to_moments,
+    free_cumulants_to_moments,
+    moments_to_classical_cumulants,
+    moments_to_free_cumulants,
+    normalize_tuple,
+)
 from test_cumulants import classical_cumulants_mobius, classical_moments_oracle, free_moments_oracle
 from test_ncpartitions import partitions_below_kernel
 
@@ -297,6 +301,29 @@ def test_mask_cores_match_references(instance):
     blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p.blocks]
     assert noncrossing_masks(blocks, bars) == pairwise_by_gaps(p, entries, e)
     assert reduces_masks(blocks, bars, len(entries)) == reduces_to_empty(p, entries, e)
+
+
+def stirling2(n, k):
+    """S(n, k) by S(n, k) = k S(n-1, k) + S(n-1, k-1), S(0, 0) = 1."""
+    row = [1]  # S(0, .)
+    for m in range(1, n + 1):
+        row = [(j * row[j] if j < m else 0) + (row[j - 1] if j else 0) for j in range(m + 1)]
+    return row[k] if k < len(row) else 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8))
+def test_restricted_growth(n):
+    strings = list(restricted_growth(n))
+    for s in strings:
+        assert len(s) == n
+        assert all(v <= max(s[:i], default=-1) + 1 for i, v in enumerate(s))
+    assert all(a < b for a, b in zip(strings, strings[1:]))  # strictly lexicographic
+    by_k = [list(restricted_growth(n, k)) for k in range(n + 2)]
+    for k, exact in enumerate(by_k):
+        assert exact == [s for s in strings if len(set(s)) == k]
+        assert len(exact) == stirling2(n, k)
+    assert sum(map(len, by_k)) == len(strings) == bell_numbers(n)[n]
 
 
 @settings(max_examples=150, deadline=None)
