@@ -36,7 +36,12 @@ RATIONAL_DIST = {
     "x3": {"named": "point_mass", "value": "2/7"},
     "x5": {"moments": [f"7/{10**30 + i}" for i in range(1, 9)]},
 }
-DISTS = {"arcsine": DIST, "rational": RATIONAL_DIST}
+# random rationals, long enough for the length-12 cases
+LONG_DIST = {
+    "x2": {"moments": ["1/4", "6/5", "1", "5", "4/5", "-1/2", "-9/5", "0", "-1", "-9/4", "-1", "-5"]},
+    "x3": {"moments": ["5/8", "0", "0", "-1/7", "-7/6", "6/7", "7/3", "9/5", "9", "0", "-1", "1/2"]},
+}
+DISTS = {"arcsine": DIST, "rational": RATIONAL_DIST, "long": LONG_DIST}
 
 CASES = [
     ["enumerate", "--tuple", "x1,x3,x1,x3"],
@@ -58,6 +63,14 @@ CASES = [
     ["moment", "--dist", "rational", "--method", "both", "--tuple", "x5,x3,x5,x3,x5,x2,x2"],
     ["moment", "--dist", "rational", "--method", "both", "--tuple", "x1,x2,x1,x2"],
     ["moment", "--dist", "rational", "--method", "both", "--tuple", "x1,x5,x1,x5,x5,x1,x3,x3"],
+    # length 12, the default cap: one free label, one classical label, and
+    # a free pair of a free and a classical label
+    ["moment", "--cap", "12", "--method", "both", "--tuple", ",".join(["x1"] * 12)],
+    ["moment", "--cap", "12", "--method", "both", "--tuple", ",".join(["x3"] * 12)],
+    [
+        "moment", "--dist", "long", "--cap", "12", "--method", "both",
+        "--tuple", "x3,x2,x3,x3,x3,x3,x3,x2,x2,x3,x2,x3",
+    ],
 ]
 
 
