@@ -85,6 +85,11 @@ def _load_tables(path, e, entries):
     another kind is rejected, whether its label is used or not."""
     data = _load_json(path)
     if isinstance(data, dict):
+        for name, spec in data.items():
+            if isinstance(spec, dict) and spec.get("label", name) != name:
+                raise InputError(
+                    f"spec under key {excerpt(name)} names another label, {excerpt(spec['label'])}"
+                )
         data = [
             dict(spec, label=name) if isinstance(spec, dict) else spec
             for name, spec in sorted(data.items())

@@ -7,7 +7,7 @@ from math import prod
 
 from .errors import TableError
 from .graphgroup import _fold_step, reduce_word
-from .ncpartitions import encode, first_blocks, is_epsilon_noncrossing
+from .ncpartitions import encode, eligible_points, first_blocks, is_epsilon_noncrossing, trim_gaps
 from .partitions import kernel
 
 # Not called here: bench/worker.py wraps these module attributes to trace
@@ -40,12 +40,95 @@ def _scale(entries, tables):
     return prod(tables[label].d ** entries.count(label) for label in set(entries))
 
 
+# A state whose first label has fewer eligible points than this sums over
+# first_blocks' subsets, at most 2**3 children; from this count on the
+# fold's partial states, polynomial in the count, cost less.
+FOLD_FROM = 4
+
+
+def _fold_first_block(lab, gaps, eligible, mark, kappas, total, memo):
+    """Sum over the first point's blocks of kappa times the total of the
+    state left, folding the points left to right: an eligible point joins
+    the block or stays, every other point stays.
+
+    A partial child is (kept segment, its label mask, pending gap, r), the
+    segment a tuple label, gap, label, ..., label; equal partial children
+    merge by adding their coefficients.  A kept gap that bars every label
+    of the segment to its left that can still occur to its right closes
+    the segment: no block spans that gap, so the child's total is the
+    product of the two sides' totals, and the segment's total goes into
+    the coefficient.  After the last point every segment closes."""
+    n = len(lab)
+    later = [0] * n  # labels at positions j and after
+    seen = 0
+    for j in range(n - 1, 0, -1):
+        seen |= 1 << lab[j]
+        later[j] = seen
+    top = max(kappas)
+    last = eligible[-1]
+    eligible = set(eligible)
+    done = ((), 0, 0, 0)
+    parts = {done: 1}
+    for j in range(1, n + 1):
+        if j < n:
+            label = lab[j]
+            bit = 1 << label
+            gap_in = gaps[j - 1]
+            join = j in eligible
+        out = {}
+        for (seg, seen, acc, r), c in parts.items():
+            if j < n:
+                if join and r < top:
+                    key = (seg, seen, acc | gap_in | mark if seg else 0, r + 1)
+                    out[key] = out.get(key, 0) + c
+                if not seg:
+                    key = ((label,), bit, 0, r)
+                    out[key] = out.get(key, 0) + c
+                    continue
+                gap = (acc | gap_in) & seen
+                if seen & later[j] & ~gap:
+                    key = (seg + (gap, label), seen | bit, 0, r)
+                    out[key] = out.get(key, 0) + c
+                    continue
+            # close the segment; memo also keys it by its untrimmed form
+            value = memo.get(seg)
+            if value is None:
+                labels = seg[::2]
+                value = memo[seg] = total(labels, trim_gaps(labels, seg[1::2]))
+            c *= value
+            if c:
+                key = ((label,), bit, 0, r) if j < n else done
+                out[key] = out.get(key, 0) + c
+        parts = out
+        if j == last:
+            # the block is complete: weigh each child by its cumulant
+            parts = {}
+            for (seg, seen, acc, r), c in out.items():
+                kappa = kappas.get(r)
+                if kappa:
+                    key = (seg, seen, acc, 0)
+                    parts[key] = parts.get(key, 0) + c * kappa
+    return parts.get(done, 0)
+
+
 def mixed_moment_cumulant(entries, e, tables):
     """Sum of block cumulant products over the epsilon-non-crossing set,
-    by a memoised recursion on the block that holds the first point
-    (ncpartitions.first_blocks).  Only block sizes whose cumulant is
-    nonzero are passed to it, so no block of a zero-cumulant size is
-    built.  Partitions are never listed.
+    by a memoised recursion on the block that holds the first point, over
+    states of ncpartitions.first_blocks.  Partitions are never listed, and
+    no block of a zero-cumulant size is built.
+
+    - Labels in different components of the eps != 1 graph never bar each
+      other's blocks, so the set is a product over the components and so
+      is the sum.
+    - A state whose first label has fewer than FOLD_FROM eligible points
+      sums over first_blocks' subsets.  From FOLD_FROM on, the points are
+      folded left to right and equal partial children merge
+      (_fold_first_block).
+    - The fold splits a child at a gap that bars every label occurring on
+      both of its sides.  Proof: a block spanning that gap would have its
+      label on both sides, where it is barred; so every block lies on one
+      side, blocks of different sides do not cross, and the child's sum
+      is the product of its sides' sums.
 
     The sum runs in the tables' scaled integers: a block of size s and
     label l contributes kappa_l(s) * d_l**s, so every product carries d_l
@@ -71,13 +154,36 @@ def mixed_moment_cumulant(entries, e, tables):
         if hit is not None:
             return hit
         kappas = scaled[lab[0]]
-        value = 0
-        for r, _, state in first_blocks(lab, gaps, against, kappas):
-            value += kappas[r] * total(*state)
+        eligible = eligible_points(lab, gaps)
+        if not kappas:
+            value = 0
+        elif len(eligible) < FOLD_FROM:
+            value = 0
+            for r, _, state in first_blocks(lab, gaps, against, kappas, eligible):
+                value += kappas[r] * total(*state)
+        else:
+            value = _fold_first_block(lab, gaps, eligible, against[lab[0]], kappas, total, memo)
         memo[key] = value
         return value
 
-    return Fraction(total(lab, (0,) * max(n - 1, 0)), _scale(entries, tables))
+    value = 1
+    left = every = (1 << len(scaled)) - 1
+    while left and value:
+        # a component of the eps != 1 graph on the tuple's labels: its
+        # blocks cross no other component's blocks and bar none of them
+        comp = left & -left
+        while True:
+            grown = comp
+            for k in range(len(scaled)):
+                if comp >> k & 1:
+                    grown |= against[k]
+            if grown == comp:
+                break
+            comp = grown
+        part = lab if comp == every else tuple([k for k in lab if comp >> k & 1])
+        left &= ~comp
+        value *= total(part, (0,) * (len(part) - 1))
+    return Fraction(value, _scale(entries, tables))
 
 
 def mixed_moment_by_definition(entries, e, tables):

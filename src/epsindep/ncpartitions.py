@@ -8,10 +8,14 @@ Each is a core on block bitmasks, which the membership check calls with
 one encoding per tuple, under a wrapper that encodes a SetPartition.
 
 Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
-one step, first_blocks: the blocks that the first remaining point may head
-without a forbidden crossing.  enumerate_nc_epsilon expands it over every
-block size, one member per leaf and no dead ends; the cumulant route sums
-over it with a memo.  Filtering every partition below the kernel through
+one state: the points not yet in a block, with a mask per gap of the
+labels that may not span it, cut to the labels on both of its sides by
+trim_gaps.  first_blocks lists the blocks the first remaining point may
+head without a forbidden crossing, each with the state it leaves.
+enumerate_nc_epsilon expands it over every block size, one member per leaf
+and no dead ends.  The cumulant route sums over it with a memo when the
+first label has few eligible points, and otherwise folds the first block
+point by point.  Filtering every partition below the kernel through
 is_epsilon_noncrossing (generate-and-test) is the reference the tests
 compare both against.
 """
@@ -101,7 +105,8 @@ def encode(entries, e):
     the bitmask of ranks whose blocks may not cross a block of rank k
     (eps != 1, so rank k itself among them)."""
     labels = sorted(set(entries))
-    lab = tuple(labels.index(v) for v in entries)
+    rank = {a: k for k, a in enumerate(labels)}
+    lab = tuple([rank[v] for v in entries])
     against = [sum(1 << j for j, b in enumerate(labels) if e.eps(a, b) != 1) for a in labels]
     return lab, against
 
@@ -113,16 +118,30 @@ def bar_masks(entries, e):
     return {a: sum(1 << j for j, b in enumerate(entries) if e.eps(a, b) != 1) for a in set(entries)}
 
 
+def trim_gaps(lab, gaps):
+    """The gap masks of a state with lab's labels, each cut down to the
+    labels that occur on both of its sides: only those could span it."""
+    if not any(gaps):
+        return tuple(gaps)
+    out = []
+    seen = 0
+    for g, label in enumerate(lab[:-1]):
+        seen |= 1 << label
+        out.append(gaps[g] & seen)
+    seen = 0
+    for g in range(len(out) - 1, -1, -1):
+        seen |= 1 << lab[g + 1]
+        out[g] &= seen
+    return tuple(out)
+
+
 def _remove_block(lab, gaps, block, mark):
     """The state left when the points in block (a bitmask over positions,
     position 0 among them) form a block: the gap masks around each removed
-    point merge, and a merged gap that held a point of the block gains
-    mark.  A gap keeps only the labels that occur on both of its sides,
-    the only ones that could span it."""
+    point merge, a merged gap that held a point of the block gains mark,
+    and trim_gaps cuts each gap to the labels that could span it."""
     new_lab = []
     new_gaps = []
-    before = []  # labels occurring up to each kept point
-    seen = 0
     acc = 0
     for j in range(1, len(lab)):
         acc |= gaps[j - 1]
@@ -131,22 +150,30 @@ def _remove_block(lab, gaps, block, mark):
             continue
         if new_lab:
             new_gaps.append(acc)
-        label = lab[j]
-        new_lab.append(label)
-        seen |= 1 << label
-        before.append(seen)
+        new_lab.append(lab[j])
         acc = 0
-    after = 0
-    for g in range(len(new_gaps) - 1, -1, -1):
-        after |= 1 << new_lab[g + 1]
-        new_gaps[g] &= before[g] & after
-    return tuple(new_lab), tuple(new_gaps)
+    return tuple(new_lab), trim_gaps(new_lab, new_gaps)
 
 
-def first_blocks(lab, gaps, against, sizes):
+def eligible_points(lab, gaps):
+    """The later points that may join the first point's block: those of
+    its label that lie before the first gap barring that label."""
+    k = lab[0]
+    bit = 1 << k
+    eligible = []
+    for j in range(1, len(lab)):
+        if gaps[j - 1] & bit:
+            break
+        if lab[j] == k:
+            eligible.append(j)
+    return eligible
+
+
+def first_blocks(lab, gaps, against, sizes, eligible):
     """The blocks the first point of a state can head, as (r, block,
     next state) with r the block's further points, for each r in sizes
-    (ascending); block is a bitmask over the state's positions.
+    (ascending); block is a bitmask over the state's positions, and
+    eligible is eligible_points(lab, gaps).
 
     A state is the labels (ranks, see encode) of the points not yet in a
     block, plus one bitmask per gap between consecutive points: the labels
@@ -159,14 +186,7 @@ def first_blocks(lab, gaps, against, sizes):
     has a completion and a search that expands every size never
     dead-ends.
     """
-    k = lab[0]
-    bit = 1 << k
-    eligible = []
-    for j in range(1, len(lab)):
-        if gaps[j - 1] & bit:
-            break
-        if lab[j] == k:
-            eligible.append(j)
+    mark = against[lab[0]]
     for r in sizes:
         if r > len(eligible):
             return
@@ -174,7 +194,7 @@ def first_blocks(lab, gaps, against, sizes):
             block = 1
             for j in chosen:
                 block |= 1 << j
-            yield r, block, _remove_block(lab, gaps, block, against[k])
+            yield r, block, _remove_block(lab, gaps, block, mark)
 
 
 def enumerate_nc_epsilon(entries, e):
@@ -196,7 +216,7 @@ def enumerate_nc_epsilon(entries, e):
             m = range(len(pos))
             kids = children[state] = [
                 ([j for j in m if block >> j & 1], [j for j in m if not block >> j & 1], nxt)
-                for _, block, nxt in first_blocks(*state, against, m)
+                for _, block, nxt in first_blocks(*state, against, m, eligible_points(*state))
             ]
         for take, keep, nxt in kids:
             blocks.append(tuple([pos[j] for j in take]))

@@ -1,6 +1,7 @@
 """What only the tests call: set-partition combinatorics (non-crossing
 partitions, refinement, Bell and Catalan numbers), conversion wrappers,
-named tables and graphs, and the products-as-arguments harness (free
+named tables and graphs, the cumulant route without its fold or splits,
+and the products-as-arguments harness (free
 cumulants of one algebra's joint moments, by recursion over non-crossing
 partitions, against the product-in-first-slot expansion)."""
 
@@ -16,6 +17,7 @@ from epsindep import (
     SetPartition,
     reduce_word,
 )
+from epsindep.ncpartitions import eligible_points, encode, first_blocks
 from epsindep.partitions import partitions_of_set
 
 
@@ -126,6 +128,33 @@ def normalize_tuple(entries, e):
     e.check_tuple(entries)
     factors = reduce_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
     return tuple(f[0] for f in factors), [f[1] for f in factors]
+
+
+def cumulant_by_first_blocks(entries, e, tables):
+    """The mixed moment as a memoised sum over every block that
+    ncpartitions.first_blocks lists for the first point, in Fractions,
+    with no fold, no split at barred gaps and no split into independent
+    label groups: the reference for moments.mixed_moment_cumulant."""
+    e.check_tuple(entries)
+    n = len(entries)
+    lab, against = encode(entries, e)
+    kappas = [
+        {r: kappa for r, kappa in enumerate(tables[a].cumulants[:n]) if kappa}
+        for a in sorted(set(entries))
+    ]
+    memo = {}
+
+    def total(lab, gaps):
+        if not lab:
+            return Fraction(1)
+        key = (lab, gaps)
+        if key not in memo:
+            sizes = kappas[lab[0]]
+            blocks = first_blocks(lab, gaps, against, sizes, eligible_points(lab, gaps))
+            memo[key] = sum((sizes[r] * total(*state) for r, _, state in blocks), Fraction(0))
+        return memo[key]
+
+    return total(lab, (0,) * max(n - 1, 0))
 
 
 def cycle_graph_matrix(size):

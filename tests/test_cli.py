@@ -278,6 +278,21 @@ class TestMoment:
         assert captured.err.startswith("input error:")
         assert "'x1'" in captured.err
 
+    def test_label_differs_from_key(self, tmp_path, capsys):
+        # in an object-form file the key is the label: a spec naming
+        # another one is rejected, not silently moved to its key
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a", "b"]}))
+        dist = tmp_path / "dist.json"
+        specs = {"a": {"label": "b", "named": "point_mass", "value": "3"}, "b": {"named": "arcsine"}}
+        dist.write_text(json.dumps(specs))
+        code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", "a,a"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "'a'" in captured.err and "'b'" in captured.err
+
     def test_missing_distribution(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "short.json"

@@ -1,10 +1,11 @@
-"""Property tests: the enumerator and the cumulant recursion, both built on
-ncpartitions.first_blocks, against generate-and-test, the greedy
-reduce-to-empty check against a literal search, the definition route and
-the group trace, both folds over graphgroup._fold_step, against literal
-expansions, the moment/cumulant conversions against each other and against
-partition sums, the word reducer, and the CLI's exit codes on random input
-files."""
+"""Property tests: the enumerator against generate-and-test, the cumulant
+route against generate-and-test, against its fold-free form
+(oracles.cumulant_by_first_blocks) on long tuples and against the table's
+own moment on constant tuples, the greedy reduce-to-empty check against a
+literal search, the definition route and the group trace, both folds over
+graphgroup._fold_step, against literal expansions, the moment/cumulant
+conversions against each other and against partition sums, the word
+reducer, and the CLI's exit codes on random input files."""
 
 import io
 import json
@@ -41,6 +42,7 @@ from epsindep.partitions import restricted_growth
 from oracles import (
     bell_numbers,
     classical_cumulants_to_moments,
+    cumulant_by_first_blocks,
     free_cumulants_to_moments,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
@@ -54,12 +56,12 @@ sparse = st.one_of(st.just(0), st.just(0), st.just(0), rationals)
 
 
 @st.composite
-def instances(draw, max_labels=4, max_n=8):
+def instances(draw, max_labels=4, max_n=8, min_n=0):
     """A random epsilon-matrix with a random diagonal and a tuple over it."""
     size = draw(st.integers(1, max_labels))
     pairs = [p for p in combinations(range(size), 2) if draw(st.booleans())]
     diag = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-    entries = draw(st.lists(st.integers(0, size - 1), max_size=max_n))
+    entries = draw(st.lists(st.integers(0, size - 1), min_size=min_n, max_size=max_n))
     return tuple(entries), EpsilonMatrix(size, pairs, diag=diag)
 
 
@@ -77,10 +79,10 @@ def test_enumeration_matches_generate_and_test(instance):
 
 
 @st.composite
-def with_sequences(draw, values, max_n=8):
+def with_sequences(draw, values, max_n=8, min_n=0):
     """An instance plus one sequence per label, entries drawn from values,
     as long as the tuple (at least 1)."""
-    entries, e = draw(instances(max_n=max_n))
+    entries, e = draw(instances(max_n=max_n, min_n=min_n))
     n = max(len(entries), 1)
     return entries, e, {
         label: draw(st.lists(values, min_size=n, max_size=n)) for label in range(e.size)
@@ -121,6 +123,27 @@ def test_cumulant_moment_with_sparse_tables(instance):
     tables = cumulant_tables(e, cumulants)
     want = sum(kappa_pi(p, entries, tables) for p in oracle_members(entries, e))
     assert mixed_moment_cumulant(entries, e, tables) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FREE, CLASSICAL]), st.lists(st.one_of(rationals, sparse), min_size=1, max_size=12))
+def test_cumulant_moment_of_constant_tuple(kind, moments):
+    """A constant tuple's epsilon-non-crossing set is NC(n) for a free
+    label and every partition for a classical one, so the sum is the
+    table's own m_n, found without listing a partition."""
+    e = EpsilonMatrix(1, diag=[int(kind == CLASSICAL)])
+    table = CumulantTable.from_moments(kind, moments)
+    n = len(moments)
+    assert mixed_moment_cumulant((0,) * n, e, {0: table}) == table.moment(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(with_sequences(rationals, max_n=11, min_n=8), with_sequences(sparse, max_n=11, min_n=8)))
+def test_cumulant_moment_matches_first_blocks_sum_on_long_tuples(instance):
+    """Lengths 8 to 11, where the fold and the splits do most of the work."""
+    entries, e, cumulants = instance
+    tables = cumulant_tables(e, cumulants)
+    assert mixed_moment_cumulant(entries, e, tables) == cumulant_by_first_blocks(entries, e, tables)
 
 
 def phi_by_masks(word, e, moments, cache):
