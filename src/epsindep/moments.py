@@ -85,7 +85,7 @@ def _fold_first_block(lab, gaps, eligible, mark, kappas, total, memo):
                     key = ((label,), bit, 0, r)
                     out[key] = out.get(key, 0) + c
                     continue
-                gap = (acc | gap_in) & seen
+                gap = acc | gap_in
                 if seen & later[j] & ~gap:
                     key = (seg + (gap, label), seen | bit, 0, r)
                     out[key] = out.get(key, 0) + c

@@ -634,8 +634,10 @@ class TestInputHandling:
 
     @pytest.mark.parametrize("command", ["enumerate", "moment"])
     def test_tuple_beyond_recursion_limit(self, tmp_path, capsys, command):
-        # both recurse once per point: with the limit lowered, a tuple of
-        # 300 points stands in for one of about 1,000 at the default limit
+        # enumeration recurses once per point and the cumulant route at
+        # most twice (a state's total, then its fold): with the limit
+        # lowered, a tuple of 300 points stands in for one of about 1,000
+        # (enumerate) or 500 (moment) at the default limit
         n = 300
         names = [f"x{k}" for k in range(n)]
         graph = tmp_path / "graph.json"
