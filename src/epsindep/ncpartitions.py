@@ -107,7 +107,13 @@ def encode(entries, e):
     labels = sorted(set(entries))
     rank = {a: k for k, a in enumerate(labels)}
     lab = tuple([rank[v] for v in entries])
-    against = [sum(1 << j for j, b in enumerate(labels) if e.eps(a, b) != 1) for a in labels]
+    against = []
+    for a in labels:
+        mask = 0
+        for j, b in enumerate(labels):
+            if e.eps(a, b) != 1:
+                mask |= 1 << j
+        against.append(mask)
     return lab, against
 
 
