@@ -284,7 +284,10 @@ class TestMoment:
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps({"labels": ["a", "b"]}))
         dist = tmp_path / "dist.json"
-        specs = {"a": {"label": "b", "named": "point_mass", "value": "3"}, "b": {"named": "arcsine"}}
+        specs = {
+            "a": {"label": "b", "named": "point_mass", "value": "3"},
+            "b": {"named": "arcsine"},
+        }
         dist.write_text(json.dumps(specs))
         code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", "a,a"])
         captured = capsys.readouterr()

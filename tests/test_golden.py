@@ -38,8 +38,8 @@ RATIONAL_DIST = {
 }
 # random rationals, long enough for the length-12 cases
 LONG_DIST = {
-    "x2": {"moments": ["1/4", "6/5", "1", "5", "4/5", "-1/2", "-9/5", "0", "-1", "-9/4", "-1", "-5"]},
-    "x3": {"moments": ["5/8", "0", "0", "-1/7", "-7/6", "6/7", "7/3", "9/5", "9", "0", "-1", "1/2"]},
+    "x2": {"moments": "1/4 6/5 1 5 4/5 -1/2 -9/5 0 -1 -9/4 -1 -5".split()},
+    "x3": {"moments": "5/8 0 0 -1/7 -7/6 6/7 7/3 9/5 9 0 -1 1/2".split()},
 }
 DISTS = {"arcsine": DIST, "rational": RATIONAL_DIST, "long": LONG_DIST}
 

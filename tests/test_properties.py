@@ -126,7 +126,10 @@ def test_cumulant_moment_with_sparse_tables(instance):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([FREE, CLASSICAL]), st.lists(st.one_of(rationals, sparse), min_size=1, max_size=12))
+@given(
+    st.sampled_from([FREE, CLASSICAL]),
+    st.lists(st.one_of(rationals, sparse), min_size=1, max_size=12),
+)
 def test_cumulant_moment_of_constant_tuple(kind, moments):
     """A constant tuple's epsilon-non-crossing set is NC(n) for a free
     label and every partition for a classical one, so the sum is the
@@ -138,7 +141,12 @@ def test_cumulant_moment_of_constant_tuple(kind, moments):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(with_sequences(rationals, max_n=11, min_n=8), with_sequences(sparse, max_n=11, min_n=8)))
+@given(
+    st.one_of(
+        with_sequences(rationals, max_n=11, min_n=8),
+        with_sequences(sparse, max_n=11, min_n=8),
+    )
+)
 def test_cumulant_moment_matches_first_blocks_sum_on_long_tuples(instance):
     """Lengths 8 to 11, where the fold and the splits do most of the work."""
     entries, e, cumulants = instance
