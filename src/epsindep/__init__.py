@@ -36,10 +36,7 @@ from .ncpartitions import (
     is_epsilon_noncrossing,
     reduction_membership,
 )
-from .partitions import (
-    SetPartition,
-    kernel,
-)
+from .partitions import SetPartition
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

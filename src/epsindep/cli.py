@@ -18,8 +18,7 @@ from .crosscheck import run_crosscheck
 from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
 # not called here: bench/worker.py wraps this name in this module
 from .moments import moments_from_tables  # noqa: F401
-from .ncpartitions import enumerate_nc_epsilon, is_epsilon_noncrossing
-from .partitions import kernel
+from .ncpartitions import enumerate_nc_epsilon, kernel_noncrossing
 
 
 def default_cap():
@@ -151,13 +150,12 @@ def cmd_enumerate(args):
     entries, names = _parse_tuple(args.tuple, e)
     _check_cap(entries, args.cap)
     parts = enumerate_nc_epsilon(entries, e)
-    ker = kernel(entries)
     size = e.size
     payload = {
         "tuple": names,
         "count": len(parts),
-        "partitions": [p.to_json() for p in parts],
-        "kernel_member": is_epsilon_noncrossing(ker, entries, e),
+        "partitions": [[list(b) for b in p] for p in parts],
+        "kernel_member": kernel_noncrossing(entries, e),
         "admissible_tuple": is_admissible_tuple(entries, e),
         "flags": {
             "constant_tuple": len(set(entries)) == 1,
@@ -176,8 +174,8 @@ def cmd_enumerate(args):
 def cmd_moment(args):
     e = _load_graph(args.graph)
     entries, names = _parse_tuple(args.tuple, e)
-    tables = _load_tables(args.dist, e, entries)
     _check_cap(entries, args.cap)
+    tables = _load_tables(args.dist, e, entries)
     values = {}
     if args.method in ("cumulant", "both"):
         values["cumulant"] = format_fraction(mixed_moment_cumulant(entries, e, tables))

@@ -18,7 +18,7 @@ from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table
 from .epsilon import EpsilonMatrix
 from .graphgroup import generator_mixed_moment
 from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
-from .ncpartitions import bar_masks, noncrossing_masks, reduces_masks
+from .ncpartitions import bar_masks, encode, noncrossing_masks, reduces_masks
 # not called here: bench/worker.py wraps these three names in this module
 from .moments import moments_from_tables  # noqa: F401
 from .ncpartitions import is_epsilon_noncrossing, reduction_membership  # noqa: F401
@@ -57,13 +57,16 @@ def canonical_instances(e, max_n, seen=None):
                     yield canon, ce
 
 
-def mask_partitions_below_kernel(entries, tables):
-    """All partitions refining the kernel of the tuple, each a list of
-    (block bitmask over positions, its label); tables maps a block size k
+def mask_partitions_below_kernel(points, tables):
+    """All partitions refining the kernel of a tuple, given encode's points,
+    each a list of (block bitmask, its rank); tables maps a block size k
     to the partitions of range(k) and gains the sizes missing."""
     per_block = []
-    for k in sorted(set(entries)):
-        bits = [1 << j for j, v in enumerate(entries) if v == k]
+    for k, mask in enumerate(points):
+        bits = []  # rank k's positions as one-bit masks, ascending
+        while mask:
+            bits.append(mask & -mask)
+            mask &= mask - 1
         if len(bits) not in tables:
             tables[len(bits)] = partitions_of_set(range(len(bits)))
         per_block.append([[(sum(bits[i] for i in c), k) for c in q] for q in tables[len(bits)]])
@@ -97,14 +100,15 @@ def membership_equivalence_check(result, entries, e, tables):
     block removal (no cache, no crossing test), for every partition below
     the kernel of the tuple, on one bitmask encoding of the tuple; tables
     as in mask_partitions_below_kernel."""
-    bars = bar_masks(entries, e)
-    for blocks in mask_partitions_below_kernel(entries, tables):
+    _, against, points = encode(entries, e)
+    bars = bar_masks(against, points)
+    for blocks in mask_partitions_below_kernel(points, tables):
         fast = noncrossing_masks(blocks, bars)
         slow = reduces_masks(blocks, bars, len(entries))
         if fast == slow:
             result.record(True)
         else:
-            # the partition's to_json form: blocks ascending, by first point
+            # the partition's canonical form: blocks ascending, by first point
             part = sorted([j + 1 for j in range(len(entries)) if m >> j & 1] for m, _ in blocks)
             detail = {"tuple": list(entries), "partition": part, "fast": fast, "slow": slow}
             result.record(False, detail)

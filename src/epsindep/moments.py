@@ -7,8 +7,7 @@ from math import prod
 
 from .errors import TableError
 from .graphgroup import _fold_step, reduce_word
-from .ncpartitions import encode, eligible_points, first_blocks, is_epsilon_noncrossing, trim_gaps
-from .partitions import kernel
+from .ncpartitions import encode, eligible_points, first_blocks, kernel_noncrossing, trim_gaps
 
 # Not called here: bench/worker.py wraps these module attributes to trace
 # the per-partition path, which now shows zero calls.
@@ -120,10 +119,10 @@ def mixed_moment_cumulant(entries, e, tables):
     - Labels in different components of the eps != 1 graph never bar each
       other's blocks, so the set is a product over the components and so
       is the sum.
-    - A state whose first label has fewer than FOLD_FROM eligible points
-      sums over first_blocks' subsets.  From FOLD_FROM on, the points are
-      folded left to right and equal partial children merge
-      (_fold_first_block).
+    - A state whose first label has fewer than FOLD_FROM eligible points,
+      or only kappa_1 (no block takes a further point), sums over
+      first_blocks' subsets.  Otherwise the points are folded left to
+      right and equal partial children merge (_fold_first_block).
     - The fold splits a child at a gap that bars every label occurring on
       both of its sides.  Proof: a block spanning that gap would have its
       label on both sides, where it is barred; so every block lies on one
@@ -137,7 +136,7 @@ def mixed_moment_cumulant(entries, e, tables):
     n = len(entries)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
-    lab, against = encode(entries, e)
+    lab, against, _ = encode(entries, e)
     # per label rank: {r: kappa(r + 1) * d ** (r + 1)} over the nonzero
     # cumulants, r (a block's further points) ascending
     scaled = [
@@ -157,7 +156,7 @@ def mixed_moment_cumulant(entries, e, tables):
         eligible = eligible_points(lab, gaps)
         if not kappas:
             value = 0
-        elif len(eligible) < FOLD_FROM:
+        elif len(eligible) < FOLD_FROM or max(kappas) == 0:
             value = 0
             for r, _, state in first_blocks(lab, gaps, against, kappas, eligible):
                 value += kappas[r] * total(*state)
@@ -236,11 +235,10 @@ def factorization_shortcut(entries, e, tables):
     """If the kernel itself is epsilon-non-crossing the moment factorizes
     over kernel blocks; returns None when the shortcut does not apply."""
     e.check_tuple(entries)
-    ker = kernel(entries)
-    if not is_epsilon_noncrossing(ker, entries, e):
+    if not kernel_noncrossing(entries, e):
         return None
     _check_tables(entries, e, tables)
-    total = prod(tables[entries[b[0] - 1]].scaled_moments[len(b) - 1] for b in ker.blocks)
+    total = prod(tables[a].scaled_moments[entries.count(a) - 1] for a in set(entries))
     return Fraction(total, _scale(entries, tables))
 
 

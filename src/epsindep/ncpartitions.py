@@ -4,8 +4,9 @@ Membership has two routes: the pairwise-crossing characterization
 (production path) and the reduce-to-empty definition (verification
 oracle), decided by greedily removing a block that adjacent swaps of
 eps = 1 points can bring together; both are polynomial and keep no cache.
-Each is a core on block bitmasks, which the membership check calls with
-one encoding per tuple, under a wrapper that encodes a SetPartition.
+Each is a core on blocks as (position bitmask, label rank) over encode,
+the one encoding of a tuple, wrapped for a SetPartition; kernel_noncrossing
+runs the pairwise core on the tuple's kernel, one block per rank.
 
 Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
 one state: the points not yet in a block, with a mask per gap of the
@@ -24,22 +25,22 @@ from itertools import combinations
 
 from .errors import DimensionMismatchError, DomainError
 from .partitions import (
-    SetPartition,
     below_kernel,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
 )
 
 
 def _masks(p, entries, e):
-    """Validate p; its blocks as (position bitmask, label) and the tuple's
+    """Validate p; its blocks as (position bitmask, rank) and the tuple's
     bar_masks, or None if p does not refine the kernel of the tuple."""
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
     if not below_kernel(p, entries):
         return None
-    blocks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in p.blocks]
-    return blocks, bar_masks(entries, e)
+    lab, against, points = encode(entries, e)
+    blocks = [(sum([1 << (x - 1) for x in b]), lab[b[0] - 1]) for b in p.blocks]
+    return blocks, bar_masks(against, points)
 
 
 def is_epsilon_noncrossing(p, entries, e):
@@ -49,11 +50,18 @@ def is_epsilon_noncrossing(p, entries, e):
     return masks is not None and noncrossing_masks(*masks)
 
 
+def kernel_noncrossing(entries, e):
+    """True iff the kernel of the tuple, the partition of its positions
+    by label, is epsilon-non-crossing."""
+    _, against, points = encode(entries, e)
+    return noncrossing_masks([(m, k) for k, m in enumerate(points)], bar_masks(against, points))
+
+
 def noncrossing_masks(blocks, bars):
-    """The pairwise route on blocks as (position bitmask, label) below the
-    kernel: no two blocks whose labels have eps != 1 cross.  Block b
-    crosses block a iff b has points inside a's span and also points
-    outside it or on both sides of some point of a."""
+    """The pairwise route on blocks as (position bitmask, label rank)
+    below the kernel: no two blocks whose labels have eps != 1 cross.
+    Block b crosses block a iff b has points inside a's span and also
+    points outside it or on both sides of some point of a."""
     for i, (a, k) in enumerate(blocks):
         span = (1 << a.bit_length()) - (a & -a)
         for b, _ in blocks[i + 1 :]:
@@ -74,8 +82,8 @@ def reduction_membership(p, entries, e):
 
 
 def reduces_masks(blocks, bars, n):
-    """The reduce-to-empty route on blocks as (position bitmask, label)
-    below the kernel of a tuple of length n.
+    """The reduce-to-empty route on blocks as (position bitmask, label
+    rank) below the kernel of a tuple of length n.
 
     Swaps leave only the dependency order, the transitive closure of
     i < j with eps != 1 (for equal labels, the diagonal), and a block can
@@ -101,12 +109,16 @@ def reduces_masks(blocks, bars, n):
 
 
 def encode(entries, e):
-    """Rank each entry among the tuple's distinct labels; against[k] is
-    the bitmask of ranks whose blocks may not cross a block of rank k
-    (eps != 1, so rank k itself among them)."""
+    """(lab, against, points): lab ranks each entry among the tuple's
+    labels, against[k] is the bitmask of ranks whose blocks may not cross
+    a block of rank k (eps != 1, so k among them), and points[k] that of
+    the positions of rank k (bit j for position j + 1)."""
     labels = sorted(set(entries))
     rank = {a: k for k, a in enumerate(labels)}
     lab = tuple([rank[v] for v in entries])
+    points = [0] * len(labels)
+    for j, k in enumerate(lab):
+        points[k] |= 1 << j
     against = []
     for a in labels:
         mask = 0
@@ -114,14 +126,22 @@ def encode(entries, e):
             if e.eps(a, b) != 1:
                 mask |= 1 << j
         against.append(mask)
-    return lab, against
+    return lab, against, points
 
 
-def bar_masks(entries, e):
-    """bars[l] for each label l of the tuple: the bitmask of positions
-    whose label has eps != 1 with l, which can neither cross nor be
-    swapped past a block of label l."""
-    return {a: sum(1 << j for j, b in enumerate(entries) if e.eps(a, b) != 1) for a in set(entries)}
+def bar_masks(against, points):
+    """bars[k] for each rank k of encode: the bitmask of positions whose
+    label has eps != 1 with rank k's, which can neither cross nor be
+    swapped past a block of rank k."""
+    bars = []
+    for mask in against:
+        bar = 0
+        for p in points:
+            if mask & 1:
+                bar |= p
+            mask >>= 1
+        bars.append(bar)
+    return bars
 
 
 def trim_gaps(lab, gaps):
@@ -204,18 +224,18 @@ def first_blocks(lab, gaps, against, sizes, eligible):
 
 
 def enumerate_nc_epsilon(entries, e):
-    """All partitions below the kernel of the tuple that are
-    epsilon-non-crossing, in lexicographic order of canonical form."""
+    """The epsilon-non-crossing partitions below the kernel of the tuple,
+    sorted, each as its blocks of points 1..n in canonical form."""
     n = len(entries)
     e.check_tuple(entries)
-    lab, against = encode(entries, e)
+    lab, against, _ = encode(entries, e)
     out = []
     blocks = []  # the path's blocks, each holding the first point left: canonical
     children = {}  # state -> (indices taken, indices kept, next state): states recur
 
     def expand(state, pos):
         if not state[0]:
-            out.append(SetPartition._canonical(n, tuple(blocks)))
+            out.append(tuple(blocks))
             return
         kids = children.get(state)
         if kids is None:
@@ -230,5 +250,5 @@ def enumerate_nc_epsilon(entries, e):
             blocks.pop()
 
     expand((lab, (0,) * max(n - 1, 0)), range(1, n + 1))
-    out.sort(key=lambda p: p.blocks)
+    out.sort()
     return out

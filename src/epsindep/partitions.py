@@ -1,5 +1,5 @@
 """Set partitions of {1,...,n}: canonical form, restricted-growth strings,
-and the kernel of a tuple."""
+and refinement of the kernel of a tuple."""
 
 
 class SetPartition:
@@ -18,18 +18,6 @@ class SetPartition:
             raise ValueError(f"blocks do not partition 1..{n} into nonempty blocks")
         self.n = n
         self.blocks = tuple(canon)
-
-    @classmethod
-    def _canonical(cls, n, blocks):
-        """A partition from blocks that partition 1..n in canonical form,
-        as a tuple of tuples; nothing is checked."""
-        p = object.__new__(cls)
-        p.n = n
-        p.blocks = blocks
-        return p
-
-    def to_json(self):
-        return [list(b) for b in self.blocks]
 
     def __eq__(self, other):
         return (
@@ -76,14 +64,6 @@ def partitions_of_set(positions):
         # blocks open in order of their first point: canonical already
         out.append(tuple(map(tuple, blocks)))
     return out
-
-
-def kernel(entries):
-    """Partition of positions 1..n grouping equal values of the tuple."""
-    groups = {}
-    for pos, v in enumerate(entries, start=1):
-        groups.setdefault(v, []).append(pos)
-    return SetPartition(len(entries), list(groups.values()))
 
 
 def below_kernel(p, entries):

@@ -1,7 +1,7 @@
 """What only the tests call: set-partition combinatorics (non-crossing
-partitions, refinement, Bell and Catalan numbers), conversion wrappers,
-named tables and graphs, the cumulant route without its fold or splits,
-and the products-as-arguments harness (free
+partitions, the kernel of a tuple, refinement, Bell and Catalan numbers),
+conversion wrappers, named tables and graphs, the cumulant route without
+its fold or splits, and the products-as-arguments harness (free
 cumulants of one algebra's joint moments, by recursion over non-crossing
 partitions, against the product-in-first-slot expansion)."""
 
@@ -32,7 +32,15 @@ def block_indices(p):
 
 def enumerate_set_partitions(n):
     """All partitions of {1,...,n} in lexicographic RGS order; Bell(n) of them."""
-    return [SetPartition._canonical(n, blocks) for blocks in partitions_of_set(range(1, n + 1))]
+    return [SetPartition(n, blocks) for blocks in partitions_of_set(range(1, n + 1))]
+
+
+def kernel(entries):
+    """Partition of positions 1..n grouping equal values of the tuple."""
+    groups = {}
+    for pos, v in enumerate(entries, start=1):
+        groups.setdefault(v, []).append(pos)
+    return SetPartition(len(entries), list(groups.values()))
 
 
 def is_noncrossing(p):
@@ -137,7 +145,7 @@ def cumulant_by_first_blocks(entries, e, tables):
     label groups: the reference for moments.mixed_moment_cumulant."""
     e.check_tuple(entries)
     n = len(entries)
-    lab, against = encode(entries, e)
+    lab, against, _ = encode(entries, e)
     kappas = [
         {r: kappa for r, kappa in enumerate(tables[a].cumulants[:n]) if kappa}
         for a in sorted(set(entries))

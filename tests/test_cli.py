@@ -148,6 +148,18 @@ class TestMoment:
             assert captured.out == ""
             assert captured.err == "error: n=8 exceeds enumeration cap 3\n"
 
+    def test_cap_checked_before_tables(self, five_cycle, tmp_path, capsys):
+        # the length is checked before the distribution file is read, so
+        # an over-cap tuple never pays for its tables
+        graph, _ = five_cycle
+        dist = str(tmp_path / "missing.json")
+        argv = ["moment", "--graph", graph, "--dist", dist, "--tuple", ",".join(["x1"] * 13)]
+        code = main(argv + ["--cap", "12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: n=13 exceeds enumeration cap 12\n"
+
     def test_length_11_both_methods(self, five_cycle, capsys):
         # x1 and x3 commute, so the definition route sees two factors
         graph, dist = five_cycle
@@ -341,7 +353,7 @@ class TestCrosscheck:
     def test_membership_failure_example(self, monkeypatch):
         # flip the pairwise verdict on one partition: {1},{3} of label 0
         # and {2} of label 1 in the tuple (0, 1, 0), listed in that order
-        # by the check and reported in canonical to_json form
+        # by the check and reported in canonical form
         pairwise = crosscheck.noncrossing_masks
 
         def flipped(blocks, bars):
@@ -453,7 +465,6 @@ def test_public_names():
         "is_admissible_tuple",
         "is_epsilon_noncrossing",
         "kappa_pi",
-        "kernel",
         "mixed_moment_by_definition",
         "mixed_moment_cumulant",
         "moments",
@@ -637,10 +648,10 @@ class TestInputHandling:
 
     @pytest.mark.parametrize("command", ["enumerate", "moment"])
     def test_tuple_beyond_recursion_limit(self, tmp_path, capsys, command):
-        # enumeration recurses once per point and the cumulant route at
-        # most twice (a state's total, then its fold): with the limit
-        # lowered, a tuple of 300 points stands in for one of about 1,000
-        # (enumerate) or 500 (moment) at the default limit
+        # enumeration recurses once per point, and so does the cumulant
+        # route on this point mass (kappa_1 only, so it never folds): with
+        # the limit lowered, a tuple of 300 points stands in for one of
+        # about 1,000 at the default limit
         n = 300
         names = [f"x{k}" for k in range(n)]
         graph = tmp_path / "graph.json"

@@ -17,6 +17,7 @@ from epsindep import (
     mixed_moment_by_definition,
     mixed_moment_cumulant,
 )
+from epsindep.moments import FOLD_FROM
 from oracles import (
     complete_graph_matrix,
     cycle_graph_matrix,
@@ -128,6 +129,19 @@ class TestCumulantEvaluator:
         for entries in [(0, 1, 0, 1, 2, 0), (2, 0, 2, 1, 0, 1), (1, 0, 0, 1, 2, 2)]:
             for route in (mixed_moment_cumulant, mixed_moment_by_definition):
                 assert route(entries, e, by_moments) == route(entries, e, by_cumulants) != 0
+
+    @pytest.mark.parametrize("kind", [FREE, CLASSICAL])
+    def test_kappa_1_only_table_never_folds(self, kind, monkeypatch):
+        # a point mass has only kappa_1: no block takes a further point, so
+        # the route sums singletons however many points are eligible
+        def fold(*args):
+            raise AssertionError("folded a state whose table has only kappa_1")
+
+        monkeypatch.setattr("epsindep.moments._fold_first_block", fold)
+        n = 2 * FOLD_FROM
+        e = EpsilonMatrix(1, [], diag=[1 if kind == CLASSICAL else 0])
+        table = CumulantTable.from_moments(kind, [F(3, 2) ** k for k in range(1, n + 1)])
+        assert mixed_moment_cumulant((0,) * n, e, {0: table}) == F(3, 2) ** n
 
 
 class TestDefinitionEvaluator:

@@ -9,10 +9,10 @@ from epsindep import (
     SetPartition,
     enumerate_nc_epsilon,
     is_epsilon_noncrossing,
-    kernel,
     reduction_membership,
 )
 from epsindep.crosscheck import mask_partitions_below_kernel
+from epsindep.ncpartitions import encode
 from epsindep.partitions import partitions_of_set
 from oracles import (
     catalan_numbers,
@@ -20,6 +20,7 @@ from oracles import (
     empty_graph_matrix,
     enumerate_noncrossing,
     enumerate_set_partitions,
+    kernel,
     refines,
 )
 
@@ -30,8 +31,7 @@ def partitions_below_kernel(entries):
     per_block = [partitions_of_set(b) for b in kernel(entries).blocks]
     n = len(entries)
     for combo in product(*per_block):
-        # blocks are disjoint, so sorting them orders them by first point
-        yield SetPartition._canonical(n, tuple(sorted(blk for part in combo for blk in part)))
+        yield SetPartition(n, [blk for part in combo for blk in part])
 
 
 def all_matrices(size, diag=None):
@@ -112,16 +112,17 @@ class TestEquivalence:
     def test_battery_lists_every_partition_below_the_kernel_once(self):
         # the membership check's bitmask partitions, one set-partition
         # table per block size shared across tuples, against the
-        # block-by-block enumeration above
+        # block-by-block enumeration above; blocks carry encode's ranks
         tables = {}
         tuples = [(), (0,), (0, 0, 1, 0), (0, 1, 0, 1, 2, 0), (1, 1, 1, 1, 1), (0, 0, 0, 1, 1, 1)]
         for entries in tuples:
             n = len(entries)
+            lab, _, points = encode(entries, EpsilonMatrix(3))
             got = []
-            for blocks in mask_partitions_below_kernel(entries, tables):
-                points = [[j + 1 for j in range(n) if m >> j & 1] for m, _ in blocks]
-                assert all(entries[x - 1] == k for (_, k), b in zip(blocks, points) for x in b)
-                got.append(SetPartition(n, points))
+            for blocks in mask_partitions_below_kernel(points, tables):
+                pos = [[j + 1 for j in range(n) if m >> j & 1] for m, _ in blocks]
+                assert all(lab[x - 1] == k for (_, k), b in zip(blocks, pos) for x in b)
+                got.append(SetPartition(n, pos))
             assert sorted(got, key=lambda p: p.blocks) == sorted(
                 partitions_below_kernel(entries), key=lambda p: p.blocks
             )
@@ -131,7 +132,7 @@ class TestEnumeration:
     def test_constant_tuple_is_noncrossing_set(self):
         for e in all_matrices(2):
             got = enumerate_nc_epsilon((0,) * 3, e)
-            assert got == sorted(enumerate_noncrossing(3), key=lambda p: p.blocks)
+            assert got == sorted(p.blocks for p in enumerate_noncrossing(3))
 
     def test_alternating_free(self):
         got = enumerate_nc_epsilon((0, 1, 0, 1), FREE2)
@@ -140,12 +141,12 @@ class TestEnumeration:
             SetPartition(4, [[1], [2, 4], [3]]),
             SetPartition(4, [[1, 3], [2], [4]]),
         ]
-        assert got == sorted(expected, key=lambda p: p.blocks)
+        assert got == sorted(p.blocks for p in expected)
 
     def test_alternating_independent(self):
         got = enumerate_nc_epsilon((0, 1, 0, 1), INDEP2)
         assert len(got) == 4
-        assert CROSSING in got
+        assert CROSSING.blocks in got
 
     def test_all_zero_matches_restricted_noncrossing(self):
         for nlabels in (2, 3):
@@ -154,12 +155,7 @@ class TestEnumeration:
                 for entries in product(range(nlabels), repeat=n):
                     ker = kernel(entries)
                     expected = sorted(
-                        (
-                            p
-                            for p in enumerate_noncrossing(n)
-                            if refines(p, ker)
-                        ),
-                        key=lambda p: p.blocks,
+                        p.blocks for p in enumerate_noncrossing(n) if refines(p, ker)
                     )
                     assert enumerate_nc_epsilon(entries, e) == expected
 
@@ -194,7 +190,7 @@ class TestEnumeration:
             entries = tuple(rng.randrange(3) for _ in range(n))
             members = set(enumerate_nc_epsilon(entries, e))
             for p in partitions_below_kernel(entries):
-                base = p in members
+                base = p.blocks in members
                 pos = rng.randint(0, n)
                 new_entries = entries[:pos] + (rng.randrange(3),) + entries[pos:]
                 shifted = [

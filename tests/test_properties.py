@@ -2,7 +2,8 @@
 route against generate-and-test, against its fold-free form
 (oracles.cumulant_by_first_blocks) on long tuples and against the table's
 own moment on constant tuples, the greedy reduce-to-empty check against a
-literal search, the definition route and the group trace, both folds over
+literal search, the kernel test against the kernel partition's, the
+definition route and the group trace, both folds over
 graphgroup._fold_step, against literal expansions, the moment/cumulant
 conversions against each other and against partition sums, the word
 reducer, and the CLI's exit codes on random input files."""
@@ -37,13 +38,20 @@ from epsindep import (
     reduction_membership,
 )
 from epsindep.cli import main
-from epsindep.ncpartitions import bar_masks, noncrossing_masks, reduces_masks
+from epsindep.ncpartitions import (
+    bar_masks,
+    encode,
+    kernel_noncrossing,
+    noncrossing_masks,
+    reduces_masks,
+)
 from epsindep.partitions import restricted_growth
 from oracles import (
     bell_numbers,
     classical_cumulants_to_moments,
     cumulant_by_first_blocks,
     free_cumulants_to_moments,
+    kernel,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
     normalize_tuple,
@@ -75,7 +83,7 @@ def oracle_members(entries, e):
 @given(instances())
 def test_enumeration_matches_generate_and_test(instance):
     entries, e = instance
-    assert enumerate_nc_epsilon(entries, e) == oracle_members(entries, e)
+    assert enumerate_nc_epsilon(entries, e) == [p.blocks for p in oracle_members(entries, e)]
 
 
 @st.composite
@@ -328,10 +336,24 @@ def test_mask_cores_match_references(instance):
     """The battery's two cores on the tuple's bitmask encoding against the
     gap-bisecting pairwise test and the literal reduce-to-empty search."""
     entries, e, p = instance
-    bars = bar_masks(entries, e)
-    blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p.blocks]
+    lab, against, points = encode(entries, e)
+    bars = bar_masks(against, points)
+    blocks = [(sum(1 << (x - 1) for x in b), lab[b[0] - 1]) for b in p.blocks]
     assert noncrossing_masks(blocks, bars) == pairwise_by_gaps(p, entries, e)
     assert reduces_masks(blocks, bars, len(entries)) == reduces_to_empty(p, entries, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+@example(((0, 1, 0, 1), EpsilonMatrix(2)))  # the kernel crosses between free labels
+@example(((2, 0, 2, 0), EpsilonMatrix(3, [(0, 2)])))  # ... between independent ones
+def test_kernel_noncrossing_matches_kernel_partition(instance):
+    """The one-block-per-rank kernel test against the SetPartition wrapper
+    and the gap-bisecting pairwise test on the kernel partition."""
+    entries, e = instance
+    ker = kernel(entries)
+    want = is_epsilon_noncrossing(ker, entries, e)
+    assert kernel_noncrossing(entries, e) == want == pairwise_by_gaps(ker, entries, e)
 
 
 def stirling2(n, k):
@@ -496,7 +518,7 @@ def test_nc_set_maps_onto_image(instance):
     """Crossings and kernel refinement depend only on the cyclic order of
     the points and on which labels are equal or independent."""
     entries, e, _, image, image_e, _, moved = instance
-    want = {SetPartition(len(entries), [[moved(x) for x in b] for b in p.blocks])
+    want = {SetPartition(len(entries), [[moved(x) for x in b] for b in p]).blocks
             for p in enumerate_nc_epsilon(entries, e)}
     assert set(enumerate_nc_epsilon(image, image_e)) == want
 
