@@ -280,6 +280,8 @@ def main(argv=None):
     try:
         if args.cap is None:
             args.cap = default_cap()
+        elif args.cap < 1:
+            raise InputError(f"--cap must be a positive integer, got {args.cap}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -59,17 +59,17 @@ def canonical_instances(e, max_n, seen=None):
 
 def mask_partitions_below_kernel(points, tables):
     """All partitions refining the kernel of a tuple, given encode's points,
-    each a list of (block bitmask, its rank); tables maps a block size k
+    each a list of (block bitmask, its label); tables maps a block size k
     to the partitions of range(k) and gains the sizes missing."""
     per_block = []
-    for k, mask in enumerate(points):
-        bits = []  # rank k's positions as one-bit masks, ascending
+    for label, mask in points.items():
+        bits = []  # the label's positions as one-bit masks, ascending
         while mask:
             bits.append(mask & -mask)
             mask &= mask - 1
         if len(bits) not in tables:
             tables[len(bits)] = partitions_of_set(range(len(bits)))
-        per_block.append([[(sum(bits[i] for i in c), k) for c in q] for q in tables[len(bits)]])
+        per_block.append([[(sum(bits[i] for i in c), label) for c in q] for q in tables[len(bits)]])
     for combo in product(*per_block):
         yield [blk for part in combo for blk in part]
 
@@ -100,8 +100,8 @@ def membership_equivalence_check(result, entries, e, tables):
     block removal (no cache, no crossing test), for every partition below
     the kernel of the tuple, on one bitmask encoding of the tuple; tables
     as in mask_partitions_below_kernel."""
-    _, against, points = encode(entries, e)
-    bars = bar_masks(against, points)
+    points = encode(entries)
+    bars = bar_masks(e.against, points)
     for blocks in mask_partitions_below_kernel(points, tables):
         fast = noncrossing_masks(blocks, bars)
         slow = reduces_masks(blocks, bars, len(entries))

@@ -12,30 +12,34 @@ CLASSICAL = "classical"
 
 
 class EpsilonMatrix:
-    """Symmetric 0/1 matrix over labels 0..size-1, immutable."""
+    """Symmetric 0/1 matrix over labels 0..size-1, immutable, held as
+    against: one bitmask per label, bit j of against[i] set iff
+    eps(i, j) = 0 (the labels whose blocks may not cross i's)."""
 
-    __slots__ = ("size", "_mat", "labels")
+    __slots__ = ("size", "against", "labels")
 
     def __init__(self, size, offdiag_pairs=(), diag=None, labels=None):
         if labels is not None and len(labels) != size:
             raise InputError("labels length must equal size")
-        mat = [[0] * size for _ in range(size)]
+        # every label starts free of every other and of itself
+        against = [(1 << size) - 1] * size
         for a, b in offdiag_pairs:
             if not (0 <= a < size and 0 <= b < size):
                 raise DomainError(f"label pair ({a},{b}) out of range for size {size}")
             if a == b:
                 raise DomainError(f"self-loop ({a},{a}) not allowed")
-            mat[a][b] = 1
-            mat[b][a] = 1
+            against[a] &= ~(1 << b)
+            against[b] &= ~(1 << a)
         if diag is not None:
             if len(diag) != size:
                 raise DomainError("diagonal length must equal size")
             for i, d in enumerate(diag):
                 if d not in (0, 1):
                     raise DomainError("diagonal entries must be 0 or 1")
-                mat[i][i] = d
+                if d:
+                    against[i] &= ~(1 << i)
         self.size = size
-        self._mat = tuple(tuple(row) for row in mat)
+        self.against = tuple(against)
         self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
@@ -80,18 +84,14 @@ class EpsilonMatrix:
         return cls(len(names), pairs, diag=diag, labels=names)
 
     def eps(self, i, j):
-        return self._mat[i][j]
+        return 0 if self.against[i] >> j & 1 else 1
 
     def diagonal(self, i):
-        return self._mat[i][i]
+        return self.eps(i, i)
 
     def kind(self, i):
         """The cumulant kind of label i, fixed by its diagonal entry."""
-        return CLASSICAL if self._mat[i][i] == 1 else FREE
-
-    def independent(self, i, j):
-        """Off-diagonal commutation: distinct labels with eps = 1."""
-        return i != j and self._mat[i][j] == 1
+        return FREE if self.against[i] >> i & 1 else CLASSICAL
 
     def label_index(self, name):
         if self.labels is None:
@@ -107,13 +107,13 @@ class EpsilonMatrix:
                 raise DomainError(f"label {v} out of range for size {self.size}")
 
     def __eq__(self, other):
-        return isinstance(other, EpsilonMatrix) and self._mat == other._mat
+        return isinstance(other, EpsilonMatrix) and self.against == other.against
 
     def __hash__(self):
-        return hash(self._mat)
+        return hash(self.against)
 
     def __repr__(self):
-        return f"EpsilonMatrix({self.size}, {self._mat})"
+        return f"EpsilonMatrix({self.size}, against={self.against})"
 
 
 def is_admissible_tuple(entries, e):

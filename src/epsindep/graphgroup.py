@@ -19,6 +19,7 @@ def _append_syllable(word, lbl, exp, e):
 
     The merge target, if any, is the unique same-label syllable with
     only commuting syllables after it."""
+    bar = e.against[lbl]  # the labels that do not commute with lbl
     for idx in range(len(word) - 1, -1, -1):
         wl = word[idx][0]
         if wl == lbl:
@@ -26,7 +27,7 @@ def _append_syllable(word, lbl, exp, e):
             if merged:
                 return word[:idx] + ((lbl, merged),) + word[idx + 1 :]
             return word[:idx] + word[idx + 1 :]
-        if not e.independent(lbl, wl):
+        if bar >> wl & 1:
             break
     return word + ((lbl, exp),)
 

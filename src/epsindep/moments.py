@@ -7,7 +7,7 @@ from math import prod
 
 from .errors import TableError
 from .graphgroup import _fold_step, reduce_word
-from .ncpartitions import encode, eligible_points, first_blocks, kernel_noncrossing, trim_gaps
+from .ncpartitions import eligible_points, first_blocks, kernel_noncrossing, trim_gaps
 
 # Not called here: bench/worker.py wraps these module attributes to trace
 # the per-partition path, which now shows zero calls.
@@ -136,13 +136,14 @@ def mixed_moment_cumulant(entries, e, tables):
     n = len(entries)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
-    lab, against, _ = encode(entries, e)
-    # per label rank: {r: kappa(r + 1) * d ** (r + 1)} over the nonzero
+    # per label: {r: kappa(r + 1) * d ** (r + 1)} over the nonzero
     # cumulants, r (a block's further points) ascending
-    scaled = [
-        {r: kappa for r, kappa in enumerate(tables[a].scaled_cumulants[:n]) if kappa}
-        for a in sorted(set(entries))
-    ]
+    scaled = {
+        a: {r: kappa for r, kappa in enumerate(tables[a].scaled_cumulants[:n]) if kappa}
+        for a in set(entries)
+    }
+    present = sum([1 << a for a in scaled])
+    against = {a: e.against[a] & present for a in scaled}
     memo = {}
 
     def total(lab, gaps):
@@ -165,21 +166,22 @@ def mixed_moment_cumulant(entries, e, tables):
         memo[key] = value
         return value
 
+    lab = tuple(entries)
     value = 1
-    left = every = (1 << len(scaled)) - 1
+    left = present
     while left and value:
         # a component of the eps != 1 graph on the tuple's labels: its
         # blocks cross no other component's blocks and bar none of them
         comp = left & -left
         while True:
             grown = comp
-            for k in range(len(scaled)):
-                if comp >> k & 1:
-                    grown |= against[k]
+            for a, mask in against.items():
+                if comp >> a & 1:
+                    grown |= mask
             if grown == comp:
                 break
             comp = grown
-        part = lab if comp == every else tuple([k for k in lab if comp >> k & 1])
+        part = lab if comp == present else tuple([a for a in lab if comp >> a & 1])
         left &= ~comp
         value *= total(part, (0,) * (len(part) - 1))
     return Fraction(value, _scale(entries, tables))

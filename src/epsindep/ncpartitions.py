@@ -4,9 +4,10 @@ Membership has two routes: the pairwise-crossing characterization
 (production path) and the reduce-to-empty definition (verification
 oracle), decided by greedily removing a block that adjacent swaps of
 eps = 1 points can bring together; both are polynomial and keep no cache.
-Each is a core on blocks as (position bitmask, label rank) over encode,
-the one encoding of a tuple, wrapped for a SetPartition; kernel_noncrossing
-runs the pairwise core on the tuple's kernel, one block per rank.
+Each is a core on blocks as (position bitmask, label) over encode, the
+one encoding of a tuple, wrapped for a SetPartition; kernel_noncrossing
+runs the pairwise core on the tuple's kernel, one block per label.  A
+label is its own bit in every label mask, as in EpsilonMatrix.against.
 
 Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
 one state: the points not yet in a block, with a mask per gap of the
@@ -31,16 +32,15 @@ from .partitions import (
 
 
 def _masks(p, entries, e):
-    """Validate p; its blocks as (position bitmask, rank) and the tuple's
+    """Validate p; its blocks as (position bitmask, label) and the tuple's
     bar_masks, or None if p does not refine the kernel of the tuple."""
     if p.n != len(entries):
         raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
     e.check_tuple(entries)
     if not below_kernel(p, entries):
         return None
-    lab, against, points = encode(entries, e)
-    blocks = [(sum([1 << (x - 1) for x in b]), lab[b[0] - 1]) for b in p.blocks]
-    return blocks, bar_masks(against, points)
+    blocks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in p.blocks]
+    return blocks, bar_masks(e.against, encode(entries))
 
 
 def is_epsilon_noncrossing(p, entries, e):
@@ -53,13 +53,13 @@ def is_epsilon_noncrossing(p, entries, e):
 def kernel_noncrossing(entries, e):
     """True iff the kernel of the tuple, the partition of its positions
     by label, is epsilon-non-crossing."""
-    _, against, points = encode(entries, e)
-    return noncrossing_masks([(m, k) for k, m in enumerate(points)], bar_masks(against, points))
+    points = encode(entries)
+    return noncrossing_masks([(m, a) for a, m in points.items()], bar_masks(e.against, points))
 
 
 def noncrossing_masks(blocks, bars):
-    """The pairwise route on blocks as (position bitmask, label rank)
-    below the kernel: no two blocks whose labels have eps != 1 cross.
+    """The pairwise route on blocks as (position bitmask, label) below
+    the kernel: no two blocks whose labels have eps != 1 cross.
     Block b crosses block a iff b has points inside a's span and also
     points outside it or on both sides of some point of a."""
     for i, (a, k) in enumerate(blocks):
@@ -82,8 +82,8 @@ def reduction_membership(p, entries, e):
 
 
 def reduces_masks(blocks, bars, n):
-    """The reduce-to-empty route on blocks as (position bitmask, label
-    rank) below the kernel of a tuple of length n.
+    """The reduce-to-empty route on blocks as (position bitmask, label)
+    below the kernel of a tuple of length n.
 
     Swaps leave only the dependency order, the transitive closure of
     i < j with eps != 1 (for equal labels, the diagonal), and a block can
@@ -108,39 +108,26 @@ def reduces_masks(blocks, bars, n):
     return True
 
 
-def encode(entries, e):
-    """(lab, against, points): lab ranks each entry among the tuple's
-    labels, against[k] is the bitmask of ranks whose blocks may not cross
-    a block of rank k (eps != 1, so k among them), and points[k] that of
-    the positions of rank k (bit j for position j + 1)."""
-    labels = sorted(set(entries))
-    rank = {a: k for k, a in enumerate(labels)}
-    lab = tuple([rank[v] for v in entries])
-    points = [0] * len(labels)
-    for j, k in enumerate(lab):
-        points[k] |= 1 << j
-    against = []
-    for a in labels:
-        mask = 0
-        for j, b in enumerate(labels):
-            if e.eps(a, b) != 1:
-                mask |= 1 << j
-        against.append(mask)
-    return lab, against, points
+def encode(entries):
+    """points: each label of the tuple mapped to the bitmask of its
+    positions (bit j for position j + 1)."""
+    points = {}
+    for j, a in enumerate(entries):
+        points[a] = points.get(a, 0) | 1 << j
+    return points
 
 
 def bar_masks(against, points):
-    """bars[k] for each rank k of encode: the bitmask of positions whose
-    label has eps != 1 with rank k's, which can neither cross nor be
-    swapped past a block of rank k."""
-    bars = []
-    for mask in against:
-        bar = 0
-        for p in points:
-            if mask & 1:
-                bar |= p
-            mask >>= 1
-        bars.append(bar)
+    """bars[l] for each label l of points (see encode): the bitmask of
+    positions whose label has eps != 1 with l (bit set in against[l]),
+    which can neither cross nor be swapped past a block of label l."""
+    bars = {}
+    for a in points:
+        mask, bar = against[a], 0
+        for b, m in points.items():
+            if mask >> b & 1:
+                bar |= m
+        bars[a] = bar
     return bars
 
 
@@ -201,16 +188,17 @@ def first_blocks(lab, gaps, against, sizes, eligible):
     (ascending); block is a bitmask over the state's positions, and
     eligible is eligible_points(lab, gaps).
 
-    A state is the labels (ranks, see encode) of the points not yet in a
-    block, plus one bitmask per gap between consecutive points: the labels
-    whose blocks may not have points on both sides of that gap.  The
-    first point (label l) forms a block B with any set of later l-points
-    that lie before the first gap barring l.  A later block crosses B
-    exactly when it has points in two of B's gaps, that is, when it spans
-    a gap that held a point of B; so removing B marks those gaps with
-    against[l].  The singleton (r = 0) is always allowed, so every state
-    has a completion and a search that expands every size never
-    dead-ends.
+    A state is the labels of the points not yet in a block, plus one
+    bitmask per gap between consecutive points: the labels (bit l for
+    label l) whose blocks may not have points on both sides of that gap.
+    The first point (label l) forms a block B with any set of later
+    l-points that lie before the first gap barring l.  A later block
+    crosses B exactly when it has points in two of B's gaps, that is,
+    when it spans a gap that held a point of B; so removing B marks those
+    gaps with against[l], the labels with eps != 1 with l (as in
+    EpsilonMatrix.against).  The singleton (r = 0) is always allowed, so
+    every state has a completion and a search that expands every size
+    never dead-ends.
     """
     mark = against[lab[0]]
     for r in sizes:
@@ -228,7 +216,6 @@ def enumerate_nc_epsilon(entries, e):
     sorted, each as its blocks of points 1..n in canonical form."""
     n = len(entries)
     e.check_tuple(entries)
-    lab, against, _ = encode(entries, e)
     out = []
     blocks = []  # the path's blocks, each holding the first point left: canonical
     children = {}  # state -> (indices taken, indices kept, next state): states recur
@@ -242,13 +229,13 @@ def enumerate_nc_epsilon(entries, e):
             m = range(len(pos))
             kids = children[state] = [
                 ([j for j in m if block >> j & 1], [j for j in m if not block >> j & 1], nxt)
-                for _, block, nxt in first_blocks(*state, against, m, eligible_points(*state))
+                for _, block, nxt in first_blocks(*state, e.against, m, eligible_points(*state))
             ]
         for take, keep, nxt in kids:
             blocks.append(tuple([pos[j] for j in take]))
             expand(nxt, [pos[j] for j in keep])
             blocks.pop()
 
-    expand((lab, (0,) * max(n - 1, 0)), range(1, n + 1))
+    expand((tuple(entries), (0,) * max(n - 1, 0)), range(1, n + 1))
     out.sort()
     return out

@@ -17,7 +17,7 @@ from epsindep import (
     SetPartition,
     reduce_word,
 )
-from epsindep.ncpartitions import eligible_points, encode, first_blocks
+from epsindep.ncpartitions import eligible_points, first_blocks
 from epsindep.partitions import partitions_of_set
 
 
@@ -145,11 +145,10 @@ def cumulant_by_first_blocks(entries, e, tables):
     label groups: the reference for moments.mixed_moment_cumulant."""
     e.check_tuple(entries)
     n = len(entries)
-    lab, against, _ = encode(entries, e)
-    kappas = [
-        {r: kappa for r, kappa in enumerate(tables[a].cumulants[:n]) if kappa}
-        for a in sorted(set(entries))
-    ]
+    kappas = {
+        a: {r: kappa for r, kappa in enumerate(tables[a].cumulants[:n]) if kappa}
+        for a in set(entries)
+    }
     memo = {}
 
     def total(lab, gaps):
@@ -158,11 +157,11 @@ def cumulant_by_first_blocks(entries, e, tables):
         key = (lab, gaps)
         if key not in memo:
             sizes = kappas[lab[0]]
-            blocks = first_blocks(lab, gaps, against, sizes, eligible_points(lab, gaps))
+            blocks = first_blocks(lab, gaps, e.against, sizes, eligible_points(lab, gaps))
             memo[key] = sum((sizes[r] * total(*state) for r, _, state in blocks), Fraction(0))
         return memo[key]
 
-    return total(lab, (0,) * max(n - 1, 0))
+    return total(tuple(entries), (0,) * max(n - 1, 0))
 
 
 def cycle_graph_matrix(size):

@@ -714,6 +714,18 @@ class TestInputHandling:
         assert "EPSINDEP_MAX_N" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["enumerate", "moment"])
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_bad_cap_option(self, five_cycle, capsys, command, cap):
+        # rejected like a bad EPSINDEP_MAX_N, not met as a cap no tuple fits
+        graph, dist = five_cycle
+        argv = [command, "--graph", graph, "--tuple", "x1", "--cap", cap]
+        code = main(argv + (["--dist", dist] if command == "moment" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: --cap must be a positive integer, got {cap}\n"
+
     def test_cap_option_overrides_variable(self, tmp_path):
         # the membership check's blocks of 4 points are not held to
         # EPSINDEP_MAX_N once --cap is given

@@ -4,6 +4,8 @@ from itertools import combinations, product
 import pytest
 
 from epsindep import (
+    CLASSICAL,
+    FREE,
     DomainError,
     EpsilonMatrix,
     InputError,
@@ -87,6 +89,42 @@ class TestConstruction:
     def test_malformed_spec(self, spec):
         with pytest.raises(InputError):
             EpsilonMatrix.from_json(spec)
+
+
+class TestAgainstMasks:
+    def test_every_size_3_matrix(self):
+        # all pair sets x all diagonals, each pair given in both orders;
+        # a shuffled pair list builds an equal matrix with an equal hash
+        rng = random.Random(3)
+        pairs = list(combinations(range(3), 2))
+        distinct = set()
+        for mask in range(1 << len(pairs)):
+            chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            for diag in product((0, 1), repeat=3):
+                first = None
+                for flips in product((False, True), repeat=len(chosen)):
+                    given = [(b, a) if flip else (a, b) for (a, b), flip in zip(chosen, flips)]
+                    rng.shuffle(given)
+                    e = EpsilonMatrix(3, given, diag=list(diag))
+                    for a in range(3):
+                        assert e.diagonal(a) == e.eps(a, a) == diag[a]
+                        assert e.kind(a) == (CLASSICAL if diag[a] else FREE)
+                        for b in range(3):
+                            if a != b:
+                                assert e.eps(a, b) == ((min(a, b), max(a, b)) in chosen)
+                            assert e.against[a] >> b & 1 == 1 - e.eps(a, b)
+                    if first is None:
+                        first = e
+                    assert e == first and hash(e) == hash(first)
+                distinct.add(first)
+        assert len(distinct) == 8 * 8
+
+    def test_diagonal_of_other_types(self):
+        # True and 1.0 pass the 0-or-1 check, and set the diagonal as 1 does
+        e = EpsilonMatrix(3, diag=[True, 1.0, 0])
+        assert e == EpsilonMatrix(3, diag=[1, 1, 0])
+        assert hash(e) == hash(EpsilonMatrix(3, diag=[1, 1, 0]))
+        assert [e.diagonal(a) for a in range(3)] == [1, 1, 0]
 
 
 class TestAdmissibility:

@@ -58,7 +58,8 @@ class TestNormalForm:
                 (rng.randrange(3), rng.choice((-2, -1, 1, 2))) for _ in range(6)
             )
             for k in range(len(word) - 1):
-                if e.independent(word[k][0], word[k + 1][0]):
+                a, b = word[k][0], word[k + 1][0]
+                if a != b and e.eps(a, b):
                     swapped = (
                         word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
                     )

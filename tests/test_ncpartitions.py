@@ -112,16 +112,15 @@ class TestEquivalence:
     def test_battery_lists_every_partition_below_the_kernel_once(self):
         # the membership check's bitmask partitions, one set-partition
         # table per block size shared across tuples, against the
-        # block-by-block enumeration above; blocks carry encode's ranks
+        # block-by-block enumeration above; blocks carry their labels
         tables = {}
         tuples = [(), (0,), (0, 0, 1, 0), (0, 1, 0, 1, 2, 0), (1, 1, 1, 1, 1), (0, 0, 0, 1, 1, 1)]
         for entries in tuples:
             n = len(entries)
-            lab, _, points = encode(entries, EpsilonMatrix(3))
             got = []
-            for blocks in mask_partitions_below_kernel(points, tables):
+            for blocks in mask_partitions_below_kernel(encode(entries), tables):
                 pos = [[j + 1 for j in range(n) if m >> j & 1] for m, _ in blocks]
-                assert all(lab[x - 1] == k for (_, k), b in zip(blocks, pos) for x in b)
+                assert all(entries[x - 1] == k for (_, k), b in zip(blocks, pos) for x in b)
                 got.append(SetPartition(n, pos))
             assert sorted(got, key=lambda p: p.blocks) == sorted(
                 partitions_below_kernel(entries), key=lambda p: p.blocks

@@ -6,7 +6,8 @@ literal search, the kernel test against the kernel partition's, the
 definition route and the group trace, both folds over
 graphgroup._fold_step, against literal expansions, the moment/cumulant
 conversions against each other and against partition sums, the word
-reducer, and the CLI's exit codes on random input files."""
+reducer, every route's invariance under relabeling and under the dihedral
+symmetry, and the CLI's exit codes on random input files."""
 
 import io
 import json
@@ -28,6 +29,7 @@ from epsindep import (
     EpsilonMatrix,
     SetPartition,
     enumerate_nc_epsilon,
+    factorization_shortcut,
     generator_mixed_moment,
     is_admissible_tuple,
     is_epsilon_noncrossing,
@@ -38,6 +40,7 @@ from epsindep import (
     reduction_membership,
 )
 from epsindep.cli import main
+from epsindep.crosscheck import _restrict
 from epsindep.ncpartitions import (
     bar_masks,
     encode,
@@ -87,10 +90,10 @@ def test_enumeration_matches_generate_and_test(instance):
 
 
 @st.composite
-def with_sequences(draw, values, max_n=8, min_n=0):
+def with_sequences(draw, values, max_n=8, min_n=0, max_labels=4):
     """An instance plus one sequence per label, entries drawn from values,
     as long as the tuple (at least 1)."""
-    entries, e = draw(instances(max_n=max_n, min_n=min_n))
+    entries, e = draw(instances(max_labels=max_labels, max_n=max_n, min_n=min_n))
     n = max(len(entries), 1)
     return entries, e, {
         label: draw(st.lists(values, min_size=n, max_size=n)) for label in range(e.size)
@@ -336,9 +339,8 @@ def test_mask_cores_match_references(instance):
     """The battery's two cores on the tuple's bitmask encoding against the
     gap-bisecting pairwise test and the literal reduce-to-empty search."""
     entries, e, p = instance
-    lab, against, points = encode(entries, e)
-    bars = bar_masks(against, points)
-    blocks = [(sum(1 << (x - 1) for x in b), lab[b[0] - 1]) for b in p.blocks]
+    bars = bar_masks(e.against, encode(entries))
+    blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p.blocks]
     assert noncrossing_masks(blocks, bars) == pairwise_by_gaps(p, entries, e)
     assert reduces_masks(blocks, bars, len(entries)) == reduces_to_empty(p, entries, e)
 
@@ -348,7 +350,7 @@ def test_mask_cores_match_references(instance):
 @example(((0, 1, 0, 1), EpsilonMatrix(2)))  # the kernel crosses between free labels
 @example(((2, 0, 2, 0), EpsilonMatrix(3, [(0, 2)])))  # ... between independent ones
 def test_kernel_noncrossing_matches_kernel_partition(instance):
-    """The one-block-per-rank kernel test against the SetPartition wrapper
+    """The one-block-per-label kernel test against the SetPartition wrapper
     and the gap-bisecting pairwise test on the kernel partition."""
     entries, e = instance
     ker = kernel(entries)
@@ -449,8 +451,10 @@ def test_normal_form_invariant_under_commutations(word, swaps):
     word, e = word
     moved = list(word)
     for k in swaps:
-        if k + 1 < len(moved) and e.independent(moved[k][0], moved[k + 1][0]):
-            moved[k], moved[k + 1] = moved[k + 1], moved[k]
+        if k + 1 < len(moved):
+            a, b = moved[k][0], moved[k + 1][0]
+            if a != b and e.eps(a, b):
+                moved[k], moved[k + 1] = moved[k + 1], moved[k]
     assert reduce_word(tuple(moved) + inverse(word), e) == ()
 
 
@@ -537,6 +541,35 @@ def test_every_route_invariant_under_dihedral_image(instance):
     value = mixed_moment_by_definition(entries, e, tables)
     assert mixed_moment_by_definition(image, image_e, image_tables) == value
     assert generator_mixed_moment(image, image_e) == generator_mixed_moment(entries, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_sequences(rationals, max_labels=6))
+# only labels 3 and 5 of 6, independent, 3 classical, 5 first
+@example(((5, 3, 5, 3, 3), EpsilonMatrix(6, [(3, 5), (0, 1)], diag=[0, 0, 0, 1, 0, 0]), {
+    3: [Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(1), Fraction(3)],
+    5: [Fraction(0), Fraction(1), Fraction(2, 5), Fraction(-1), Fraction(1, 7)],
+}))
+# ... free of each other, so the kernel crosses; 5 classical
+@example(((3, 5, 3, 5, 5, 3), EpsilonMatrix(6, [(0, 5), (2, 3)], diag=[0, 0, 0, 0, 0, 1]), {
+    3: [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(0), Fraction(5)],
+    5: [Fraction(1, 2), Fraction(-2), Fraction(1), Fraction(3), Fraction(1, 4), Fraction(1)],
+}))
+def test_every_result_invariant_under_relabeling(instance):
+    """crosscheck checks canonical instances only: the tuple renumbered
+    by first occurrence, on the matrix restricted to its labels
+    (crosscheck._restrict).  Every route must give the canonical
+    instance's results on the tuple itself, whatever its labels are."""
+    entries, e, cumulants = instance
+    order = list(dict.fromkeys(entries))
+    canon = tuple(order.index(a) for a in entries)
+    ce = _restrict(e, order)
+    tables = cumulant_tables(e, cumulants)
+    canon_tables = {k: tables[a] for k, a in enumerate(order)}
+    for route in (mixed_moment_cumulant, mixed_moment_by_definition, factorization_shortcut):
+        assert route(canon, ce, canon_tables) == route(entries, e, tables)
+    for route in (kernel_noncrossing, enumerate_nc_epsilon, generator_mixed_moment):
+        assert route(canon, ce) == route(entries, e)
 
 
 # -- the CLI on random files: exit 0 or 2, never a traceback -----------------
