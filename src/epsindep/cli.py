@@ -150,7 +150,7 @@ def cmd_enumerate(args):
     entries, names = _parse_tuple(args.tuple, e)
     _check_cap(entries, args.cap)
     parts = enumerate_nc_epsilon(entries, e)
-    size = e.size
+    full = (1 << e.size) - 1
     payload = {
         "tuple": names,
         "count": len(parts),
@@ -159,12 +159,8 @@ def cmd_enumerate(args):
         "admissible_tuple": is_admissible_tuple(entries, e),
         "flags": {
             "constant_tuple": len(set(entries)) == 1,
-            "all_free": all(
-                e.eps(a, b) == 0 for a in range(size) for b in range(size) if a != b
-            ),
-            "all_independent": all(
-                e.eps(a, b) == 1 for a in range(size) for b in range(size) if a != b
-            ),
+            "all_free": all(bar | 1 << a == full for a, bar in enumerate(e.against)),
+            "all_independent": all(bar & ~(1 << a) == 0 for a, bar in enumerate(e.against)),
         },
     }
     _emit(payload, args.table)
@@ -189,12 +185,10 @@ def cmd_moment(args):
         "factorization_applies": short is not None,
         "factorization_value": format_fraction(short) if short is not None else None,
     }
-    ok = True
     if args.method == "both":
         payload["agree"] = values["cumulant"] == values["definition"]
-        ok = payload["agree"]
     _emit(payload, args.table)
-    return 0 if ok else 1
+    return 0 if payload.get("agree", True) else 1
 
 
 def cmd_crosscheck(args):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table
+from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table, format_fraction
 from .epsilon import EpsilonMatrix
 from .graphgroup import generator_mixed_moment
 from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
@@ -88,6 +88,15 @@ class CheckResult:
             if detail is not None and len(self.examples) < 5:
                 self.examples.append(detail)
 
+    def compare(self, entries, name_a, a, name_b, b):
+        """Record whether the rationals a and b agree; a failing case
+        keeps the tuple and both values, as "p/q", under their names."""
+        if a == b:
+            self.record(True)
+        else:
+            detail = {"tuple": list(entries), name_a: format_fraction(a), name_b: format_fraction(b)}
+            self.record(False, detail)
+
     def to_json(self):
         out = {"name": self.name, "cases": self.cases, "failures": self.failures}
         if self.examples:
@@ -141,10 +150,7 @@ def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
             moments[-1] += 1
             tables = {**tables, lbl: CumulantTable.from_moments(tables[lbl].kind, moments)}
         b = mixed_moment_by_definition(entries, e, tables)
-        result.record(
-            a == b,
-            detail={"tuple": list(entries), "cumulant": str(a), "definition": str(b)},
-        )
+        result.compare(entries, "cumulant", a, "definition", b)
     return result
 
 
@@ -152,10 +158,7 @@ def group_model_check(result, entries, e, value):
     """Trace of the product of u+u^{-1} in the graph product group vs
     value, the tuple's cumulant sum with arcsine tables."""
     group_value = generator_mixed_moment(entries, e)
-    result.record(
-        group_value == value,
-        detail={"tuple": list(entries), "group": str(group_value), "cumulant": str(value)},
-    )
+    result.compare(entries, "group", group_value, "cumulant", value)
 
 
 def factorization_check(result, entries, e, tables, value):
@@ -163,10 +166,7 @@ def factorization_check(result, entries, e, tables, value):
     vs value, the cumulant sum on the same tables."""
     short = factorization_shortcut(entries, e, tables)
     if short is not None:
-        result.record(
-            short == value,
-            detail={"tuple": list(entries), "shortcut": str(short), "full": str(value)},
-        )
+        result.compare(entries, "shortcut", short, "full", value)
 
 
 def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):

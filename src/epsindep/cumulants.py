@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .epsilon import CLASSICAL, FREE
-from .errors import DomainError, InputError, TableError, excerpt
+from .errors import DomainError, InputError, TableError, excerpt, unlimited_int_digits
 from .partitions import below_kernel
 
 
@@ -184,18 +184,9 @@ def parse_fraction(text):
 
 
 def format_fraction(f):
-    """f as "p/q", exactly: the interpreter's limit on the digits of an
-    int-to-str conversion (3.10.7 and later) is lifted while formatting."""
+    """f as "p/q", exactly, whatever its number of digits."""
     f = Fraction(f)
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return f"{f.numerator}/{f.denominator}"
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        return f"{f.numerator}/{f.denominator}"
-    finally:
-        set_limit(limit)
+    return unlimited_int_digits(lambda: f"{f.numerator}/{f.denominator}")
 
 
 # the named laws of a distribution spec, each with its parameter's key
@@ -235,12 +226,12 @@ def spec_moments(spec, order=12):
             raise InputError(f"'moments' must be a non-empty array: {excerpt(spec)}")
         return kind, [parse_fraction(m) for m in spec["moments"]]
     if name == "semicircle":
-        variance = parse_fraction(str(spec.get("variance", "1")))
+        variance = parse_fraction(spec.get("variance", "1"))
         cumulants = ([Fraction(0), variance] + [Fraction(0)] * order)[:order]
         return kind, CumulantTable(FREE, cumulants).moments()
     if name == "arcsine":
         return kind, arcsine_moments(order)
     if name == "bernoulli":
         return kind, bernoulli_moments(order)
-    value = parse_fraction(str(spec.get("value", "1")))
+    value = parse_fraction(spec.get("value", "1"))
     return kind, point_mass_moments(value, order)

@@ -6,6 +6,7 @@ per-algebra convention: 0 = free cumulants (default), 1 = classical.
 """
 
 from .errors import DomainError, InputError, excerpt
+from .graphgroup import reduce_word
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -119,17 +120,11 @@ class EpsilonMatrix:
 def is_admissible_tuple(entries, e):
     """Membership in the admissible tuple set: whenever i(k)=i(l), some
     position strictly between carries a different label that is free
-    from it (eps = 0)."""
-    e.check_tuple(entries)
-    n = len(entries)
-    for k in range(n):
-        for l in range(k + 1, n):
-            if entries[k] != entries[l]:
-                continue
-            if not any(
-                entries[p] != entries[k] and e.eps(entries[k], entries[p]) == 0
-                for p in range(k + 1, l)
-            ):
-                return False
-    return True
+    from it (eps = 0).
 
+    Decided by the reducer on the word of the entries' single powers:
+    _append_syllable merges a syllable into the latest same-label one
+    with only commuting labels after it, so nothing merges, and the word
+    keeps its length, iff a free label separates every repeated label."""
+    e.check_tuple(entries)
+    return len(reduce_word(((a, 1) for a in entries), e)) == len(entries)

@@ -1,9 +1,10 @@
 """What only the tests call: set-partition combinatorics (non-crossing
 partitions, the kernel of a tuple, refinement, Bell and Catalan numbers),
-conversion wrappers, named tables and graphs, the cumulant route without
-its fold or splits, and the products-as-arguments harness (free
-cumulants of one algebra's joint moments, by recursion over non-crossing
-partitions, against the product-in-first-slot expansion)."""
+conversion wrappers, named tables and graphs, admissibility by its
+definition, the cumulant route without its fold or splits, and the
+products-as-arguments harness (free cumulants of one algebra's joint
+moments, by recursion over non-crossing partitions, against the
+product-in-first-slot expansion)."""
 
 from fractions import Fraction
 
@@ -136,6 +137,24 @@ def normalize_tuple(entries, e):
     e.check_tuple(entries)
     factors = reduce_word(((lbl, [pos]) for pos, lbl in enumerate(entries, start=1)), e)
     return tuple(f[0] for f in factors), [f[1] for f in factors]
+
+
+def admissible_by_definition(entries, e):
+    """The admissible tuple set by its definition, a pairwise scan:
+    whenever i(k)=i(l), some position strictly between carries a
+    different label that is free from it (eps = 0).  The reference for
+    epsilon.is_admissible_tuple, which decides it by reduce_word."""
+    n = len(entries)
+    for k in range(n):
+        for l in range(k + 1, n):
+            if entries[k] != entries[l]:
+                continue
+            if not any(
+                entries[p] != entries[k] and e.eps(entries[k], entries[p]) == 0
+                for p in range(k + 1, l)
+            ):
+                return False
+    return True
 
 
 def cumulant_by_first_blocks(entries, e, tables):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -45,11 +46,12 @@ def run(capsys, argv):
     return code, out
 
 
-def run_with_cap_variable(value, argv):
-    """The CLI in a fresh interpreter with EPSINDEP_MAX_N set to value."""
+def run_fresh(argv, **variables):
+    """The CLI in a fresh interpreter, with the environment variables
+    given set: its whole stdout and stderr, tracebacks included."""
     src = str(Path(epsindep.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, EPSINDEP_MAX_N=value, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **variables)
     argv = [sys.executable, "-m", "epsindep.cli"] + argv
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
 
@@ -90,6 +92,24 @@ class TestEnumerate:
         code = main(["enumerate", "--graph", graph, "--cap", "3", "--tuple", "x1,x2,x1,x2"])
         assert code == 2
         assert capsys.readouterr().err == "error: n=4 exceeds enumeration cap 3\n"
+
+    def test_flags_follow_the_off_diagonal(self, tmp_path, capsys):
+        # every graph on 1-3 labels with every diagonal: all_free iff no
+        # pair is independent, all_independent iff every pair is
+        graph = tmp_path / "graph.json"
+        for labels in (["a"], ["a", "b"], ["a", "b", "c"]):
+            pairs = list(combinations(labels, 2))
+            for mask in range(1 << len(pairs)):
+                chosen = [list(p) for k, p in enumerate(pairs) if mask >> k & 1]
+                for diag in product((0, 1), repeat=len(labels)):
+                    spec = {"labels": labels, "independent_pairs": chosen}
+                    spec["diagonal"] = dict(zip(labels, diag))
+                    graph.write_text(json.dumps(spec))
+                    code, out = run(capsys, ["enumerate", "--graph", str(graph), "--tuple", "a"])
+                    assert code == 0
+                    flags = json.loads(out)["flags"]
+                    assert flags["all_free"] == (not chosen)
+                    assert flags["all_independent"] == (len(chosen) == len(pairs))
 
 
 class TestMoment:
@@ -535,6 +555,53 @@ class TestInputHandling:
         assert len(captured.err) < 300
 
     @pytest.mark.parametrize(
+        "graph_text, dist_text",
+        [
+            ('{"labels": [1e4300]}', None),
+            ('{"labels": ["a"], "independent_pairs": [["a", 1e4300]]}', None),
+            ('{"labels": ["a"]}', '[{"label": 1e4300, "named": "arcsine"}]'),
+            ('{"labels": ["a"]}', '{"a": {"named": "arcsine", "kind": 1e4300}}'),
+        ],
+        ids=["graph-label", "graph-pair", "dist-label", "dist-kind"],
+    )
+    def test_long_number_echoed_in_error(self, tmp_path, graph_text, dist_text):
+        # the rejected value, 10**4300, has more digits than the
+        # interpreter converts to str by default; its excerpt does not
+        graph = tmp_path / "graph.json"
+        graph.write_text(graph_text)
+        argv = ["enumerate", "--graph", str(graph), "--tuple", "a"]
+        if dist_text is not None:
+            dist = tmp_path / "dist.json"
+            dist.write_text(dist_text)
+            argv = ["moment", "--dist", str(dist)] + argv[1:]
+        proc = run_fresh(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "named, key, numeral, tuple_arg",
+        [("point_mass", "value", "1e4300", "a"), ("semicircle", "variance", "1e-4300", "a,a")],
+    )
+    def test_named_parameter_literal_or_string(
+        self, tmp_path, capsys, named, key, numeral, tuple_arg
+    ):
+        # a JSON number literal reaches the law as the rational json read,
+        # a string through parse_fraction: one value, one output
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"]}))
+        dist = tmp_path / "dist.json"
+        outputs = []
+        for value in (numeral, f'"{numeral}"'):
+            dist.write_text('{"a": {"named": "%s", "%s": %s}}' % (named, key, value))
+            argv = ["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg]
+            outputs.append(run(capsys, argv))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
         "graph_spec, dist_spec, tuple_arg",
         [
             ({"labels": ["x1", "x2"]}, {"x1": {"moments": ["1"]}}, "x1," + NINES),
@@ -707,7 +774,7 @@ class TestInputHandling:
     def test_bad_cap_variable(self, five_cycle, value):
         # read when a command needs the default cap, not at import
         graph, _ = five_cycle
-        proc = run_with_cap_variable(value, ["enumerate", "--graph", graph, "--tuple", "x1"])
+        proc = run_fresh(["enumerate", "--graph", graph, "--tuple", "x1"], EPSINDEP_MAX_N=value)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("input error:")
@@ -732,7 +799,7 @@ class TestInputHandling:
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps({"labels": ["a", "b"]}))
         argv = ["crosscheck", "--graph", str(graph), "--cap", "6", "--max-n", "5", "--instances", "2"]
-        proc = run_with_cap_variable("3", argv)
+        proc = run_fresh(argv, EPSINDEP_MAX_N="3")
         assert proc.stderr == ""
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_failures"] == 0

@@ -11,7 +11,12 @@ from epsindep import (
     InputError,
     is_admissible_tuple,
 )
-from oracles import complete_graph_matrix, cycle_graph_matrix, empty_graph_matrix
+from oracles import (
+    admissible_by_definition,
+    complete_graph_matrix,
+    cycle_graph_matrix,
+    empty_graph_matrix,
+)
 
 
 def all_matrices(size, diag=None):
@@ -148,6 +153,16 @@ class TestAdmissibility:
             for entries in product(range(3), repeat=n):
                 expected = all(a != b for a, b in zip(entries, entries[1:]))
                 assert is_admissible_tuple(entries, e) == expected
+
+    def test_matches_definition_three_labels_exhaustive(self):
+        # every matrix on 3 labels, all 8 diagonals, every tuple of
+        # length 0-6: the reducer's fixed points are the admissible tuples
+        for diag in product((0, 1), repeat=3):
+            for e in all_matrices(3, diag):
+                for n in range(7):
+                    for entries in product(range(3), repeat=n):
+                        expected = admissible_by_definition(entries, e)
+                        assert is_admissible_tuple(entries, e) == expected
 
     def test_swap_invariance_three_labels_exhaustive(self):
         for e in all_matrices(3):

@@ -11,6 +11,7 @@ of the current code (only when a change of output is intended):
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stdout
 
@@ -74,7 +75,7 @@ CASES = [
 ]
 
 
-def run_cases():
+def run_cases(cases=CASES):
     """[argv, exit code, stdout] per case, with the fixed graph and
     distributions written to a temporary directory; a moment case names
     its distribution after --dist, arcsine if it names none."""
@@ -84,7 +85,7 @@ def run_cases():
         for name, data in dict(DISTS, graph=GRAPH).items():
             with open(files[name], "w") as fh:
                 json.dump(data, fh)
-        for case in CASES:
+        for case in cases:
             argv = [case[0], "--graph", files["graph"]] + case[1:]
             if "--dist" in argv:
                 at = argv.index("--dist") + 1
@@ -102,6 +103,18 @@ def test_cli_output_matches_golden_file():
     with open(FIXTURE) as fh:
         want = json.load(fh)
     assert run_cases() == want
+
+
+def test_corrupt_examples_print_p_over_q():
+    # the failing cases the corrupted battery reports hold integers too,
+    # printed as "p/1" like every rational of the CLI
+    case = ["crosscheck", "--max-n", "4", "--instances", "20", "--self-test-corrupt"]
+    [(_, code, out)] = run_cases([case])
+    assert code == 1
+    examples = [ex for check in json.loads(out)["checks"] for ex in check.get("examples", [])]
+    values = [v for ex in examples for v in ex.values() if isinstance(v, str)]
+    assert values
+    assert all(re.fullmatch(r"-?\d+/\d+", v) for v in values)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from epsindep import (
 )
 from epsindep.moments import FOLD_FROM
 from oracles import (
+    admissible_by_definition,
     complete_graph_matrix,
     cycle_graph_matrix,
     empty_graph_matrix,
@@ -75,7 +76,7 @@ class TestNormalizeTuple:
             n = rng.randint(1, 7)
             entries = tuple(rng.randrange(4) for _ in range(n))
             labels, groups = normalize_tuple(entries, e)
-            assert is_admissible_tuple(labels, e)
+            assert admissible_by_definition(labels, e)
             flat = sorted(x for g in groups for x in g)
             assert flat == list(range(1, n + 1))
             for lbl, g in zip(labels, groups):

@@ -31,7 +31,6 @@ from epsindep import (
     enumerate_nc_epsilon,
     factorization_shortcut,
     generator_mixed_moment,
-    is_admissible_tuple,
     is_epsilon_noncrossing,
     kappa_pi,
     mixed_moment_by_definition,
@@ -50,6 +49,7 @@ from epsindep.ncpartitions import (
 )
 from epsindep.partitions import restricted_growth
 from oracles import (
+    admissible_by_definition,
     bell_numbers,
     classical_cumulants_to_moments,
     cumulant_by_first_blocks,
@@ -470,7 +470,7 @@ def test_word_times_inverse_reduces_to_empty(word):
 def test_reduction_keeps_exactly_the_admissible_tuples(instance):
     entries, e = instance
     reduced = reduce_word(((lbl, 1) for lbl in entries), e)
-    assert (len(reduced) == len(entries)) == is_admissible_tuple(entries, e)
+    assert (len(reduced) == len(entries)) == admissible_by_definition(entries, e)
 
 
 @settings(max_examples=200, deadline=None)
