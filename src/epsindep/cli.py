@@ -78,10 +78,12 @@ def _parse_tuple(text, e):
 
 
 def _load_tables(path, e, entries):
-    """Validate every spec in the distribution file, then generate moments
-    and build tables for the tuple's labels only, to order len(entries).
-    A label's kind is fixed by the graph's diagonal; a spec that names
-    another kind is rejected, whether its label is used or not."""
+    """Validate every spec in the distribution file, then build a table
+    for each label of the tuple from its first entries.count(label)
+    moments, the most any evaluator reads of it (named distributions are
+    generated to that order, 0 for a label outside the tuple).  A label's
+    kind is fixed by the graph's diagonal; a spec that names another kind
+    is rejected, whether its label is used or not."""
     data = _load_json(path)
     if isinstance(data, dict):
         for name, spec in data.items():
@@ -95,7 +97,6 @@ def _load_tables(path, e, entries):
         ]
     if not isinstance(data, list):
         raise InputError("distribution file must be a JSON array or object")
-    n = len(entries)
     specs = {}
     for spec in data:
         if not isinstance(spec, dict) or "label" not in spec:
@@ -104,18 +105,24 @@ def _load_tables(path, e, entries):
         if idx in specs:
             raise InputError(f"label {excerpt(spec['label'])} has more than one spec")
         kind = e.kind(idx)
-        given, moments = spec_moments({"kind": kind, **spec}, n if idx in entries else 0)
+        given, moments = spec_moments({"kind": kind, **spec}, entries.count(idx))
         if given != kind:
             raise InputError(
                 f"label {excerpt(spec['label'])} has diagonal {e.diagonal(idx)}, so its kind is "
                 f"{kind}, but its spec gives kind {given!r}"
             )
         specs[idx] = kind, moments
-    return {
-        idx: CumulantTable.from_moments(kind, moments[:n])
-        for idx, (kind, moments) in specs.items()
-        if idx in entries
-    }
+    tables = {}
+    for idx in dict.fromkeys(entries):
+        count = entries.count(idx)
+        kind, moments = specs.get(idx, (None, None))
+        if moments is None or len(moments) < count:
+            given = "no spec" if moments is None else f"its spec gives {len(moments)} moments"
+            raise InputError(
+                f"label {excerpt(e.labels[idx])} has multiplicity {count} in the tuple, but {given}"
+            )
+        tables[idx] = CumulantTable.from_moments(kind, moments[:count])
+    return tables
 
 
 def _emit(payload, table_mode):

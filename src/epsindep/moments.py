@@ -16,6 +16,9 @@ from .ncpartitions import enumerate_nc_epsilon  # noqa: F401
 
 
 def _check_tables(entries, e, tables):
+    """Each label of the tuple needs a table of its kind to order
+    entries.count(label), and no route reads further: a block, a merged
+    power or a kernel block of a label has at most that many points."""
     for label in set(entries):
         if label not in tables:
             raise TableError(f"no table for label {label}")
@@ -26,11 +29,9 @@ def _check_tables(entries, e, tables):
                 f"label {label} has diagonal {e.diagonal(label)} but a "
                 f"{table.kind} table (expected {want})"
             )
-        if table.max_order < len(entries):
-            raise TableError(
-                f"table for label {label} covers order {table.max_order}, "
-                f"need {len(entries)}"
-            )
+        need = entries.count(label)
+        if table.max_order < need:
+            raise TableError(f"table for label {label} covers order {table.max_order}, need {need}")
 
 
 def _scale(entries, tables):
@@ -237,9 +238,9 @@ def factorization_shortcut(entries, e, tables):
     """If the kernel itself is epsilon-non-crossing the moment factorizes
     over kernel blocks; returns None when the shortcut does not apply."""
     e.check_tuple(entries)
+    _check_tables(entries, e, tables)
     if not kernel_noncrossing(entries, e):
         return None
-    _check_tables(entries, e, tables)
     total = prod(tables[a].scaled_moments[entries.count(a) - 1] for a in set(entries))
     return Fraction(total, _scale(entries, tables))
 

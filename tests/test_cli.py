@@ -328,6 +328,44 @@ class TestMoment:
         assert captured.err.startswith("input error:")
         assert "'a'" in captured.err and "'b'" in captured.err
 
+    @pytest.mark.parametrize(
+        "spec, tuple_arg, label",
+        [({"a": {"named": "arcsine"}}, "a,b", "b"), ({"a": {"moments": ["1", "2"]}}, "a,a,a", "a")],
+        ids=["no-spec", "short-spec"],
+    )
+    def test_missing_moments_name_the_label(self, tmp_path, capsys, spec, tuple_arg, label):
+        # the label as the user wrote it, not its index in the graph
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a", "b"]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(spec))
+        code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: label {label!r} has multiplicity")
+
+    def test_moments_to_each_labels_multiplicity(self, five_cycle, tmp_path, capsys):
+        # x1,x2,x1,x2,x3 reads x1 and x2 to order 2 and x3 to order 1, so
+        # specs that long print what specs to the tuple's length print
+        graph, _ = five_cycle
+        moments = {
+            "x1": ["1/2", "3", "-1/3", "2", "5"],
+            "x2": ["2", "1/5", "7", "0", "1"],
+            "x3": ["-1", "4", "1/7", "3", "2"],
+        }
+        outs = []
+        for orders in ({"x1": 2, "x2": 2, "x3": 1}, {"x1": 5, "x2": 5, "x3": 5}):
+            dist = tmp_path / "dist.json"
+            spec = {name: {"moments": seq[: orders[name]]} for name, seq in moments.items()}
+            dist.write_text(json.dumps(spec))
+            argv = ["moment", "--graph", graph, "--dist", str(dist), "--tuple", "x1,x2,x1,x2,x3"]
+            code, out = run(capsys, argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["agree"] is True
+
     def test_missing_distribution(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "short.json"

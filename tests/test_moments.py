@@ -115,6 +115,15 @@ class TestCumulantEvaluator:
         with pytest.raises(TableError):
             route((0,) * 5, FREE2, {0: semicircle_table(1, 4), 1: semicircle_table(1, 4)})
 
+    @routes
+    def test_order_of_multiplicity(self, route):
+        # each table need only reach its label's multiplicity, 4 and 2,
+        # not the tuple's length 6: phi(x0^4) phi(x1^2) = 2 * 2
+        entries = (0, 1, 0, 1, 0, 0)
+        full = {0: semicircle_table(1, 6), 1: semicircle_table(2, 6)}
+        cut = {0: semicircle_table(1, 4), 1: semicircle_table(2, 2)}
+        assert route(entries, INDEP2, cut) == route(entries, INDEP2, full) == F(4)
+
     def test_tables_built_either_way(self):
         # equal laws with different d: from the moments d = 105, from the
         # cumulants 1,488,375 (free) or 297,675 (classical)

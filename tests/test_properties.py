@@ -7,7 +7,8 @@ definition route and the group trace, both folds over
 graphgroup._fold_step, against literal expansions, the moment/cumulant
 conversions against each other and against partition sums, the word
 reducer, every route's invariance under relabeling and under the dihedral
-symmetry, and the CLI's exit codes on random input files."""
+symmetry, the order to which every route reads each table, and the CLI's
+exit codes on random input files."""
 
 import io
 import json
@@ -19,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from epsindep import (
     CumulantTable,
     EpsilonMatrix,
     SetPartition,
+    TableError,
     enumerate_nc_epsilon,
     factorization_shortcut,
     generator_mixed_moment,
@@ -570,6 +573,26 @@ def test_every_result_invariant_under_relabeling(instance):
         assert route(canon, ce, canon_tables) == route(entries, e, tables)
     for route in (kernel_noncrossing, enumerate_nc_epsilon, generator_mixed_moment):
         assert route(canon, ce) == route(entries, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_sequences(rationals))
+def test_tables_to_each_labels_multiplicity(instance):
+    """Every route reads label l's table only to l's multiplicity in the
+    tuple: tables cut to it give the full tables' values exactly, and a
+    table one order shorter is refused."""
+    entries, e, moments = instance
+    routes = (mixed_moment_cumulant, mixed_moment_by_definition, factorization_shortcut)
+    full = moment_tables(e, moments)
+    cut = moment_tables(e, {a: moments[a][: entries.count(a)] for a in set(entries)})
+    for route in routes:
+        assert route(entries, e, cut) == route(entries, e, full)
+    for a in set(entries):
+        if entries.count(a) >= 2:
+            short = {**cut, **moment_tables(e, {a: moments[a][: entries.count(a) - 1]})}
+            for route in routes:
+                with pytest.raises(TableError):
+                    route(entries, e, short)
 
 
 # -- the CLI on random files: exit 0 or 2, never a traceback -----------------
