@@ -123,32 +123,25 @@ def membership_equivalence_check(result, entries, e, tables):
             result.record(False, detail)
 
 
-def _random_tables(rng, e, entries):
-    """Random moments p/q, |p| <= 20 and 1 <= q <= 20, of order
-    len(entries) for every label, drawn in label order; tables only for
-    the labels of the tuple."""
-    tables = {}
-    for label in range(e.size):
-        moments = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(len(entries))]
-        if label in entries:
-            tables[label] = CumulantTable.from_moments(e.kind(label), moments)
-    return tables
-
-
 def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
     """Cumulant-formula evaluator vs definition-based centering recursion
-    on random tuples with random rational moment data."""
+    on random tuples.  Each label of the tuple, in sorted order, draws one
+    moment p/q (|p| <= 20, 1 <= q <= 20) per point, as far as any evaluator
+    reads; corrupt raises the last, m_k, of entries[0]'s label by 1 for the
+    definition route: the highest moment of that label the tuple reads."""
     result = CheckResult("evaluator_equivalence")
     for _ in range(instances):
         n = rng.randint(1, max_n)
         entries = tuple(rng.randrange(e.size) for _ in range(n))
-        tables = _random_tables(rng, e, entries)
+        drawn, tables = {}, {}
+        for label in sorted(set(entries)):
+            k = entries.count(label)
+            drawn[label] = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(k)]
+            tables[label] = CumulantTable.from_moments(e.kind(label), drawn[label])
         a = mixed_moment_cumulant(entries, e, tables)
         if corrupt:
-            lbl = entries[0]
-            moments = tables[lbl].moments()
-            moments[-1] += 1
-            tables = {**tables, lbl: CumulantTable.from_moments(tables[lbl].kind, moments)}
+            drawn[entries[0]][-1] += 1
+            tables[entries[0]] = CumulantTable.from_moments(e.kind(entries[0]), drawn[entries[0]])
         b = mixed_moment_by_definition(entries, e, tables)
         result.compare(entries, "cumulant", a, "definition", b)
     return result

@@ -47,10 +47,16 @@ class EpsilonMatrix:
     def from_json(cls, data):
         """Schema: {"labels": [name, ...], "independent_pairs": [[a,b],...],
         "diagonal": {name: 0|1}} -- names are strings, pair entries are
-        label names."""
+        label names; any other key is an input error."""
         names = data.get("labels") if isinstance(data, dict) else None
         if not isinstance(names, list):
             raise InputError("graph spec must contain a 'labels' array")
+        allowed = ("labels", "independent_pairs", "diagonal")
+        for key in data:
+            if key not in allowed:
+                raise InputError(
+                    f"unknown key {excerpt(key)} in graph spec (allowed: {', '.join(allowed)})"
+                )
         for name in names:
             if not isinstance(name, str):
                 raise InputError(f"label names must be strings, not {excerpt(name)}")

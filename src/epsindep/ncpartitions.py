@@ -213,7 +213,8 @@ def first_blocks(lab, gaps, against, sizes, eligible):
 
 def enumerate_nc_epsilon(entries, e):
     """The epsilon-non-crossing partitions below the kernel of the tuple,
-    sorted, each as its blocks of points 1..n in canonical form."""
+    each as its blocks of points 1..n in canonical form, in sorted order:
+    the expansion visits each state's children sorted by the points taken."""
     n = len(entries)
     e.check_tuple(entries)
     out = []
@@ -231,11 +232,11 @@ def enumerate_nc_epsilon(entries, e):
                 ([j for j in m if block >> j & 1], [j for j in m if not block >> j & 1], nxt)
                 for _, block, nxt in first_blocks(*state, e.against, m, eligible_points(*state))
             ]
+            kids.sort(key=lambda kid: kid[0])  # by indices taken; states never compare
         for take, keep, nxt in kids:
             blocks.append(tuple([pos[j] for j in take]))
             expand(nxt, [pos[j] for j in keep])
             blocks.pop()
 
     expand((tuple(entries), (0,) * max(n - 1, 0)), range(1, n + 1))
-    out.sort()
     return out

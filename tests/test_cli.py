@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, product
@@ -430,6 +431,34 @@ class TestCrosscheck:
         assert report["total_failures"] == 1
 
     @pytest.mark.parametrize(
+        "route, check, keys",
+        [
+            ("generator_mixed_moment", "group_model", {"tuple", "group", "cumulant"}),
+            ("factorization_shortcut", "factorization", {"tuple", "shortcut", "full"}),
+        ],
+    )
+    def test_value_check_failure_example(self, five_cycle, capsys, monkeypatch, route, check, keys):
+        # one route of a value check returns its value plus 1: the check
+        # fails, exit 1, and its examples print both values as "p/q"
+        exact = getattr(crosscheck, route)
+
+        def raised(*args):
+            value = exact(*args)
+            return None if value is None else value + 1
+
+        monkeypatch.setattr(crosscheck, route, raised)
+        graph, _ = five_cycle
+        argv = ["crosscheck", "--graph", graph, "--max-n", "4", "--instances", "5"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        report = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert report[check]["failures"] > 0
+        examples = report[check]["examples"]
+        assert examples and all(set(ex) == keys for ex in examples)
+        values = [v for ex in examples for k, v in ex.items() if k != "tuple"]
+        assert all(re.fullmatch(r"-?\d+/\d+", v) for v in values)
+
+    @pytest.mark.parametrize(
         "limits",
         [
             ["--cap", "3", "--max-n", "5"],
@@ -540,7 +569,15 @@ class TestInputHandling:
         code, _ = run(capsys, ["enumerate", "--graph", str(graph), "--tuple", "a"])
         assert code == 2
 
-    @pytest.mark.parametrize("field, value", [("independent_pairs", [5]), ("diagonal", [0, 1])])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("independent_pairs", [5]),
+            ("diagonal", [0, 1]),
+            # a misspelled key, which would otherwise be ignored
+            ("independant_pairs", [["x1", "x3"]]),
+        ],
+    )
     def test_malformed_graph(self, tmp_path, capsys, field, value):
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps(dict(FIVE_CYCLE, **{field: value})))

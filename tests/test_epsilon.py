@@ -76,6 +76,8 @@ class TestConstruction:
             EpsilonMatrix.from_json({"labels": ["a"], "independent_pairs": [["a", "a"]]})
         with pytest.raises(InputError):
             EpsilonMatrix.from_json({"labels": ["a"], "independent_pairs": [["a", "b"]]})
+        with pytest.raises(InputError, match=r"\(allowed: labels, independent_pairs, diagonal\)"):
+            EpsilonMatrix.from_json({"labels": ["a"], "diagonals": {"a": 1}})
 
     @pytest.mark.parametrize(
         "spec",
@@ -89,6 +91,8 @@ class TestConstruction:
             {"labels": [["a"], "b"]},
             {"labels": "abc"},
             {"labels": {"a": 1, "b": 2}},
+            # a misspelled key would otherwise leave every pair free
+            {"labels": ["a", "b"], "independant_pairs": [["a", "b"]]},
         ],
     )
     def test_malformed_spec(self, spec):

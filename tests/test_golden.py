@@ -117,6 +117,16 @@ def test_corrupt_examples_print_p_over_q():
     assert all(re.fullmatch(r"-?\d+/\d+", v) for v in values)
 
 
+def test_corrupt_battery_reaches_mixed_tuples():
+    # the corruption raises m_k of the first label, k its number of
+    # points, which tuples with further labels read too
+    case = ["crosscheck", "--max-n", "4", "--instances", "20", "--self-test-corrupt"]
+    [(_, code, out)] = run_cases([case])
+    assert code == 1
+    [evaluator] = [c for c in json.loads(out)["checks"] if c["name"] == "evaluator_equivalence"]
+    assert any(len(set(ex["tuple"])) >= 2 for ex in evaluator["examples"])
+
+
 if __name__ == "__main__":
     with open(FIXTURE, "w") as fh:
         json.dump(run_cases(), fh, indent=1)
