@@ -80,10 +80,11 @@ def _parse_tuple(text, e):
 def _load_tables(path, e, entries):
     """Validate every spec in the distribution file, then build a table
     for each label of the tuple from its first entries.count(label)
-    moments, the most any evaluator reads of it (named distributions are
-    generated to that order, 0 for a label outside the tuple).  A label's
-    kind is fixed by the graph's diagonal; a spec that names another kind
-    is rejected, whether its label is used or not."""
+    moments, the most any evaluator reads of it and all that spec_moments
+    builds (0 for a label outside the tuple; the rest of a moments list is
+    only validated).  A label's kind is fixed by the graph's diagonal; a
+    spec that names another kind is rejected, whether its label is used or
+    not."""
     data = _load_json(path)
     if isinstance(data, dict):
         for name, spec in data.items():
@@ -121,7 +122,7 @@ def _load_tables(path, e, entries):
             raise InputError(
                 f"label {excerpt(e.labels[idx])} has multiplicity {count} in the tuple, but {given}"
             )
-        tables[idx] = CumulantTable.from_moments(kind, moments[:count])
+        tables[idx] = CumulantTable.from_moments(kind, moments)
     return tables
 
 

@@ -163,6 +163,10 @@ def point_mass_moments(value, max_order=12):
 
 
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+# a plain numeral "-?p/q", ASCII digits, q not all zeros: what it fully
+# matches parse_fraction accepts as Fraction(int(p), int(q or 1)); 640 is
+# the lowest nonzero int-to-str digit limit, so int() never raises on it
+_PLAIN = re.compile(r"(-?[0-9]{1,640})(?:/(?=0*[1-9])([0-9]{1,640}))?")
 
 
 def parse_fraction(text):
@@ -171,6 +175,9 @@ def parse_fraction(text):
     exceeds the interpreter's int-to-str digit limit: the policy for a
     numeral with that many digits.  A JSON boolean is not a number, though
     Fraction(True) == 1."""
+    plain = _PLAIN.fullmatch(text) if isinstance(text, str) else None
+    if plain:
+        return Fraction(int(plain[1]), int(plain[2] or 1))
     try:
         if isinstance(text, bool):
             raise TypeError("a boolean is not a number")
@@ -193,13 +200,14 @@ def format_fraction(f):
 _NAMED = {"semicircle": ("variance",), "arcsine": (), "bernoulli": (), "point_mass": ("value",)}
 
 
-def spec_moments(spec, order=12):
-    """Validate a JSON distribution spec and return (kind, moments).
+def spec_moments(spec, order):
+    """Validate a JSON distribution spec and return (kind, moments), the
+    moments to the given order (order 0 only validates the spec).
 
     Either {"kind": "free"|"classical", "moments": ["p/q", ...]}, whose
-    moments are returned in full, or a named one, e.g. {"named":
-    "semicircle", "variance": "1", "kind": ...}, generated to the given
-    order (order 0 only validates it).  kind defaults to free, and
+    moments are validated in full, first bad entry first, but built only
+    up to order, or a named one, e.g. {"named": "semicircle", "variance":
+    "1", "kind": ...}, generated to order.  kind defaults to free, and
     "label" is allowed; any other key is an input error.
     """
     if not isinstance(spec, dict):
@@ -224,7 +232,11 @@ def spec_moments(spec, order=12):
     if "moments" in spec:
         if not isinstance(spec["moments"], list) or not spec["moments"]:
             raise InputError(f"'moments' must be a non-empty array: {excerpt(spec)}")
-        return kind, [parse_fraction(m) for m in spec["moments"]]
+        read = [parse_fraction(m) for m in spec["moments"][:order]]
+        for m in spec["moments"][order:]:
+            if not (isinstance(m, str) and _PLAIN.fullmatch(m)):
+                parse_fraction(m)
+        return kind, read
     if name == "semicircle":
         variance = parse_fraction(spec.get("variance", "1"))
         cumulants = ([Fraction(0), variance] + [Fraction(0)] * order)[:order]

@@ -1,10 +1,10 @@
 """What only the tests call: set-partition combinatorics (non-crossing
 partitions, the kernel of a tuple, refinement, Bell and Catalan numbers),
-conversion wrappers, named tables and graphs, admissibility by its
-definition, the cumulant route without its fold or splits, and the
-products-as-arguments harness (free cumulants of one algebra's joint
-moments, by recursion over non-crossing partitions, against the
-product-in-first-slot expansion)."""
+conversion wrappers, the eager moment-list parser, named tables and
+graphs, admissibility by its definition, the cumulant route without its
+fold or splits, and the products-as-arguments harness (free cumulants of
+one algebra's joint moments, by recursion over non-crossing partitions,
+against the product-in-first-slot expansion)."""
 
 from fractions import Fraction
 
@@ -18,6 +18,7 @@ from epsindep import (
     SetPartition,
     reduce_word,
 )
+from epsindep.cumulants import parse_fraction
 from epsindep.ncpartitions import eligible_points, first_blocks
 from epsindep.partitions import partitions_of_set
 
@@ -123,6 +124,12 @@ def semicircle_table(variance=1, max_order=12, label=None):
     if max_order >= 2:
         cum[1] = Fraction(variance)
     return CumulantTable(FREE, cum, label=label)
+
+
+def parse_moments_eagerly(moments):
+    """Every entry of a moment list as a Fraction, in list order: what
+    spec_moments returns to its order, and the first error it raises."""
+    return [parse_fraction(m) for m in moments]
 
 
 def normalize_tuple(entries, e):

@@ -367,6 +367,52 @@ class TestMoment:
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["agree"] is True
 
+    @staticmethod
+    def moment_of_aba(tmp_path, capsys, moments):
+        """`moment --tuple a,b,a` with the given moment list for a, so
+        that a's first two moments are read and the rest only validated."""
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a", "b"]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"a": {"moments": moments}, "b": {"moments": ["1"]}}))
+        code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", "a,b,a"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "bad", ["1/0", "x", NINES, "1e99999", True], ids=["1/0", "x", "5000-digits", "1e99999", "true"]
+    )
+    def test_bad_moment_beyond_multiplicity(self, tmp_path, capsys, bad):
+        # an unread moment is validated as a read one is, with one message
+        results = []
+        for pos in (1, 3):
+            moments = ["1/3", "2", "-1", "5"]
+            moments[pos] = bad
+            results.append(self.moment_of_aba(tmp_path, capsys, moments))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 2 and out == ""
+        assert err.startswith("input error: bad rational ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["١/٢", " 1/2 ", "1_0", "+3", "0.5", "1e2"])
+    def test_unread_moment_in_any_valid_form(self, tmp_path, capsys, value):
+        # a numeral Fraction reads but the plain-numeral rule does not is
+        # accepted unread, and does not change the value.  Fraction reads
+        # "1_0" only from Python 3.11 on; before, it is a bad rational
+        # unread as it is at a read position
+        valid = value != "1_0" or sys.version_info >= (3, 11)
+        read = self.moment_of_aba(tmp_path, capsys, ["1/3", value, "1"])
+        assert read[0] == (0 if valid else 2)
+        plain = self.moment_of_aba(tmp_path, capsys, ["1/3", "2", "1"])
+        assert plain[0] == 0
+        unread = self.moment_of_aba(tmp_path, capsys, ["1/3", "2", value])
+        assert unread == (plain if valid else read)
+
+    def test_read_moment_error_reported_first(self, tmp_path, capsys):
+        code, out, err = self.moment_of_aba(tmp_path, capsys, ["1/3", "x", "2", "1/0"])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: bad rational 'x': ") and err.count("\n") == 1
+
     def test_missing_distribution(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "short.json"

@@ -7,6 +7,7 @@ import pytest
 from epsindep import (
     CumulantTable,
     DomainError,
+    InputError,
     SetPartition,
     TableError,
     arcsine_moments,
@@ -211,11 +212,18 @@ class TestKappaPi:
 class TestTableSpecs:
     def test_moment_list_spec(self):
         kind, moments = spec_moments(
-            {"label": "x", "kind": "free", "moments": ["0", "1", "0", "2"]}
+            {"label": "x", "kind": "free", "moments": ["0", "1", "0", "2"]}, 4
         )
         assert kind == "free" and moments == [F(0), F(1), F(0), F(2)]
         t = CumulantTable.from_moments(kind, moments)
         assert t.cumulants == (F(0), F(1), F(0), F(0))
+
+    def test_moment_list_built_to_order_validated_in_full(self):
+        moments = ["1/2", "-3", "0", "2", "5", "7/3"]
+        assert spec_moments({"moments": moments}, order=2) == ("free", [F(1, 2), F(-3)])
+        moments[4] = "1/0"
+        with pytest.raises(InputError, match="bad rational '1/0'"):
+            spec_moments({"moments": moments}, order=2)
 
     def test_named_semicircle_classical_kind(self):
         kind, moments = spec_moments(

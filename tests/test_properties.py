@@ -7,8 +7,9 @@ definition route and the group trace, both folds over
 graphgroup._fold_step, against literal expansions, the moment/cumulant
 conversions against each other and against partition sums, the word
 reducer, every route's invariance under relabeling and under the dihedral
-symmetry, the order to which every route reads each table, and the CLI's
-exit codes on random input files."""
+symmetry, the order to which every route reads each table, the
+plain-numeral rule and the moment-list parser against the eager one, and
+the CLI's exit codes on random input files."""
 
 import io
 import json
@@ -29,6 +30,7 @@ from epsindep import (
     FREE,
     CumulantTable,
     EpsilonMatrix,
+    InputError,
     SetPartition,
     TableError,
     enumerate_nc_epsilon,
@@ -43,6 +45,7 @@ from epsindep import (
 )
 from epsindep.cli import main
 from epsindep.crosscheck import _restrict
+from epsindep.cumulants import _PLAIN, parse_fraction, spec_moments
 from epsindep.ncpartitions import (
     bar_masks,
     encode,
@@ -61,6 +64,7 @@ from oracles import (
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
     normalize_tuple,
+    parse_moments_eagerly,
 )
 from test_cumulants import classical_cumulants_mobius, classical_moments_oracle, free_moments_oracle
 from test_ncpartitions import partitions_below_kernel
@@ -675,3 +679,46 @@ def test_cli_exits_0_or_2_on_random_files(call):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(args + files)
     assert code in (0, 2)
+
+
+# moment entries near the plain-numeral rule: strings over the characters
+# that tell "-p/q" from the other forms Fraction reads (signs, separators,
+# decimals, exponents, blanks, a non-ASCII digit), valid plain numerals,
+# numerals one digit over the rule's 640 and over the 4,300-digit int
+# limit, and JSON values that are not strings
+numeral_texts = st.text(st.sampled_from(list("0123456789١-+/_.e 0")), max_size=8)
+moment_values = st.one_of(
+    numeral_texts,
+    rationals.map(str),
+    st.sampled_from(["7" * 641, "7" * 4301, "1/" + "3" * 641, "9" * 640 + "/0" + "3" * 639]),
+    st.sampled_from([True, False, None, [1]]),
+    st.integers(-5, 5),
+    rationals,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(moment_values)
+@example("0/00")
+@example("٣")
+@example("-" + "9" * 640 + "/" + "0" * 639 + "1")
+def test_plain_numerals_are_fractions_of_their_integers(value):
+    plain = _PLAIN.fullmatch(value) if isinstance(value, str) else None
+    if plain:
+        want = Fraction(int(plain[1]), int(plain[2] or 1))
+        assert Fraction(value) == want
+        assert parse_fraction(value) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(moment_values, min_size=1, max_size=6), st.data())
+def test_spec_moments_validates_every_entry_and_builds_to_order(moments, data):
+    order = data.draw(st.integers(0, len(moments) + 2))
+    try:
+        want = parse_moments_eagerly(moments)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            spec_moments({"moments": moments}, order)
+        assert str(got.value) == str(exc)
+    else:
+        assert spec_moments({"moments": moments}, order) == (FREE, want[:order])
