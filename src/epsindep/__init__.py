@@ -15,7 +15,6 @@ from .epsilon import (
     is_admissible_tuple,
 )
 from .errors import (
-    DimensionMismatchError,
     DomainError,
     EnumerationLimitError,
     EpsIndepError,
@@ -36,7 +35,6 @@ from .ncpartitions import (
     is_epsilon_noncrossing,
     reduction_membership,
 )
-from .partitions import SetPartition
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -3,13 +3,14 @@ moments by one or both evaluators, and run the cross-validation battery.
 
 All rationals are printed as "p/q" strings in lowest terms with positive
 denominator; output is deterministic byte-for-byte for fixed inputs.
-Exit codes: 0 ok, 1 check/agreement failure, 2 input error.
+Exit codes: 0 ok, 1 check/agreement failure, 2 input error or closed stdout.
 """
 
 import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .cumulants import CumulantTable, format_fraction, parse_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
@@ -127,30 +128,32 @@ def _load_tables(path, e, entries):
 
 
 def _emit(payload, table_mode):
+    """The payload line by line, or as JSON in batches of encoder chunks."""
     if table_mode:
         for line in _as_table(payload):
             print(line)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        return
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, 65536)):
+        print(batch, end="")
+    print()
 
 
 def _as_table(payload, prefix=""):
     if isinstance(payload, dict):
         for key in sorted(payload):
             value = payload[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 yield f"{prefix}{key}:"
                 yield from _as_table(value, prefix + "  ")
             else:
                 yield f"{prefix}{key}\t{value}"
-    elif isinstance(payload, list):
+    else:
         for value in payload:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 yield from _as_table(value, prefix + "  ")
             else:
                 yield f"{prefix}{value}"
-    else:
-        yield f"{prefix}{payload}"
 
 
 def cmd_enumerate(args):
@@ -162,7 +165,7 @@ def cmd_enumerate(args):
     payload = {
         "tuple": names,
         "count": len(parts),
-        "partitions": [[list(b) for b in p] for p in parts],
+        "partitions": parts,
         "kernel_member": kernel_noncrossing(entries, e),
         "admissible_tuple": is_admissible_tuple(entries, e),
         "flags": {
@@ -284,7 +287,14 @@ def main(argv=None):
             args.cap = default_cap()
         elif args.cap < 1:
             raise InputError(f"--cap must be a positive integer, got {args.cap}")
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a gone reader shows here, not at exit; no-op if no stdout
+        return code
+    except BrokenPipeError:
+        # nothing more reaches the reader; the exit-time flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

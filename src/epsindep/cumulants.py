@@ -121,15 +121,13 @@ class CumulantTable:
         return values[order - 1]
 
 
-def kappa_pi(p, entries, tables):
+def kappa_pi(blocks, entries, tables):
     """Product over blocks of the block-size cumulant from the table of
     the block's label.  Requires the partition to sit below the kernel."""
-    if p.n != len(entries):
-        raise DomainError("partition size differs from tuple length")
-    if not below_kernel(p, entries):
+    if not below_kernel(blocks, entries):
         raise DomainError("partition does not refine the kernel of the tuple")
     total = Fraction(1)
-    for block in p.blocks:
+    for block in blocks:
         label = entries[block[0] - 1]
         if label not in tables:
             raise TableError(f"no cumulant table for label {label}")

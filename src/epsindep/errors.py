@@ -10,10 +10,6 @@ class EnumerationLimitError(EpsIndepError):
     EPSINDEP_MAX_N); the library functions take no cap."""
 
 
-class DimensionMismatchError(EpsIndepError):
-    """Objects built over different ground-set sizes were combined."""
-
-
 class DomainError(EpsIndepError):
     """A stated precondition on the inputs does not hold."""
 

@@ -5,9 +5,10 @@ Membership has two routes: the pairwise-crossing characterization
 oracle), decided by greedily removing a block that adjacent swaps of
 eps = 1 points can bring together; both are polynomial and keep no cache.
 Each is a core on blocks as (position bitmask, label) over encode, the
-one encoding of a tuple, wrapped for a SetPartition; kernel_noncrossing
-runs the pairwise core on the tuple's kernel, one block per label.  A
-label is its own bit in every label mask, as in EpsilonMatrix.against.
+one encoding of a tuple, wrapped for a partition given as its blocks of
+points; kernel_noncrossing runs the pairwise core on the tuple's kernel,
+one block per label.  A label is its own bit in every label mask, as in
+EpsilonMatrix.against.
 
 Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
 one state: the points not yet in a block, with a mask per gap of the
@@ -24,29 +25,28 @@ compare both against.
 
 from itertools import combinations
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 from .partitions import (
     below_kernel,
     partitions_of_set,  # noqa: F401 -- not called; bench/worker.py wraps it
 )
 
 
-def _masks(p, entries, e):
-    """Validate p; its blocks as (position bitmask, label) and the tuple's
-    bar_masks, or None if p does not refine the kernel of the tuple."""
-    if p.n != len(entries):
-        raise DimensionMismatchError(f"partition size {p.n} != tuple length {len(entries)}")
+def _masks(blocks, entries, e):
+    """Validate the blocks; as (position bitmask, label) with the tuple's
+    bar_masks, or None if they do not refine the kernel of the tuple."""
     e.check_tuple(entries)
-    if not below_kernel(p, entries):
+    if not below_kernel(blocks, entries):
         return None
-    blocks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in p.blocks]
-    return blocks, bar_masks(e.against, encode(entries))
+    masks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in blocks]
+    return masks, bar_masks(e.against, encode(entries))
 
 
-def is_epsilon_noncrossing(p, entries, e):
-    """True iff p refines the kernel of the tuple and every crossing
-    between two blocks happens between independent (eps = 1) labels."""
-    masks = _masks(p, entries, e)
+def is_epsilon_noncrossing(blocks, entries, e):
+    """True iff the blocks refine the kernel of the tuple and every
+    crossing between two of them happens between independent (eps = 1)
+    labels."""
+    masks = _masks(blocks, entries, e)
     return masks is not None and noncrossing_masks(*masks)
 
 
@@ -72,13 +72,13 @@ def noncrossing_masks(blocks, bars):
     return True
 
 
-def reduction_membership(p, entries, e):
+def reduction_membership(blocks, entries, e):
     """Membership by the reduce-to-empty definition: remove blocks of
     consecutive points, after swaps of adjacent points with eps = 1."""
-    masks = _masks(p, entries, e)
+    masks = _masks(blocks, entries, e)
     if masks is None:
         raise DomainError("partition does not refine the kernel of the tuple")
-    return reduces_masks(*masks, p.n)
+    return reduces_masks(*masks, len(entries))
 
 
 def reduces_masks(blocks, bars, n):

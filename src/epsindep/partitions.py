@@ -1,37 +1,7 @@
-"""Set partitions of {1,...,n}: canonical form, restricted-growth strings,
-and refinement of the kernel of a tuple."""
+"""Set partitions of {1,...,n}, each a tuple of blocks of points:
+restricted-growth strings, and refinement of the kernel of a tuple."""
 
-
-class SetPartition:
-    """A partition of {1,...,n}, kept in canonical form.
-
-    Canonical form: blocks sorted by their minimum, elements inside a
-    block ascending.  Equality and hashing go through that form, so two
-    partitions are equal iff they are the same partition.
-    """
-
-    __slots__ = ("n", "blocks")
-
-    def __init__(self, n, blocks):
-        canon = sorted(tuple(sorted(b)) for b in blocks)
-        if not all(canon) or sorted(x for b in canon for x in b) != list(range(1, n + 1)):
-            raise ValueError(f"blocks do not partition 1..{n} into nonempty blocks")
-        self.n = n
-        self.blocks = tuple(canon)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __repr__(self):
-        inner = "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-        return f"SetPartition({self.n}, {inner or '{}'})"
+from .errors import DomainError
 
 
 def restricted_growth(n, k=None):
@@ -66,7 +36,11 @@ def partitions_of_set(positions):
     return out
 
 
-def below_kernel(p, entries):
-    """True iff every point of each block of p carries the label of the
-    block's first point: p refines the kernel of the tuple."""
-    return all(entries[x - 1] == entries[b[0] - 1] for b in p.blocks for x in b)
+def below_kernel(blocks, entries):
+    """True iff every point of each block carries the label of the
+    block's first point: the blocks refine the kernel of the tuple.
+    Neither the order of the blocks nor that inside a block matters."""
+    n = len(entries)
+    if not all(blocks) or sorted(x for b in blocks for x in b) != list(range(1, n + 1)):
+        raise DomainError(f"blocks do not partition 1..{n} into nonempty blocks")
+    return all(entries[x - 1] == entries[b[0] - 1] for b in blocks for x in b)

@@ -12,10 +12,8 @@ from epsindep import (
     CLASSICAL,
     FREE,
     CumulantTable,
-    DimensionMismatchError,
     DomainError,
     EpsilonMatrix,
-    SetPartition,
     reduce_word,
 )
 from epsindep.cumulants import parse_fraction
@@ -23,38 +21,47 @@ from epsindep.ncpartitions import eligible_points, first_blocks
 from epsindep.partitions import partitions_of_set
 
 
+def canon(blocks):
+    """A partition's blocks in canonical form: each block ascending, the
+    blocks sorted by their first point."""
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
 def block_indices(p):
-    """At x - 1, the index (into p.blocks) of the block holding point x."""
-    out = [0] * p.n
-    for idx, b in enumerate(p.blocks):
+    """At x - 1, the index (into the blocks p) of the block holding point x."""
+    out = [0] * sum(map(len, p))
+    for idx, b in enumerate(p):
         for x in b:
             out[x - 1] = idx
     return out
 
 
 def enumerate_set_partitions(n):
-    """All partitions of {1,...,n} in lexicographic RGS order; Bell(n) of them."""
-    return [SetPartition(n, blocks) for blocks in partitions_of_set(range(1, n + 1))]
+    """All partitions of {1,...,n}, canonical, in lexicographic RGS order;
+    Bell(n) of them."""
+    return partitions_of_set(range(1, n + 1))
 
 
 def kernel(entries):
-    """Partition of positions 1..n grouping equal values of the tuple."""
+    """Partition of positions 1..n grouping equal values of the tuple,
+    canonical."""
     groups = {}
     for pos, v in enumerate(entries, start=1):
         groups.setdefault(v, []).append(pos)
-    return SetPartition(len(entries), list(groups.values()))
+    return tuple(map(tuple, groups.values()))
 
 
 def is_noncrossing(p):
-    """True iff no p1<q1<p2<q2 has p1~p2 and q1~q2 in different blocks.
+    """True iff no p1<q1<p2<q2 has p1~p2 and q1~q2 in different blocks of
+    the canonical blocks p.
 
     Linear scan: a revisited block must sit on top of the stack of open
     blocks, otherwise some block opened in between is still open."""
     stack = []
     block_of = block_indices(p)
-    for x in range(1, p.n + 1):
+    for x in range(1, len(block_of) + 1):
         idx = block_of[x - 1]
-        block = p.blocks[idx]
+        block = p[idx]
         if x == block[0]:
             stack.append(idx)
         elif stack[-1] != idx:
@@ -71,10 +78,10 @@ def enumerate_noncrossing(n):
 
 def refines(p, q):
     """True iff every block of p lies inside some block of q."""
-    if p.n != q.n:
-        raise DimensionMismatchError(f"sizes differ: {p.n} vs {q.n}")
     qb = block_indices(q)
-    for b in p.blocks:
+    if sum(map(len, p)) != len(qb):
+        raise DomainError(f"sizes differ: {sum(map(len, p))} vs {len(qb)}")
+    for b in p:
         tag = qb[b[0] - 1]
         if any(qb[x - 1] != tag for x in b[1:]):
             return False
@@ -248,10 +255,10 @@ class JointMomentOracle:
         total = self.phi(tuple(x for a in args for x in a))
         if n > 1:
             for p in enumerate_noncrossing(n):
-                if len(p.blocks) == 1:
+                if len(p) == 1:
                     continue
                 term = Fraction(1)
-                for block in p.blocks:
+                for block in p:
                     term *= self.cumulant(tuple(args[r - 1] for r in block))
                 total -= term
         self._kappa_cache[args] = total

@@ -153,9 +153,9 @@ def test_criterion_4_extreme_cases():
     tabs = {0: sc, 1: sc}
     # independent oracles first: semicircle moments by pairing counts
     pairings4 = [
-        p for p in enumerate_noncrossing(4) if all(len(b) == 2 for b in p.blocks)
+        p for p in enumerate_noncrossing(4) if all(len(b) == 2 for b in p)
     ]
-    free_expected = F(sum(2 ** len(p.blocks) for p in pairings4))  # var-2 semicircle
+    free_expected = F(sum(2 ** len(p) for p in pairings4))  # var-2 semicircle
     sc_moments = [F(0), F(1), F(0), F(2)]
     padded = [F(1)] + sc_moments
     indep_expected = sum(
@@ -180,7 +180,7 @@ def test_criterion_4_extreme_cases():
         for entries, cz in canonical_instances(empty_graph_matrix(nlabels), 6):
             ker = kernel(entries)
             expected = sorted(
-                p.blocks for p in enumerate_noncrossing(len(entries)) if refines(p, ker)
+                p for p in enumerate_noncrossing(len(entries)) if refines(p, ker)
             )
             cases += 1
             failures += enumerate_nc_epsilon(entries, cz) != expected
@@ -188,9 +188,9 @@ def test_criterion_4_extreme_cases():
             ker = kernel(entries)
             got = set(enumerate_nc_epsilon(entries, co))
             expected_set = {
-                q.blocks
+                q
                 for q in partitions_below_kernel(entries)
-                if all(_restricted_noncrossing(q, b) for b in ker.blocks)
+                if all(_restricted_noncrossing(q, b) for b in ker)
             }
             cases += 1
             failures += got != expected_set
@@ -200,14 +200,10 @@ def test_criterion_4_extreme_cases():
 def _restricted_noncrossing(q, positions):
     """The blocks of q inside the given position set form a non-crossing
     partition of that set (after order-preserving renumbering)."""
-    from epsindep import SetPartition
     from oracles import is_noncrossing
 
     rank = {x: r + 1 for r, x in enumerate(sorted(positions))}
-    blocks = [
-        [rank[x] for x in b] for b in q.blocks if b[0] in rank
-    ]
-    return is_noncrossing(SetPartition(len(positions), blocks))
+    return is_noncrossing(tuple(tuple(rank[x] for x in b) for b in q if b[0] in rank))
 
 
 def test_criterion_5_counting_identities():

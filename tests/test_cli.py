@@ -47,14 +47,19 @@ def run(capsys, argv):
     return code, out
 
 
+def fresh_env(**variables):
+    """The environment of a fresh interpreter that imports this package,
+    with the variables given set."""
+    src = str(Path(epsindep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 def run_fresh(argv, **variables):
     """The CLI in a fresh interpreter, with the environment variables
     given set: its whole stdout and stderr, tracebacks included."""
-    src = str(Path(epsindep.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **variables)
     argv = [sys.executable, "-m", "epsindep.cli"] + argv
-    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run(argv, env=fresh_env(**variables), capture_output=True, text=True, timeout=60)
 
 
 class TestEnumerate:
@@ -87,6 +92,47 @@ class TestEnumerate:
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second
+
+    def test_closed_stdout(self, tmp_path):
+        # a reader gone after one byte of about 930 KB: exit 2 and one
+        # line on stderr, no traceback
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"]}))
+        argv = [sys.executable, "-m", "epsindep.cli", "enumerate", "--graph", str(graph)]
+        argv += ["--tuple", ",".join("a" * 9)]
+        proc = subprocess.Popen(
+            argv, env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        assert proc.stdout.read(1) == "{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: standard output closed\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+    def test_long_output_in_bounded_memory(self, tmp_path):
+        # Bell(10) = 115,975 partitions, about 12 MB of JSON: the output is
+        # written as it is encoded, never held whole or copied
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"], "diagonal": {"a": 1}}))
+        argv = ["enumerate", "--graph", str(graph), "--tuple", ",".join("a" * 10)]
+        code = (
+            "import resource, sys; from epsindep.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=fresh_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+        status, peak_kb = map(int, proc.stderr.split())
+        assert status == 0
+        assert peak_kb < 120 * 1024
 
     def test_cap_exceeded(self, five_cycle, capsys):
         graph, _ = five_cycle
@@ -576,14 +622,12 @@ def test_public_names():
     assert sorted(epsindep.__all__) == [
         "CLASSICAL",
         "CumulantTable",
-        "DimensionMismatchError",
         "DomainError",
         "EnumerationLimitError",
         "EpsIndepError",
         "EpsilonMatrix",
         "FREE",
         "InputError",
-        "SetPartition",
         "TableError",
         "arcsine_moments",
         "arcsine_table",

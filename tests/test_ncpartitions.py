@@ -1,20 +1,23 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from epsindep import (
+    CumulantTable,
     DomainError,
     EpsilonMatrix,
-    SetPartition,
     enumerate_nc_epsilon,
     is_epsilon_noncrossing,
+    kappa_pi,
     reduction_membership,
 )
 from epsindep.crosscheck import mask_partitions_below_kernel
 from epsindep.ncpartitions import encode
 from epsindep.partitions import partitions_of_set
 from oracles import (
+    canon,
     catalan_numbers,
     complete_graph_matrix,
     empty_graph_matrix,
@@ -26,12 +29,12 @@ from oracles import (
 
 
 def partitions_below_kernel(entries):
-    """All partitions refining the kernel of the tuple: generate-and-test's
-    candidates, built block by block apart from the battery's bitmasks."""
-    per_block = [partitions_of_set(b) for b in kernel(entries).blocks]
-    n = len(entries)
+    """All partitions refining the kernel of the tuple, canonical:
+    generate-and-test's candidates, built block by block apart from the
+    battery's bitmasks."""
+    per_block = [partitions_of_set(b) for b in kernel(entries)]
     for combo in product(*per_block):
-        yield SetPartition(n, [blk for part in combo for blk in part])
+        yield canon(blk for part in combo for blk in part)
 
 
 def all_matrices(size, diag=None):
@@ -41,7 +44,7 @@ def all_matrices(size, diag=None):
         yield EpsilonMatrix(size, chosen, diag=diag)
 
 
-CROSSING = SetPartition(4, [[1, 3], [2, 4]])
+CROSSING = ((1, 3), (2, 4))
 FREE2 = empty_graph_matrix(2)
 INDEP2 = complete_graph_matrix(2)
 
@@ -61,16 +64,14 @@ class TestPairwiseMembership:
         assert is_epsilon_noncrossing(CROSSING, (0, 0, 0, 0), e)
 
     def test_kernel_refinement_required(self):
-        assert not is_epsilon_noncrossing(
-            SetPartition(2, [[1, 2]]), (0, 1), INDEP2
-        )
+        assert not is_epsilon_noncrossing(((1, 2),), (0, 1), INDEP2)
         # the block's mismatched point comes last
-        assert not is_epsilon_noncrossing(SetPartition(3, [[1, 2, 3]]), (0, 0, 1), INDEP2)
+        assert not is_epsilon_noncrossing(((1, 2, 3),), (0, 0, 1), INDEP2)
 
 
 class TestReduction:
     def test_single_interval_block(self):
-        assert reduction_membership(SetPartition(2, [[1, 2]]), (0, 0), FREE2)
+        assert reduction_membership(((1, 2),), (0, 0), FREE2)
 
     def test_swap_then_remove(self):
         assert reduction_membership(CROSSING, (0, 1, 0, 1), INDEP2)
@@ -80,9 +81,64 @@ class TestReduction:
 
     def test_kernel_precondition(self):
         with pytest.raises(DomainError):
-            reduction_membership(SetPartition(2, [[1, 2]]), (0, 1), INDEP2)
+            reduction_membership(((1, 2),), (0, 1), INDEP2)
         with pytest.raises(DomainError):
-            reduction_membership(SetPartition(3, [[1, 2, 3]]), (0, 0, 1), INDEP2)
+            reduction_membership(((1, 2, 3),), (0, 0, 1), INDEP2)
+
+
+def block_routes(entries, e):
+    """The three functions that read a partition as its blocks, each on
+    the tuple and matrix given; kappa_pi with distinct cumulants per label
+    and order."""
+    tables = {
+        a: CumulantTable("free", [Fraction(3 * a + r + 1, r + 2) for r in range(len(entries))])
+        for a in set(entries)
+    }
+    return {
+        "is_epsilon_noncrossing": lambda p: is_epsilon_noncrossing(p, entries, e),
+        "reduction_membership": lambda p: reduction_membership(p, entries, e),
+        "kappa_pi": lambda p: kappa_pi(p, entries, tables),
+    }
+
+
+class TestBlockTuples:
+    def test_bad_blocks_rejected(self):
+        # blocks that do not split 1..n into nonempty blocks: one error
+        # class from all three, whatever the labels
+        bad = [
+            ((1, 2),),  # too few points
+            ((1, 2), (2, 3)),  # a point twice
+            ((0, 2), (3,)),  # a point 0 ...
+            ((0, 1, 2), (3,)),
+            ((1, 2), (4,)),  # ... or n + 1
+            ((1, 2, 3), (4,)),
+            ((1, 2, 3), ()),  # an empty block
+        ]
+        for entries in [(0, 0, 0), (0, 1, 0)]:
+            for route in block_routes(entries, INDEP2).values():
+                for blocks in bad:
+                    with pytest.raises(DomainError):
+                        route(blocks)
+
+    def test_members_accepted_in_any_block_order(self):
+        # the enumerator's members as returned, and every partition below
+        # the kernel with its blocks and their points in reverse order
+        rng = random.Random(7)
+        mats = list(all_matrices(3, diag=[0, 1, 0]))
+        for _ in range(60):
+            e = rng.choice(mats)
+            entries = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
+            routes = block_routes(entries, e)
+            members = enumerate_nc_epsilon(entries, e)
+            for p in members:
+                assert routes["is_epsilon_noncrossing"](p)
+                assert routes["reduction_membership"](p)
+                assert routes["kappa_pi"](p) != 0
+            for p in partitions_below_kernel(entries):
+                flipped = tuple(tuple(reversed(b)) for b in reversed(p))
+                for route in routes.values():
+                    assert route(flipped) == route(p)
+                assert routes["is_epsilon_noncrossing"](flipped) == (p in members)
 
 
 class TestEquivalence:
@@ -121,31 +177,29 @@ class TestEquivalence:
             for blocks in mask_partitions_below_kernel(encode(entries), tables):
                 pos = [[j + 1 for j in range(n) if m >> j & 1] for m, _ in blocks]
                 assert all(entries[x - 1] == k for (_, k), b in zip(blocks, pos) for x in b)
-                got.append(SetPartition(n, pos))
-            assert sorted(got, key=lambda p: p.blocks) == sorted(
-                partitions_below_kernel(entries), key=lambda p: p.blocks
-            )
+                got.append(canon(pos))
+            assert sorted(got) == sorted(partitions_below_kernel(entries))
 
 
 class TestEnumeration:
     def test_constant_tuple_is_noncrossing_set(self):
         for e in all_matrices(2):
             got = enumerate_nc_epsilon((0,) * 3, e)
-            assert got == sorted(p.blocks for p in enumerate_noncrossing(3))
+            assert got == sorted(enumerate_noncrossing(3))
 
     def test_alternating_free(self):
         got = enumerate_nc_epsilon((0, 1, 0, 1), FREE2)
         expected = [
-            SetPartition(4, [[1], [2], [3], [4]]),
-            SetPartition(4, [[1], [2, 4], [3]]),
-            SetPartition(4, [[1, 3], [2], [4]]),
+            ((1,), (2,), (3,), (4,)),
+            ((1,), (2, 4), (3,)),
+            ((1, 3), (2,), (4,)),
         ]
-        assert got == sorted(p.blocks for p in expected)
+        assert got == sorted(expected)
 
     def test_alternating_independent(self):
         got = enumerate_nc_epsilon((0, 1, 0, 1), INDEP2)
         assert len(got) == 4
-        assert CROSSING.blocks in got
+        assert CROSSING in got
 
     def test_all_zero_matches_restricted_noncrossing(self):
         for nlabels in (2, 3):
@@ -154,7 +208,7 @@ class TestEnumeration:
                 for entries in product(range(nlabels), repeat=n):
                     ker = kernel(entries)
                     expected = sorted(
-                        p.blocks for p in enumerate_noncrossing(n) if refines(p, ker)
+                        p for p in enumerate_noncrossing(n) if refines(p, ker)
                     )
                     assert enumerate_nc_epsilon(entries, e) == expected
 
@@ -165,7 +219,7 @@ class TestEnumeration:
             for n in range(1, 6):
                 for entries in product(range(nlabels), repeat=n):
                     expected = 1
-                    for b in kernel(entries).blocks:
+                    for b in kernel(entries):
                         expected *= cat[len(b)]
                     assert len(enumerate_nc_epsilon(entries, e)) == expected
 
@@ -189,14 +243,13 @@ class TestEnumeration:
             entries = tuple(rng.randrange(3) for _ in range(n))
             members = set(enumerate_nc_epsilon(entries, e))
             for p in partitions_below_kernel(entries):
-                base = p.blocks in members
+                base = p in members
                 pos = rng.randint(0, n)
                 new_entries = entries[:pos] + (rng.randrange(3),) + entries[pos:]
                 shifted = [
-                    [x if x <= pos else x + 1 for x in b] for b in p.blocks
+                    [x if x <= pos else x + 1 for x in b] for b in p
                 ]
                 shifted.append([pos + 1])
-                q = SetPartition(n + 1, shifted)
                 assert (
-                    is_epsilon_noncrossing(q, new_entries, e) == base
+                    is_epsilon_noncrossing(shifted, new_entries, e) == base
                 )

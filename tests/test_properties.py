@@ -31,7 +31,6 @@ from epsindep import (
     CumulantTable,
     EpsilonMatrix,
     InputError,
-    SetPartition,
     TableError,
     enumerate_nc_epsilon,
     factorization_shortcut,
@@ -57,6 +56,7 @@ from epsindep.partitions import restricted_growth
 from oracles import (
     admissible_by_definition,
     bell_numbers,
+    canon,
     classical_cumulants_to_moments,
     cumulant_by_first_blocks,
     free_cumulants_to_moments,
@@ -86,14 +86,14 @@ def instances(draw, max_labels=4, max_n=8, min_n=0):
 def oracle_members(entries, e):
     """Generate-and-test: every partition below the kernel, filtered."""
     members = [p for p in partitions_below_kernel(entries) if is_epsilon_noncrossing(p, entries, e)]
-    return sorted(members, key=lambda p: p.blocks)
+    return sorted(members)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_enumeration_matches_generate_and_test(instance):
     entries, e = instance
-    assert enumerate_nc_epsilon(entries, e) == [p.blocks for p in oracle_members(entries, e)]
+    assert enumerate_nc_epsilon(entries, e) == oracle_members(entries, e)
 
 
 @st.composite
@@ -264,8 +264,8 @@ def reduces_to_empty(p, entries, e):
     reachable by swapping adjacent points whose labels have eps = 1 or by
     removing a block whose points are consecutive.  A state is the
     remaining points in order, each as (label, block index)."""
-    block_of = {x: b for b, block in enumerate(p.blocks) for x in block}
-    start = tuple((entries[x - 1], block_of[x]) for x in range(1, p.n + 1))
+    block_of = {x: b for b, block in enumerate(p) for x in block}
+    start = tuple((entries[x - 1], block_of[x]) for x in range(1, len(entries) + 1))
     seen = {start}
     stack = [start]
     while stack:
@@ -301,8 +301,8 @@ def blocks_cross(p, i_block, j_block):
     """Whether blocks with given indices interleave (ABAB pattern): the
     points of one fall into more than one gap of the other, and not just
     before and after it."""
-    a = p.blocks[i_block]
-    gaps = {bisect(a, x) for x in p.blocks[j_block]}
+    a = p[i_block]
+    gaps = {bisect(a, x) for x in p[j_block]}
     return len(gaps) > 1 and gaps != {0, len(a)}
 
 
@@ -310,11 +310,11 @@ def pairwise_by_gaps(p, entries, e):
     """The pairwise characterization block pair by block pair, with
     crossings found by bisecting into the gaps of a block, for p below the
     kernel of the tuple."""
-    nb = len(p.blocks)
+    nb = len(p)
     for a in range(nb):
-        la = entries[p.blocks[a][0] - 1]
+        la = entries[p[a][0] - 1]
         for b in range(a + 1, nb):
-            lb = entries[p.blocks[b][0] - 1]
+            lb = entries[p[b][0] - 1]
             if e.eps(la, lb) == 1:
                 continue
             if blocks_cross(p, a, b):
@@ -324,8 +324,9 @@ def pairwise_by_gaps(p, entries, e):
 
 @st.composite
 def below_kernel(draw, max_n=8):
-    """An instance and one partition below the kernel of its tuple: each
-    point joins an open block of its label or opens one."""
+    """An instance and one partition below the kernel of its tuple, in
+    canonical form: each point joins an open block of its label or opens
+    one."""
     entries, e = draw(instances(max_n=max_n))
     blocks = []
     for x, lbl in enumerate(entries, 1):
@@ -335,19 +336,19 @@ def below_kernel(draw, max_n=8):
             same[k].append(x)
         else:
             blocks.append([x])
-    return entries, e, SetPartition(len(entries), blocks)
+    return entries, e, tuple(map(tuple, blocks))
 
 
 @settings(max_examples=600, deadline=None)
 @given(below_kernel())
-@example(((0, 0, 0, 0), EpsilonMatrix(1), SetPartition(4, [[1, 3], [2, 4]])))
-@example(((0, 1, 0), EpsilonMatrix(2), SetPartition(3, [[1, 3], [2]])))
+@example(((0, 0, 0, 0), EpsilonMatrix(1), ((1, 3), (2, 4))))
+@example(((0, 1, 0), EpsilonMatrix(2), ((1, 3), (2,))))
 def test_mask_cores_match_references(instance):
     """The battery's two cores on the tuple's bitmask encoding against the
     gap-bisecting pairwise test and the literal reduce-to-empty search."""
     entries, e, p = instance
     bars = bar_masks(e.against, encode(entries))
-    blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p.blocks]
+    blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p]
     assert noncrossing_masks(blocks, bars) == pairwise_by_gaps(p, entries, e)
     assert reduces_masks(blocks, bars, len(entries)) == reduces_to_empty(p, entries, e)
 
@@ -357,7 +358,7 @@ def test_mask_cores_match_references(instance):
 @example(((0, 1, 0, 1), EpsilonMatrix(2)))  # the kernel crosses between free labels
 @example(((2, 0, 2, 0), EpsilonMatrix(3, [(0, 2)])))  # ... between independent ones
 def test_kernel_noncrossing_matches_kernel_partition(instance):
-    """The one-block-per-label kernel test against the SetPartition wrapper
+    """The one-block-per-label kernel test against is_epsilon_noncrossing
     and the gap-bisecting pairwise test on the kernel partition."""
     entries, e = instance
     ker = kernel(entries)
@@ -529,8 +530,7 @@ def test_nc_set_maps_onto_image(instance):
     """Crossings and kernel refinement depend only on the cyclic order of
     the points and on which labels are equal or independent."""
     entries, e, _, image, image_e, _, moved = instance
-    want = {SetPartition(len(entries), [[moved(x) for x in b] for b in p]).blocks
-            for p in enumerate_nc_epsilon(entries, e)}
+    want = {canon([moved(x) for x in b] for b in p) for p in enumerate_nc_epsilon(entries, e)}
     assert set(enumerate_nc_epsilon(image, image_e)) == want
 
 
