@@ -271,17 +271,37 @@ def build_parser():
         help="corrupt a moment table to verify the harness detects it",
     )
     p.set_defaults(func=cmd_crosscheck)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse(argv):
+    """What _PARSER.parse_args(argv) returns, or the same exit.  A call
+    that starts with a subcommand goes to that subcommand's parser alone,
+    which _PARSER would hand argv[1:] to anyway, so its help and errors
+    are the same.  Any other call, or one that parser leaves arguments
+    over from, goes through _PARSER, the one source of the top-level
+    usage, help and errors."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if sys.stdout is None:
+        # fd 1 was closed at start: every print would be a silent no-op
+        print("error: standard output closed", file=sys.stderr)
+        return 2
     try:
         if args.cap is None:
             args.cap = default_cap()

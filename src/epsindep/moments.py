@@ -129,19 +129,32 @@ def mixed_moment_cumulant(entries, e, tables):
       label on both sides, where it is barred; so every block lies on one
       side, blocks of different sides do not cross, and the child's sum
       is the product of its sides' sums.
+    - A label with one point in the tuple is factored out first: the sum
+      is kappa_1 of that label times the sum over the other points.
+      Proof: every partition in the set lies below the kernel, so that
+      point is a singleton block; a singleton crosses no block and bars
+      none, so deleting it maps the set onto the set of the tuple without
+      it, and kappa_pi loses the one factor kappa_1.  The point takes no
+      gap mark with it (the starting gaps are all 0), and its label
+      leaves the component split.
 
     The sum runs in the tables' scaled integers: a block of size s and
     label l contributes kappa_l(s) * d_l**s, so every product carries d_l
     once per l-point (_scale).
     """
-    n = len(entries)
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
+    once = {a for a in entries if entries.count(a) == 1}
+    value = prod([tables[a].scaled_cumulants[0] for a in once])
+    if not value:
+        return Fraction(0)
+    lab = tuple([a for a in entries if a not in once])
+    n = len(lab)
     # per label: {r: kappa(r + 1) * d ** (r + 1)} over the nonzero
     # cumulants, r (a block's further points) ascending
     scaled = {
         a: {r: kappa for r, kappa in enumerate(tables[a].scaled_cumulants[:n]) if kappa}
-        for a in set(entries)
+        for a in set(lab)
     }
     present = sum([1 << a for a in scaled])
     against = {a: e.against[a] & present for a in scaled}
@@ -167,8 +180,6 @@ def mixed_moment_cumulant(entries, e, tables):
         memo[key] = value
         return value
 
-    lab = tuple(entries)
-    value = 1
     left = present
     while left and value:
         # a component of the eps != 1 graph on the tuple's labels: its

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import epsindep
-from epsindep import EpsilonMatrix, crosscheck
+from epsindep import EpsilonMatrix, cli, crosscheck
 from epsindep.cli import main
 
 FIVE_CYCLE = {
@@ -968,3 +968,75 @@ class TestInputHandling:
         assert proc.stderr == ""
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_failures"] == 0
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+    @pytest.mark.parametrize("command", ["enumerate", "moment", "crosscheck"])
+    def test_stdout_closed_at_start(self, five_cycle, command):
+        # with fd 1 closed, sys.stdout is None and every print a no-op: a
+        # result nobody can read is exit 2, not a silent success
+        graph, dist = five_cycle
+        extra = {
+            "enumerate": ["--tuple", "x1,x1"],
+            "moment": ["--dist", dist, "--tuple", "x1,x1"],
+            "crosscheck": ["--max-n", "2"],
+        }[command]
+        script = 'exec "$0" -m epsindep.cli "$@" >&-'
+        proc = subprocess.run(
+            ["sh", "-c", script, sys.executable, command, "--graph", graph] + extra,
+            env=fresh_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: standard output closed\n"
+
+
+# Argument lists for the parser check below; "G" and "D" stand for the
+# graph and distribution files.
+ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["--he"],
+    ["frobnicate"],
+    ["MOMENT", "--graph", "G"],
+    ["moment", "-h"],
+    ["enumerate", "--help"],
+    ["crosscheck", "--he"],
+    ["moment", "-h", "stray"],
+    ["-h", "moment"],
+    ["--graph", "G", "enumerate", "--tuple", "x1"],
+    ["moment"],
+    ["moment", "--graph", "G", "--tuple", "x1"],
+    ["enumerate", "--tuple", "x1"],
+    ["enumerate", "--graph", "G", "--tuple"],
+    ["moment", "--graph", "G", "--dist", "D", "--tuple", "x1,x2", "stray"],
+    ["enumerate", "--graph", "G", "--tuple", "x1", "moment"],
+    ["enumerate", "--graph", "G", "--tuple", "x1", "-x"],
+    ["enumerate", "--graph=G", "--tuple=x1,x3,x1,x3"],
+    ["moment", "--gr", "G", "--di", "D", "--tu", "x1,x3,x1,x3"],
+    ["moment", "--graph", "G", "--dist", "D", "--tuple", "x1,x2,x1", "--m", "cumulant"],
+    ["crosscheck", "--graph", "G", "--s", "1"],
+    ["moment", "--", "--graph", "G", "--dist", "D", "--tuple", "x1"],
+    ["enumerate", "--graph", "G", "--tuple", "x1", "--"],
+    ["enumerate", "--graph", "D", "--graph", "G", "--tuple", "x1,x2,x1"],
+    ["enumerate", "--graph", "G", "--tuple", "x1", "--json", "--table"],
+    ["moment", "--graph", "G", "--dist", "D", "--tuple", "x1", "--table"],
+    ["moment", "--graph", "G", "--dist", "D", "--tuple", "x1", "--method", "bogus"],
+    ["enumerate", "--graph", "G", "--tuple", "x1", "--cap", "x"],
+    ["moment", "--graph", "G", "--dist", "D", "--tuple", "x1", "--cap", "-3"],
+    ["crosscheck", "--graph", "G", "--max-n"],
+    ["crosscheck", "--graph", "G", "--max-n", "2", "--instances", "3", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_subcommand_parser_matches_full_parser(five_cycle, capsys, monkeypatch, argv):
+    # a call that starts with a subcommand is parsed by that
+    # subcommand's parser alone; the full parser is the oracle
+    graph, dist = five_cycle
+    files = {"G": graph, "D": dist}
+    argv = [re.sub(r"\b[GD]\b", lambda m: files[m[0]], a) for a in argv]
+    got = main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    assert got == (main(argv), capsys.readouterr())

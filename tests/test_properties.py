@@ -121,8 +121,22 @@ def moment_tables(e, sequences):
     }
 
 
+# Labels with one point in the tuple, which the cumulant route factors out
+# first: every label has one point; a kappa_1 = 0 point lies between two
+# points of a label free with it; one lies inside the crossing {1,4}{2,5}
+# of two independent labels.
+ALL_ONE_POINT = ((2, 0, 1), EpsilonMatrix(3, [(0, 2)], diag=[0, 1, 0]), {
+    0: [Fraction(3, 2), 1, 0], 1: [-2, 0, 5], 2: [Fraction(1, 3), 2, 2]})
+ZERO_MEAN_POINT = ((0, 1, 0), EpsilonMatrix(2), {0: [1, 2, 0], 1: [0, 3, 1]})
+POINT_IN_CROSSING = ((0, 2, 1, 0, 2), EpsilonMatrix(3, [(0, 2)]), {
+    0: [1, 2, -1, 0, 1], 1: [Fraction(-5, 4), 1, 0, 0, 0], 2: [2, Fraction(1, 2), 0, 0, 3]})
+
+
 @settings(max_examples=100, deadline=None)
 @given(with_sequences(rationals))
+@example(ALL_ONE_POINT)
+@example(ZERO_MEAN_POINT)
+@example(POINT_IN_CROSSING)
 def test_cumulant_moment_matches_per_partition_sum(instance):
     entries, e, cumulants = instance
     tables = cumulant_tables(e, cumulants)
@@ -134,6 +148,9 @@ def test_cumulant_moment_matches_per_partition_sum(instance):
 @given(with_sequences(sparse, max_n=9))
 # only the gap mark of ncpartitions._remove_block keeps {1,3}{2,4} out
 @example(((0, 0, 0, 0), EpsilonMatrix(1, diag=[0]), {0: [0, 1, 0, 0]}))
+@example(ALL_ONE_POINT)
+@example(ZERO_MEAN_POINT)
+@example(POINT_IN_CROSSING)
 def test_cumulant_moment_with_sparse_tables(instance):
     """Tables where most cumulants are exactly 0, so the recursion skips
     most block sizes."""
