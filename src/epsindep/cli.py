@@ -325,6 +325,9 @@ def main(argv=None):
         # deeply nested JSON, or a tuple longer than the recursion limit
         print("error: input nested or long beyond the recursion limit", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from math import prod
 
 from .errors import TableError
 from .graphgroup import _fold_step, reduce_word
-from .ncpartitions import eligible_points, first_blocks, kernel_noncrossing, trim_gaps
+from .ncpartitions import eligible_points, kernel_noncrossing, trim_gaps
 
 # Not called here: bench/worker.py wraps these module attributes to trace
 # the per-partition path, which now shows zero calls.
@@ -40,12 +40,6 @@ def _scale(entries, tables):
     return prod(tables[label].d ** entries.count(label) for label in set(entries))
 
 
-# A state whose first label has fewer eligible points than this sums over
-# first_blocks' subsets, at most 2**3 children; from this count on the
-# fold's partial states, polynomial in the count, cost less.
-FOLD_FROM = 4
-
-
 def _fold_first_block(lab, gaps, eligible, mark, kappas, total, memo):
     """Sum over the first point's blocks of kappa times the total of the
     state left, folding the points left to right: an eligible point joins
@@ -65,10 +59,13 @@ def _fold_first_block(lab, gaps, eligible, mark, kappas, total, memo):
         seen |= 1 << lab[j]
         later[j] = seen
     top = max(kappas)
-    last = eligible[-1]
+    last = eligible[-1] if eligible else 0
     eligible = set(eligible)
     done = ((), 0, 0, 0)
-    parts = {done: 1}
+    # no eligible point: the block is the first point alone, weighed now
+    parts = {done: 1 if eligible else kappas.get(0, 0)}
+    if not parts[done]:
+        return 0
     for j in range(1, n + 1):
         if j < n:
             label = lab[j]
@@ -114,29 +111,30 @@ def _fold_first_block(lab, gaps, eligible, mark, kappas, total, memo):
 def mixed_moment_cumulant(entries, e, tables):
     """Sum of block cumulant products over the epsilon-non-crossing set,
     by a memoised recursion on the block that holds the first point, over
-    states of ncpartitions.first_blocks.  Partitions are never listed, and
-    no block of a zero-cumulant size is built.
+    the states ncpartitions.first_blocks also walks.  Partitions are never
+    listed, and no block of a zero-cumulant size is built.
 
     - Labels in different components of the eps != 1 graph never bar each
       other's blocks, so the set is a product over the components and so
       is the sum.
-    - A state whose first label has fewer than FOLD_FROM eligible points,
-      or only kappa_1 (no block takes a further point), sums over
-      first_blocks' subsets.  Otherwise the points are folded left to
-      right and equal partial children merge (_fold_first_block).
+    - A state sums over its first point's blocks by folding the points
+      left to right, equal partial children merging (_fold_first_block).
     - The fold splits a child at a gap that bars every label occurring on
       both of its sides.  Proof: a block spanning that gap would have its
       label on both sides, where it is barred; so every block lies on one
       side, blocks of different sides do not cross, and the child's sum
       is the product of its sides' sums.
-    - A label with one point in the tuple is factored out first: the sum
-      is kappa_1 of that label times the sum over the other points.
-      Proof: every partition in the set lies below the kernel, so that
-      point is a singleton block; a singleton crosses no block and bars
-      none, so deleting it maps the set onto the set of the tuple without
-      it, and kappa_pi loses the one factor kappa_1.  The point takes no
-      gap mark with it (the starting gaps are all 0), and its label
-      leaves the component split.
+    - A label with c points in the tuple whose kappa_2 to kappa_c are all
+      0 is factored out first: the sum is kappa_1 of that label to the
+      power c times the sum over the other points; a label with one point
+      always qualifies.  Proof: every partition in the set lies below the
+      kernel, so a block of that label has at most c points, and a block
+      of 2 to c points weighs 0.  In a partition that weighs anything the
+      label's points are therefore singleton blocks; a singleton crosses
+      no block and bars none, so deleting them maps these partitions onto
+      the set of the tuple without them, and kappa_pi loses c factors
+      kappa_1.  The points take no gap mark with them (the starting gaps
+      are all 0), and their label leaves the component split.
 
     The sum runs in the tables' scaled integers: a block of size s and
     label l contributes kappa_l(s) * d_l**s, so every product carries d_l
@@ -144,8 +142,8 @@ def mixed_moment_cumulant(entries, e, tables):
     """
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
-    once = {a for a in entries if entries.count(a) == 1}
-    value = prod([tables[a].scaled_cumulants[0] for a in once])
+    once = {a for a in set(entries) if not any(tables[a].scaled_cumulants[1 : entries.count(a)])}
+    value = prod([tables[a].scaled_cumulants[0] ** entries.count(a) for a in once])
     if not value:
         return Fraction(0)
     lab = tuple([a for a in entries if a not in once])
@@ -158,26 +156,15 @@ def mixed_moment_cumulant(entries, e, tables):
     }
     present = sum([1 << a for a in scaled])
     against = {a: e.against[a] & present for a in scaled}
-    memo = {}
+    memo = {(): 1}  # states (labels, gaps) and the fold's segments, () the empty one
 
     def total(lab, gaps):
-        if not lab:
-            return 1
         key = (lab, gaps)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        kappas = scaled[lab[0]]
-        eligible = eligible_points(lab, gaps)
-        if not kappas:
-            value = 0
-        elif len(eligible) < FOLD_FROM or max(kappas) == 0:
-            value = 0
-            for r, _, state in first_blocks(lab, gaps, against, kappas, eligible):
-                value += kappas[r] * total(*state)
-        else:
-            value = _fold_first_block(lab, gaps, eligible, against[lab[0]], kappas, total, memo)
-        memo[key] = value
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _fold_first_block(
+                lab, gaps, eligible_points(lab, gaps), against[lab[0]], scaled[lab[0]], total, memo
+            )
         return value
 
     left = present

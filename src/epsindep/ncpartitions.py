@@ -16,11 +16,10 @@ labels that may not span it, cut to the labels on both of its sides by
 trim_gaps.  first_blocks lists the blocks the first remaining point may
 head without a forbidden crossing, each with the state it leaves.
 enumerate_nc_epsilon expands it over every block size, one member per leaf
-and no dead ends.  The cumulant route sums over it with a memo when the
-first label has few eligible points, and otherwise folds the first block
-point by point.  Filtering every partition below the kernel through
-is_epsilon_noncrossing (generate-and-test) is the reference the tests
-compare both against.
+and no dead ends.  The cumulant route memoises the states and folds each
+first block point by point instead of listing its subsets.  Filtering
+every partition below the kernel through is_epsilon_noncrossing
+(generate-and-test) is the reference the tests compare both against.
 """
 
 from itertools import combinations
@@ -182,11 +181,11 @@ def eligible_points(lab, gaps):
     return eligible
 
 
-def first_blocks(lab, gaps, against, sizes, eligible):
+def first_blocks(lab, gaps, against, eligible):
     """The blocks the first point of a state can head, as (r, block,
-    next state) with r the block's further points, for each r in sizes
-    (ascending); block is a bitmask over the state's positions, and
-    eligible is eligible_points(lab, gaps).
+    next state) with r the block's further points, r ascending; block is
+    a bitmask over the state's positions, and eligible is
+    eligible_points(lab, gaps).
 
     A state is the labels of the points not yet in a block, plus one
     bitmask per gap between consecutive points: the labels (bit l for
@@ -197,13 +196,10 @@ def first_blocks(lab, gaps, against, sizes, eligible):
     when it spans a gap that held a point of B; so removing B marks those
     gaps with against[l], the labels with eps != 1 with l (as in
     EpsilonMatrix.against).  The singleton (r = 0) is always allowed, so
-    every state has a completion and a search that expands every size
-    never dead-ends.
+    every state has a completion and the expansion never dead-ends.
     """
     mark = against[lab[0]]
-    for r in sizes:
-        if r > len(eligible):
-            return
+    for r in range(len(eligible) + 1):
         for chosen in combinations(eligible, r):
             block = 1
             for j in chosen:
@@ -230,7 +226,7 @@ def enumerate_nc_epsilon(entries, e):
             m = range(len(pos))
             kids = children[state] = [
                 ([j for j in m if block >> j & 1], [j for j in m if not block >> j & 1], nxt)
-                for _, block, nxt in first_blocks(*state, e.against, m, eligible_points(*state))
+                for _, block, nxt in first_blocks(*state, e.against, eligible_points(*state))
             ]
             kids.sort(key=lambda kid: kid[0])  # by indices taken; states never compare
         for take, keep, nxt in kids:

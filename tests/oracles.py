@@ -190,8 +190,10 @@ def cumulant_by_first_blocks(entries, e, tables):
         key = (lab, gaps)
         if key not in memo:
             sizes = kappas[lab[0]]
-            blocks = first_blocks(lab, gaps, e.against, sizes, eligible_points(lab, gaps))
-            memo[key] = sum((sizes[r] * total(*state) for r, _, state in blocks), Fraction(0))
+            blocks = first_blocks(lab, gaps, e.against, eligible_points(lab, gaps))
+            memo[key] = sum(
+                (sizes[r] * total(*state) for r, _, state in blocks if r in sizes), Fraction(0)
+            )
         return memo[key]
 
     return total(tuple(entries), (0,) * max(n - 1, 0))

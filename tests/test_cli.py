@@ -881,10 +881,30 @@ class TestInputHandling:
     @pytest.mark.parametrize("command", ["enumerate", "moment"])
     def test_tuple_beyond_recursion_limit(self, tmp_path, capsys, command):
         # enumeration recurses once per point, and so does the cumulant
-        # route on this point mass (kappa_1 only, so it never folds): with
-        # the limit lowered, a tuple of 300 points stands in for one of
-        # about 1,000 at the default limit
+        # route on a classical Gaussian label (kappa_2 only, whose first
+        # fold child leaves all but two points): with the limit lowered, a
+        # tuple of 300 points stands in for one of about 1,000 at the
+        # default limit
         n = 300
+        code, out, err = self._lowered_limit_call(tmp_path, capsys, command, n, "gaussian")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_point_mass_tuple_within_recursion_limit(self, tmp_path, capsys):
+        # a point mass has only kappa_1: its points are singletons, which
+        # the cumulant route factors out, so it does not recurse at all
+        n = 300
+        code, out, err = self._lowered_limit_call(tmp_path, capsys, "moment", n, "point_mass")
+        assert code == 0
+        assert json.loads(out)["values"] == {"cumulant": f"{2**n}/1"}
+        assert err == ""
+
+    @staticmethod
+    def _lowered_limit_call(tmp_path, capsys, command, n, law):
+        """main on a tuple of n points, n labels for enumerate and one
+        classical label of the law for moment, with the recursion limit
+        100 frames above the current depth."""
         names = [f"x{k}" for k in range(n)]
         graph = tmp_path / "graph.json"
         dist = tmp_path / "dist.json"
@@ -894,7 +914,14 @@ class TestInputHandling:
             extra = []
         else:
             graph.write_text(json.dumps({"labels": ["x"], "diagonal": {"x": 1}}))
-            dist.write_text(json.dumps({"x": {"named": "point_mass", "value": "2"}}))
+            if law == "point_mass":
+                spec = {"named": "point_mass", "value": "2"}
+            else:  # standard Gaussian: m_k = (k - 1)!! for even k, else 0
+                moments = [0, 1]
+                while len(moments) < n:
+                    moments.append(len(moments) * moments[-2])
+                spec = {"moments": [str(m) for m in moments]}
+            dist.write_text(json.dumps({"x": spec}))
             tuple_arg = ",".join(["x"] * n)
             extra = ["--dist", str(dist), "--method", "cumulant"]
         argv = [command, "--graph", str(graph), "--cap", str(n), "--tuple", tuple_arg] + extra
@@ -905,9 +932,31 @@ class TestInputHandling:
         finally:
             sys.setrecursionlimit(limit)
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        return code, captured.out, captured.err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is a Linux limit")
+    def test_memory_exhausted(self, tmp_path):
+        # Bell(10) partitions do not fit in 30 MB of address space: one
+        # line and exit 2, not exit 1 (a failed check) and a traceback
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (30 << 20, 30 << 20))
+
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"], "diagonal": {"a": 1}}))
+        argv = ["enumerate", "--graph", str(graph), "--tuple", ",".join("a" * 10)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "epsindep.cli"] + argv,
+            env=fresh_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=limit,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: out of memory\n"
 
     def test_unknown_label(self, five_cycle, capsys):
         graph, _ = five_cycle

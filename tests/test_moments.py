@@ -17,7 +17,7 @@ from epsindep import (
     mixed_moment_by_definition,
     mixed_moment_cumulant,
 )
-from epsindep.moments import FOLD_FROM
+from epsindep.moments import _fold_first_block
 from oracles import (
     admissible_by_definition,
     complete_graph_matrix,
@@ -142,16 +142,26 @@ class TestCumulantEvaluator:
 
     @pytest.mark.parametrize("kind", [FREE, CLASSICAL])
     def test_kappa_1_only_table_never_folds(self, kind, monkeypatch):
-        # a point mass has only kappa_1: no block takes a further point, so
-        # the route sums singletons however many points are eligible
-        def fold(*args):
-            raise AssertionError("folded a state whose table has only kappa_1")
+        # a point mass has only kappa_1: its points can only be singleton
+        # blocks, so the route factors them out and folds the other labels
+        folded = []
+
+        def fold(lab, *args):
+            folded.append(lab)
+            return _fold_first_block(lab, *args)
 
         monkeypatch.setattr("epsindep.moments._fold_first_block", fold)
-        n = 2 * FOLD_FROM
-        e = EpsilonMatrix(1, [], diag=[1 if kind == CLASSICAL else 0])
-        table = CumulantTable.from_moments(kind, [F(3, 2) ** k for k in range(1, n + 1)])
-        assert mixed_moment_cumulant((0,) * n, e, {0: table}) == F(3, 2) ** n
+        n = 8
+        diag = 1 if kind == CLASSICAL else 0
+        mass = CumulantTable.from_moments(kind, [F(3, 2) ** k for k in range(1, n + 1)])
+        e = EpsilonMatrix(1, [], diag=[diag])
+        assert mixed_moment_cumulant((0,) * n, e, {0: mass}) == F(3, 2) ** n
+        assert folded == []
+        # beside a free semicircle label, which folds: (3/2)**3 * phi(x1**4)
+        e = EpsilonMatrix(2, [], diag=[diag, 0])
+        tables = {0: mass, 1: semicircle_table(1, 4)}
+        assert mixed_moment_cumulant((0, 1, 0, 1, 1, 0, 1), e, tables) == F(3, 2) ** 3 * 2
+        assert folded and all(0 not in lab for lab in folded)
 
 
 class TestDefinitionEvaluator:

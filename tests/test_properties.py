@@ -130,6 +130,14 @@ ALL_ONE_POINT = ((2, 0, 1), EpsilonMatrix(3, [(0, 2)], diag=[0, 1, 0]), {
 ZERO_MEAN_POINT = ((0, 1, 0), EpsilonMatrix(2), {0: [1, 2, 0], 1: [0, 3, 1]})
 POINT_IN_CROSSING = ((0, 2, 1, 0, 2), EpsilonMatrix(3, [(0, 2)]), {
     0: [1, 2, -1, 0, 1], 1: [Fraction(-5, 4), 1, 0, 0, 0], 2: [2, Fraction(1, 2), 0, 0, 3]})
+# A label with kappa_2 = 0 and kappa_3 != 0 is factored out at 2 points
+# (kappa_1 squared), not at 3, where it heads the block {1,4,6}; beside it
+# a 2-point label with kappa_2 != 0, never factored, and in the second a
+# 2-point label with kappa_1 and kappa_3 only, factored.
+KAPPA_3_AT_TWO_POINTS = ((0, 1, 0, 1), EpsilonMatrix(2), {
+    0: [Fraction(3, 2), 0, 1, 0], 1: [-1, 2, 0, 0]})
+KAPPA_3_AT_THREE_POINTS = ((0, 1, 2, 0, 1, 0, 2), EpsilonMatrix(3, [(0, 1), (1, 2)], [0, 1, 0]), {
+    0: [Fraction(3, 2), 0, 1, 0, 0, 0, 0], 1: [-1, 2, 0, 1, 0, 0, 0], 2: [2, 0, 5, 0, 0, 0, 0]})
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,6 +145,8 @@ POINT_IN_CROSSING = ((0, 2, 1, 0, 2), EpsilonMatrix(3, [(0, 2)]), {
 @example(ALL_ONE_POINT)
 @example(ZERO_MEAN_POINT)
 @example(POINT_IN_CROSSING)
+@example(KAPPA_3_AT_TWO_POINTS)
+@example(KAPPA_3_AT_THREE_POINTS)
 def test_cumulant_moment_matches_per_partition_sum(instance):
     entries, e, cumulants = instance
     tables = cumulant_tables(e, cumulants)
@@ -151,6 +161,8 @@ def test_cumulant_moment_matches_per_partition_sum(instance):
 @example(ALL_ONE_POINT)
 @example(ZERO_MEAN_POINT)
 @example(POINT_IN_CROSSING)
+@example(KAPPA_3_AT_TWO_POINTS)
+@example(KAPPA_3_AT_THREE_POINTS)
 def test_cumulant_moment_with_sparse_tables(instance):
     """Tables where most cumulants are exactly 0, so the recursion skips
     most block sizes."""
