@@ -4,8 +4,8 @@ moments.
 Commutation between generators follows the off-diagonal entries of the
 independence matrix; diagonal entries play no role here.  A reduced
 nonempty word is never the identity, so triviality is a syntactic check.
-_fold_step expands products of sums of syllables, merging equal reduced
-prefixes, for the group trace and the definition route in moments.
+_merge_target decides where a syllable merges, for the reducer here and
+for the definition route's fold in moments.
 """
 
 from fractions import Fraction
@@ -13,36 +13,32 @@ from fractions import Fraction
 from .errors import DomainError
 
 
-def _append_syllable(word, lbl, exp, e):
-    """Append one syllable to a reduced word, keeping it reduced: the one
-    same-label merge of the package.
-
-    The merge target, if any, is the unique same-label syllable with
-    only commuting syllables after it."""
+def _merge_target(word, lbl, e):
+    """The index of the syllable that a syllable of label lbl appended to
+    the reduced word merges into, or None: the unique same-label syllable
+    with only commuting syllables after it.  The one place of the package
+    that decides whether two occurrences of a label merge."""
     bar = e.against[lbl]  # the labels that do not commute with lbl
     for idx in range(len(word) - 1, -1, -1):
         wl = word[idx][0]
         if wl == lbl:
-            merged = word[idx][1] + exp
-            if merged:
-                return word[:idx] + ((lbl, merged),) + word[idx + 1 :]
-            return word[:idx] + word[idx + 1 :]
+            return idx
         if bar >> wl & 1:
-            break
-    return word + ((lbl, exp),)
+            return None
+    return None
 
 
-def _fold_step(prefixes, choices, e):
-    """One position of a prefix-merged expansion: each prefix (a reduced
-    word, mapped to its coefficient) takes each choice (syllable or None,
-    factor) by _append_syllable (None keeps it) times the factor; equal
-    results merge and zero coefficients are dropped."""
-    out = {}
-    for word, coeff in prefixes.items():
-        for syllable, factor in choices:
-            nxt = word if syllable is None else _append_syllable(word, *syllable, e)
-            out[nxt] = out.get(nxt, 0) + coeff * factor
-    return {word: coeff for word, coeff in out.items() if coeff}
+def _append_syllable(word, lbl, exp, e):
+    """Append one syllable to a reduced word, keeping it reduced: merged
+    into its _merge_target if it has one, and dropped with it if their
+    exponents cancel."""
+    idx = _merge_target(word, lbl, e)
+    if idx is None:
+        return word + ((lbl, exp),)
+    merged = word[idx][1] + exp
+    if merged:
+        return word[:idx] + ((lbl, merged),) + word[idx + 1 :]
+    return word[:idx] + word[idx + 1 :]
 
 
 def reduce_word(syllables, e):
@@ -60,16 +56,22 @@ def reduce_word(syllables, e):
 
 def generator_mixed_moment(entries, e):
     """Trace of the product over positions of u + u^{-1}: the coefficient
-    of () after folding the choices u, u^{-1} per position (_fold_step).
-    A prefix is dropped once the appended label's sum of |exponent|
-    exceeds its count among the positions left: these reduce to no more
-    of the label, yet must equal the prefix's inverse, and all reduced
-    forms of an element carry the same syllables (E. R. Green, Graph
-    products of groups, Leeds 1990)."""
+    of () after folding the positions left to right on a dict from
+    reduced prefix to coefficient, each prefix taking u and u^{-1} by
+    _append_syllable and equal results merging.  A coefficient counts
+    sign vectors, so it is never 0.  A prefix is dropped once the
+    appended label's sum of |exponent| exceeds its count among the
+    positions left: these reduce to no more of the label, yet must equal
+    the prefix's inverse, and all reduced forms of an element carry the
+    same syllables (E. R. Green, Graph products of groups, Leeds 1990)."""
     e.check_tuple(entries)
     prefixes = {(): 1}
     for k, lbl in enumerate(entries):
         left = entries[k + 1 :].count(lbl)
-        step = _fold_step(prefixes, (((lbl, 1), 1), ((lbl, -1), 1)), e)
-        prefixes = {w: c for w, c in step.items() if sum(abs(x) for wl, x in w if wl == lbl) <= left}
+        out = {}
+        for word, coeff in prefixes.items():
+            for exp in (1, -1):
+                nxt = _append_syllable(word, lbl, exp, e)
+                out[nxt] = out.get(nxt, 0) + coeff
+        prefixes = {w: c for w, c in out.items() if sum(abs(x) for wl, x in w if wl == lbl) <= left}
     return Fraction(prefixes.get((), 0))

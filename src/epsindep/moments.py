@@ -1,12 +1,12 @@
-"""Mixed-moment evaluators: cumulant summation, definition-based
-centering recursion, and the kernel-factorization shortcut."""
+"""Mixed-moment evaluators: cumulant summation, a left-to-right fold
+over centred words straight from the independence definition, and the
+kernel-factorization shortcut."""
 
 from fractions import Fraction
-from functools import cache
 from math import prod
 
 from .errors import TableError
-from .graphgroup import _fold_step, reduce_word
+from .graphgroup import _merge_target, reduce_word
 from .ncpartitions import eligible_points, kernel_noncrossing, trim_gaps
 
 # Not called here: bench/worker.py wraps these module attributes to trace
@@ -188,48 +188,61 @@ def mixed_moment_cumulant(entries, e, tables):
 
 def mixed_moment_by_definition(entries, e, tables):
     """Evaluate the mixed moment straight from the independence
-    definition, on the tables' scaled moments.
+    definition, on the tables' scaled moments: phi(c_1...c_r) = 0 for
+    centred c_k whose labels form an admissible tuple, that is, for every
+    nonempty reduced word of centred syllables.
 
-    The tuple's reduced word a_1...a_m is admissible, so phi((a_1 - m_1)
-    ...(a_m - m_m)) = 0: _fold_step expands that product with the choices
-    a_k or -m_k (a_k alone when m_k = 0), and phi(a_1...a_m) is minus the
-    other terms, each a shorter reduced word evaluated once per call, in
-    integers as in mixed_moment_cumulant.
-
-    Before folding, every syllable b whose label occurs in no other
-    syllable is factored out: phi(x b y) = phi(b) phi(x y).  Proof: with
-    b = b° + phi(b), expand x and y into centred syllables plus means;
-    every reduced term of x b° y keeps b° as its own factor, so it is a
-    centred admissible word and phi of it is 0 by definition.  The rest
-    goes back through reduce_word, as dropping b may let two syllables
-    merge (x1 x2 x1 on a free pair is x1^2); each position still carries
-    its d once, so the scaling is unchanged."""
+    One fold runs left to right over the tuple's reduced word on a dict
+    from reduced word of centred syllables to coefficient, starting from
+    {(): 1}, so that the product of the syllables so far is the sum of
+    coefficient times word; phi is then the coefficient of ().  A
+    syllable x = x° + m_x (m_x = phi(x)) appends to each word W:
+    - without a merge target (graphgroup._merge_target): W m_x + W x°;
+    - with one, t°: t° x = (tx)° - m_t x° + (phi(tx) - m_t m_x), with t°
+      taken out of W and the new syllable put at the end (the syllables
+      after t° commute with x's label, and taking t° out merges nothing,
+      as each of them commutes with t's label).
+    Equal words merge and zero coefficients go after each syllable.  A
+    word that holds more syllables of a label than the reduced word has
+    left of it goes too: each later syllable removes at most one, so the
+    word never reaches ().  A label with one syllable therefore only ever
+    contributes its mean.  The coefficients are integers as in
+    mixed_moment_cumulant: each carries label l's d once per l-point
+    folded and not in its word."""
     e.check_tuple(entries)
     _check_tables(entries, e, tables)
-    scaled = {label: tables[label].scaled_moments for label in set(entries)}
-
-    @cache
-    def phi(word):
-        if not word:
-            return 1
-        labels = [lbl for lbl, _ in word]
-        factor, rest = 1, []
-        for lbl, pw in word:
-            if labels.count(lbl) == 1:
-                factor *= scaled[lbl][pw - 1]
-            else:
-                rest.append((lbl, pw))
-        if len(rest) < len(word):
-            return factor and factor * phi(reduce_word(rest, e))
-        terms = {(): 1}
-        for lbl, pw in word:
-            mean = scaled[lbl][pw - 1]
-            choices = (((lbl, pw), 1), (None, -mean)) if mean else (((lbl, pw), 1),)
-            terms = _fold_step(terms, choices, e)
-        del terms[word]  # the term taking every a_k
-        return -sum(coeff * phi(u) for u, coeff in terms.items())
-
-    return Fraction(phi(reduce_word(((lbl, 1) for lbl in entries), e)), _scale(entries, tables))
+    word = reduce_word(((lbl, 1) for lbl in entries), e)
+    labels = [lbl for lbl, _ in word]
+    states = {(): 1}
+    for k, (lbl, pw) in enumerate(word):
+        scaled = tables[lbl].scaled_moments
+        mean = scaled[pw - 1]
+        left = labels[k + 1 :].count(lbl)
+        out = {}
+        for w, c in states.items():
+            count = [wl for wl, _ in w].count(lbl)
+            idx = _merge_target(w, lbl, e)
+            if idx is None:
+                if mean and count <= left:
+                    out[w] = out.get(w, 0) + c * mean
+                if count < left:
+                    nxt = w + ((lbl, pw),)
+                    out[nxt] = out.get(nxt, 0) + c
+                continue
+            q = w[idx][1]
+            mean_t = scaled[q - 1]
+            rest = w[:idx] + w[idx + 1 :]
+            if count <= left:
+                nxt = rest + ((lbl, q + pw),)
+                out[nxt] = out.get(nxt, 0) + c
+                if mean_t:
+                    nxt = rest + ((lbl, pw),)
+                    out[nxt] = out.get(nxt, 0) - c * mean_t
+            const = scaled[q + pw - 1] - mean_t * mean
+            if const:
+                out[rest] = out.get(rest, 0) + c * const
+        states = {w: c for w, c in out.items() if c}
+    return Fraction(states.get((), 0), _scale(entries, tables))
 
 
 def factorization_shortcut(entries, e, tables):

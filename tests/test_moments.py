@@ -196,6 +196,19 @@ class TestDefinitionEvaluator:
             b = mixed_moment_by_definition(entries, e, tables)
             assert a == b, (entries, e)
 
+    def test_long_free_pair_agrees_with_cumulants(self):
+        # (x1,x2)^10: twenty points, all reduced syllables, no mean 0
+        rng = random.Random(27)
+        tables = {
+            lbl: CumulantTable.from_moments(
+                FREE, [F(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20)) for _ in range(10)]
+            )
+            for lbl in (0, 1)
+        }
+        entries = (0, 1) * 10
+        value = mixed_moment_by_definition(entries, FREE2, tables)
+        assert value == mixed_moment_cumulant(entries, FREE2, tables)
+
     def test_swap_invariance(self):
         rng = random.Random(24)
         mats = list(all_matrices(3))

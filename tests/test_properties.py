@@ -3,8 +3,8 @@ route against generate-and-test, against its fold-free form
 (oracles.cumulant_by_first_blocks) on long tuples and against the table's
 own moment on constant tuples, the greedy reduce-to-empty check against a
 literal search, the kernel test against the kernel partition's, the
-definition route and the group trace, both folds over
-graphgroup._fold_step, against literal expansions, the moment/cumulant
+definition route's and the group trace's left-to-right folds against
+literal expansions, the moment/cumulant
 conversions against each other and against partition sums, the word
 reducer, every route's invariance under relabeling and under the dihedral
 symmetry, the order to which every route reads each table, the
@@ -258,10 +258,36 @@ def test_definition_route_matches_mask_expansion(instance):
     1: [Fraction(-2)] * 5,
     2: [Fraction(0), Fraction(4), Fraction(1), Fraction(1), Fraction(1)],
 }))
+# x1^2 merges into x1^2 once x2 is dropped, and x1^4 into the last x1
+@example(((0, 0, 1, 0, 0, 1, 0), EpsilonMatrix(2), {
+    0: [Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(5, 4), Fraction(1), Fraction(2), Fraction(1)],
+    1: [Fraction(2), Fraction(-1, 3), Fraction(4), Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
+}))
+# x1 merges into x1 across x2, which commutes with it, once x3 is dropped
+@example(((0, 1, 2, 0, 1, 2), EpsilonMatrix(3, [(0, 1)]), {
+    0: [Fraction(2), Fraction(3), Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
+    1: [Fraction(-1), Fraction(5, 2), Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
+    2: [Fraction(1, 3), Fraction(2), Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
+}))
+# the merging label x1 is classical
+@example(((0, 1, 0, 1, 0), EpsilonMatrix(2, diag=[1, 0]), {
+    0: [Fraction(3, 2), Fraction(1, 5), Fraction(-2), Fraction(1), Fraction(1)],
+    1: [Fraction(-1, 2), Fraction(4), Fraction(1), Fraction(1), Fraction(1)],
+}))
+# x1 has mean 0 and merges into x1^2, whose mean is not 0
+@example(((0, 0, 1, 0, 1, 0), EpsilonMatrix(2), {
+    0: [Fraction(0), Fraction(2), Fraction(1, 3), Fraction(4), Fraction(-1), Fraction(3)],
+    1: [Fraction(5), Fraction(-2, 7), Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
+}))
+# phi(x1 x1) = phi(x1)^2: merging x1 into x1 leaves no constant term
+@example(((0, 1, 0, 1, 0), EpsilonMatrix(2), {
+    0: [Fraction(2), Fraction(4), Fraction(1), Fraction(3), Fraction(-1)],
+    1: [Fraction(-3), Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1)],
+}))
 def test_definition_route_matches_mask_expansion_dense(instance):
-    """Moments mostly nonzero, so every singly-occurring label the
-    definition route factors out carries a nonzero mean and the rest of
-    the word is expanded in full."""
+    """Moments mostly nonzero, so few terms of the definition route's
+    fold vanish.  The examples reach each term of t° x = (tx)° - m_t x°
+    + (phi(tx) - m_t m_x) when x merges into t°."""
     entries, e, moments = instance
     want = phi_by_masks(tuple((lbl, 1) for lbl in entries), e, moments, {})
     assert mixed_moment_by_definition(entries, e, moment_tables(e, moments)) == want
