@@ -151,6 +151,7 @@ def _as_table(payload, prefix=""):
     else:
         for value in payload:
             if isinstance(value, (dict, list, tuple)):
+                yield f"{prefix}-"
                 yield from _as_table(value, prefix + "  ")
             else:
                 yield f"{prefix}{value}"
@@ -239,8 +240,15 @@ def build_parser():
             "(default: EPSINDEP_MAX_N, else 12)",
         )
         fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="table", action="store_false", default=False)
-        fmt.add_argument("--table", dest="table", action="store_true")
+        fmt.add_argument(
+            "--json", dest="table", action="store_false", default=False,
+            help="print the result as indented JSON (default)",
+        )
+        fmt.add_argument(
+            "--table", dest="table", action="store_true",
+            help="print the result as indented lines, a '-' line opening each "
+            "list or object inside a list",
+        )
 
     p = sub.add_parser("enumerate", help="list the epsilon-non-crossing set of a tuple")
     common(p)
@@ -252,7 +260,11 @@ def build_parser():
     p.add_argument("--tuple", required=True, help="comma-separated label names")
     p.add_argument("--dist", required=True, help="distribution spec JSON file")
     p.add_argument(
-        "--method", choices=("cumulant", "definition", "both"), default="both"
+        "--method",
+        choices=("cumulant", "definition", "both"),
+        default="both",
+        help="evaluator: the cumulant sum, the definition, or both and "
+        "whether they agree (default: both)",
     )
     p.set_defaults(func=cmd_moment)
 
@@ -261,7 +273,9 @@ def build_parser():
     p.add_argument(
         "--max-n", type=int, default=5, help="maximum tuple length, from 1 to --cap"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the random evaluator instances (default: 0)"
+    )
     p.add_argument(
         "--instances", type=int, default=200, help="random evaluator instances, at least 0"
     )

@@ -123,7 +123,7 @@ def membership_equivalence_check(result, entries, e, tables):
             result.record(False, detail)
 
 
-def evaluator_equivalence_check(e, max_n, rng, instances=200, corrupt=False):
+def evaluator_equivalence_check(e, max_n, rng, instances, corrupt):
     """Cumulant-formula evaluator vs definition-based centering recursion
     on random tuples.  Each label of the tuple, in sorted order, draws one
     moment p/q (|p| <= 20, 1 <= q <= 20) per point, as far as any evaluator

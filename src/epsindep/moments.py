@@ -7,7 +7,7 @@ from math import prod
 
 from .errors import TableError
 from .graphgroup import _merge_target, reduce_word
-from .ncpartitions import eligible_points, kernel_noncrossing, trim_gaps
+from .ncpartitions import kernel_noncrossing, noncrossing_sum
 
 # Not called here: bench/worker.py wraps these module attributes to trace
 # the per-partition path, which now shows zero calls.
@@ -19,6 +19,7 @@ def _check_tables(entries, e, tables):
     """Each label of the tuple needs a table of its kind to order
     entries.count(label), and no route reads further: a block, a merged
     power or a kernel block of a label has at most that many points."""
+    e.check_tuple(entries)
     for label in set(entries):
         if label not in tables:
             raise TableError(f"no table for label {label}")
@@ -40,90 +41,15 @@ def _scale(entries, tables):
     return prod(tables[label].d ** entries.count(label) for label in set(entries))
 
 
-def _fold_first_block(lab, gaps, eligible, mark, kappas, total, memo):
-    """Sum over the first point's blocks of kappa times the total of the
-    state left, folding the points left to right: an eligible point joins
-    the block or stays, every other point stays.
-
-    A partial child is (kept segment, its label mask, pending gap, r), the
-    segment a tuple label, gap, label, ..., label; equal partial children
-    merge by adding their coefficients.  A kept gap that bars every label
-    of the segment to its left that can still occur to its right closes
-    the segment: no block spans that gap, so the child's total is the
-    product of the two sides' totals, and the segment's total goes into
-    the coefficient.  After the last point every segment closes."""
-    n = len(lab)
-    later = [0] * n  # labels at positions j and after
-    seen = 0
-    for j in range(n - 1, 0, -1):
-        seen |= 1 << lab[j]
-        later[j] = seen
-    top = max(kappas)
-    last = eligible[-1] if eligible else 0
-    eligible = set(eligible)
-    done = ((), 0, 0, 0)
-    # no eligible point: the block is the first point alone, weighed now
-    parts = {done: 1 if eligible else kappas.get(0, 0)}
-    if not parts[done]:
-        return 0
-    for j in range(1, n + 1):
-        if j < n:
-            label = lab[j]
-            bit = 1 << label
-            gap_in = gaps[j - 1]
-            join = j in eligible
-        out = {}
-        for (seg, seen, acc, r), c in parts.items():
-            if j < n:
-                if join and r < top:
-                    key = (seg, seen, acc | gap_in | mark if seg else 0, r + 1)
-                    out[key] = out.get(key, 0) + c
-                if not seg:
-                    key = ((label,), bit, 0, r)
-                    out[key] = out.get(key, 0) + c
-                    continue
-                gap = acc | gap_in
-                if seen & later[j] & ~gap:
-                    key = (seg + (gap, label), seen | bit, 0, r)
-                    out[key] = out.get(key, 0) + c
-                    continue
-            # close the segment; memo also keys it by its untrimmed form
-            value = memo.get(seg)
-            if value is None:
-                labels = seg[::2]
-                value = memo[seg] = total(labels, trim_gaps(labels, seg[1::2]))
-            c *= value
-            if c:
-                key = ((label,), bit, 0, r) if j < n else done
-                out[key] = out.get(key, 0) + c
-        parts = out
-        if j == last:
-            # the block is complete: weigh each child by its cumulant
-            parts = {}
-            for (seg, seen, acc, r), c in out.items():
-                kappa = kappas.get(r)
-                if kappa:
-                    key = (seg, seen, acc, 0)
-                    parts[key] = parts.get(key, 0) + c * kappa
-    return parts.get(done, 0)
-
-
 def mixed_moment_cumulant(entries, e, tables):
     """Sum of block cumulant products over the epsilon-non-crossing set,
-    by a memoised recursion on the block that holds the first point, over
-    the states ncpartitions.first_blocks also walks.  Partitions are never
-    listed, and no block of a zero-cumulant size is built.
+    by ncpartitions.noncrossing_sum once per component below.  Partitions
+    are never listed, and no block of a zero-cumulant size is built.
 
     - Labels in different components of the eps != 1 graph never bar each
       other's blocks, so the set is a product over the components and so
-      is the sum.
-    - A state sums over its first point's blocks by folding the points
-      left to right, equal partial children merging (_fold_first_block).
-    - The fold splits a child at a gap that bars every label occurring on
-      both of its sides.  Proof: a block spanning that gap would have its
-      label on both sides, where it is barred; so every block lies on one
-      side, blocks of different sides do not cross, and the child's sum
-      is the product of its sides' sums.
+      is the sum; components share no labels, so no state recurs across
+      them.
     - A label with c points in the tuple whose kappa_2 to kappa_c are all
       0 is factored out first: the sum is kappa_1 of that label to the
       power c times the sum over the other points; a label with one point
@@ -140,7 +66,6 @@ def mixed_moment_cumulant(entries, e, tables):
     label l contributes kappa_l(s) * d_l**s, so every product carries d_l
     once per l-point (_scale).
     """
-    e.check_tuple(entries)
     _check_tables(entries, e, tables)
     once = {a for a in set(entries) if not any(tables[a].scaled_cumulants[1 : entries.count(a)])}
     value = prod([tables[a].scaled_cumulants[0] ** entries.count(a) for a in once])
@@ -156,17 +81,6 @@ def mixed_moment_cumulant(entries, e, tables):
     }
     present = sum([1 << a for a in scaled])
     against = {a: e.against[a] & present for a in scaled}
-    memo = {(): 1}  # states (labels, gaps) and the fold's segments, () the empty one
-
-    def total(lab, gaps):
-        key = (lab, gaps)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _fold_first_block(
-                lab, gaps, eligible_points(lab, gaps), against[lab[0]], scaled[lab[0]], total, memo
-            )
-        return value
-
     left = present
     while left and value:
         # a component of the eps != 1 graph on the tuple's labels: its
@@ -182,7 +96,7 @@ def mixed_moment_cumulant(entries, e, tables):
             comp = grown
         part = lab if comp == present else tuple([a for a in lab if comp >> a & 1])
         left &= ~comp
-        value *= total(part, (0,) * (len(part) - 1))
+        value *= noncrossing_sum(part, against, scaled)
     return Fraction(value, _scale(entries, tables))
 
 
@@ -209,7 +123,6 @@ def mixed_moment_by_definition(entries, e, tables):
     contributes its mean.  The coefficients are integers as in
     mixed_moment_cumulant: each carries label l's d once per l-point
     folded and not in its word."""
-    e.check_tuple(entries)
     _check_tables(entries, e, tables)
     word = reduce_word(((lbl, 1) for lbl in entries), e)
     labels = [lbl for lbl, _ in word]
@@ -248,7 +161,6 @@ def mixed_moment_by_definition(entries, e, tables):
 def factorization_shortcut(entries, e, tables):
     """If the kernel itself is epsilon-non-crossing the moment factorizes
     over kernel blocks; returns None when the shortcut does not apply."""
-    e.check_tuple(entries)
     _check_tables(entries, e, tables)
     if not kernel_noncrossing(entries, e):
         return None

@@ -10,16 +10,17 @@ points; kernel_noncrossing runs the pairwise core on the tuple's kernel,
 one block per label.  A label is its own bit in every label mask, as in
 EpsilonMatrix.against.
 
-Enumeration and the cumulant route (moments.mixed_moment_cumulant) share
-one state: the points not yet in a block, with a mask per gap of the
-labels that may not span it, cut to the labels on both of its sides by
-trim_gaps.  first_blocks lists the blocks the first remaining point may
-head without a forbidden crossing, each with the state it leaves.
-enumerate_nc_epsilon expands it over every block size, one member per leaf
-and no dead ends.  The cumulant route memoises the states and folds each
-first block point by point instead of listing its subsets.  Filtering
-every partition below the kernel through is_epsilon_noncrossing
-(generate-and-test) is the reference the tests compare both against.
+Enumeration and the cumulant sum share one state: the points not yet in
+a block, with a mask per gap of the labels that may not span it, cut to
+the labels on both of its sides by trim_gaps.  first_blocks lists the
+blocks the first remaining point may head without a forbidden crossing,
+each with the state it leaves.  enumerate_nc_epsilon expands it over
+every block size, one member per leaf and no dead ends.  noncrossing_sum,
+the sum the cumulant route (moments.mixed_moment_cumulant) evaluates,
+memoises the states and folds each first block point by point instead of
+listing its subsets.  Filtering every partition below the kernel through
+is_epsilon_noncrossing (generate-and-test) is the reference the tests
+compare both against.
 """
 
 from itertools import combinations
@@ -236,3 +237,87 @@ def enumerate_nc_epsilon(entries, e):
 
     expand((tuple(entries), (0,) * max(n - 1, 0)), range(1, n + 1))
     return out
+
+
+def noncrossing_sum(lab, against, kappas):
+    """The sum of kappa_pi over the epsilon-non-crossing partitions below
+    the kernel of lab, a block of label l and r + 1 points weighing
+    kappas[l][r] (0 if r is missing; no kappas[l] is empty), with
+    against[l] as in EpsilonMatrix.against.  A memoised recursion on the
+    states first_blocks walks, one frame per removed block: a state sums
+    over its first point's blocks by folding the points left to right, an
+    eligible point joining the block or staying, every other one staying.
+
+    A partial child is (kept segment, its label mask, pending gap, r), the
+    segment a tuple label, gap, label, ..., label; equal partial children
+    merge by adding their coefficients.  A kept gap that bars every label
+    of the segment to its left that can still occur to its right closes
+    the segment, and its total goes into the coefficient.  Proof: a block
+    spanning that gap would have its label on both sides, where it is
+    barred; so every block lies on one side, blocks of different sides do
+    not cross, and the child's total is the product of its sides' totals.
+    After the last point every segment closes."""
+    memo = {(): 1}  # states (labels, gaps) and the fold's segments, () the empty one
+
+    def total(lab, gaps):
+        state = (lab, gaps)
+        value = memo.get(state)
+        if value is not None:
+            return value
+        n = len(lab)
+        later = [0] * (n + 1)  # labels at positions j and after
+        for j in range(n - 1, 0, -1):
+            later[j] = later[j + 1] | 1 << lab[j]
+        sizes = kappas[lab[0]]
+        mark = against[lab[0]]
+        top = max(sizes)
+        eligible = eligible_points(lab, gaps)
+        last = eligible[-1] if eligible else 0
+        eligible = set(eligible)
+        done = ((), 0, 0, 0)
+        # no eligible point: the block is the first point alone, weighed now
+        weight = 1 if eligible else sizes.get(0, 0)
+        parts = {done: weight} if weight else {}
+        for j in range(1, n + 1):
+            if j < n:
+                label = lab[j]
+                bit = 1 << label
+                gap_in = gaps[j - 1]
+                join = j in eligible
+            out = {}
+            for (seg, seen, acc, r), c in parts.items():
+                if j < n:
+                    if join and r < top:
+                        key = (seg, seen, acc | gap_in | mark if seg else 0, r + 1)
+                        out[key] = out.get(key, 0) + c
+                    if not seg:
+                        key = ((label,), bit, 0, r)
+                        out[key] = out.get(key, 0) + c
+                        continue
+                    gap = acc | gap_in
+                    if seen & later[j] & ~gap:
+                        key = (seg + (gap, label), seen | bit, 0, r)
+                        out[key] = out.get(key, 0) + c
+                        continue
+                # close the segment; memo also keys it by its untrimmed form
+                value = memo.get(seg)
+                if value is None:
+                    labels = seg[::2]
+                    value = memo[seg] = total(labels, trim_gaps(labels, seg[1::2]))
+                c *= value
+                if c:
+                    key = ((label,), bit, 0, r) if j < n else done
+                    out[key] = out.get(key, 0) + c
+            parts = out
+            if j == last:
+                # the block is complete: weigh each child by its cumulant
+                parts = {}
+                for (seg, seen, acc, r), c in out.items():
+                    kappa = sizes.get(r)
+                    if kappa:
+                        key = (seg, seen, acc, 0)
+                        parts[key] = parts.get(key, 0) + c * kappa
+        value = memo[state] = parts.get(done, 0)
+        return value
+
+    return total(lab, (0,) * (len(lab) - 1))

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -92,6 +93,28 @@ class TestEnumerate:
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize("tuple_arg", ["a,b,a", "a,a,a,a"])
+    def test_table_reads_back_as_partitions(self, tmp_path, capsys, tuple_arg):
+        # --table puts a "-" line before each partition and each block,
+        # so the partitions read back as the JSON lists them
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a", "b"]}))
+        argv = ["enumerate", "--graph", str(graph), "--tuple", tuple_arg]
+        _, out = run(capsys, argv)
+        _, table = run(capsys, argv + ["--table"])
+        lines = table.splitlines()
+        parts = []
+        for line in lines[lines.index("partitions:") + 1 :]:
+            if line == "  -":
+                parts.append([])
+            elif line == "    -":
+                parts[-1].append([])
+            elif line.startswith("      "):
+                parts[-1][-1].append(int(line))
+            else:
+                break
+        assert parts == json.loads(out)["partitions"]
 
     def test_closed_stdout(self, tmp_path):
         # a reader gone after one byte of about 930 KB: exit 2 and one
@@ -880,16 +903,25 @@ class TestInputHandling:
 
     @pytest.mark.parametrize("command", ["enumerate", "moment"])
     def test_tuple_beyond_recursion_limit(self, tmp_path, capsys, command):
-        # enumeration recurses once per point, and so does the cumulant
-        # route on a classical Gaussian label (kappa_2 only, whose first
-        # fold child leaves all but two points): with the limit lowered, a
-        # tuple of 300 points stands in for one of about 1,000 at the
+        # enumeration recurses once per point, the cumulant route once per
+        # removed block: 150 times on a classical Gaussian label (kappa_2
+        # only, so each block holds two points).  With the limit lowered,
+        # a tuple of 300 points stands in for a far longer one at the
         # default limit
         n = 300
         code, out, err = self._lowered_limit_call(tmp_path, capsys, command, n, "gaussian")
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_gaussian_tuple_within_recursion_limit(self, tmp_path, capsys):
+        # the cumulant route recurses once per removed block, here 75
+        # two-point blocks, below the 100 frames the lowered limit leaves
+        n = 150
+        code, out, err = self._lowered_limit_call(tmp_path, capsys, "moment", n, "gaussian")
+        assert code == 0
+        assert json.loads(out)["values"] == {"cumulant": f"{math.prod(range(n - 1, 0, -2))}/1"}
+        assert err == ""
 
     def test_point_mass_tuple_within_recursion_limit(self, tmp_path, capsys):
         # a point mass has only kappa_1: its points are singletons, which
@@ -1077,6 +1109,13 @@ ARGV_CORPUS = [
     ["crosscheck", "--graph", "G", "--max-n"],
     ["crosscheck", "--graph", "G", "--max-n", "2", "--instances", "3", "--seed", "-1"],
 ]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_option_has_help(command):
+    for action in cli._COMMANDS[command]._actions:
+        if action.option_strings and action.dest != "help":
+            assert action.help, f"{command} {action.option_strings[0]} has no help text"
 
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)

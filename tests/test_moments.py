@@ -17,7 +17,7 @@ from epsindep import (
     mixed_moment_by_definition,
     mixed_moment_cumulant,
 )
-from epsindep.moments import _fold_first_block
+from epsindep.ncpartitions import eligible_points
 from oracles import (
     admissible_by_definition,
     complete_graph_matrix,
@@ -143,14 +143,15 @@ class TestCumulantEvaluator:
     @pytest.mark.parametrize("kind", [FREE, CLASSICAL])
     def test_kappa_1_only_table_never_folds(self, kind, monkeypatch):
         # a point mass has only kappa_1: its points can only be singleton
-        # blocks, so the route factors them out and folds the other labels
+        # blocks, so the route factors them out and folds the other labels;
+        # the sum asks for a state's eligible points once per state it folds
         folded = []
 
-        def fold(lab, *args):
+        def spy(lab, gaps):
             folded.append(lab)
-            return _fold_first_block(lab, *args)
+            return eligible_points(lab, gaps)
 
-        monkeypatch.setattr("epsindep.moments._fold_first_block", fold)
+        monkeypatch.setattr("epsindep.ncpartitions.eligible_points", spy)
         n = 8
         diag = 1 if kind == CLASSICAL else 0
         mass = CumulantTable.from_moments(kind, [F(3, 2) ** k for k in range(1, n + 1)])
