@@ -6,13 +6,17 @@ run against each other.
 Instances are deduplicated up to relabeling: a tuple together with the
 restriction of the matrix to its labels determines every result, so each
 canonical (tuple, restricted matrix) pair is generated once.  The battery
-walks them once, computes each one's cumulant sum once, and hands it to
-the per-instance checks that need it.
+walks them tuple by tuple.  What depends on the tuple alone, its encoding
+and its partitions below the kernel, is built once per tuple; the group
+trace, which ignores the diagonal, once per commutation pattern of the
+tuple's matrices.  Each instance's cumulant sum is computed once and
+handed to the per-instance checks that need it.
 """
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 
 from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table, format_fraction
 from .epsilon import EpsilonMatrix
@@ -39,8 +43,9 @@ def _restrict(e, order):
 
 def canonical_instances(e, max_n, seen=None):
     """The canonical (tuple, restricted matrix) pairs of the tuples up to
-    max_n, each once, in order of the number of labels; seen holds the
-    pairs already checked and is extended.
+    max_n, each once, in order of the number of labels, then by tuple, so
+    a tuple's pairs are consecutive; seen holds the pairs already checked
+    and is extended.
 
     A canonical tuple over k labels is a restricted-growth tuple and its
     matrix is e restricted to some ordered choice of k labels, so the
@@ -49,18 +54,19 @@ def canonical_instances(e, max_n, seen=None):
     seen = set() if seen is None else seen
     for k in range(1, min(e.size, max_n) + 1):
         matrices = dict.fromkeys(_restrict(e, order) for order in permutations(range(e.size), k))
-        tuples = [t for n in range(k, max_n + 1) for t in restricted_growth(n, k)]
-        for ce in matrices:
-            for canon in tuples:
-                if (canon, ce) not in seen:
-                    seen.add((canon, ce))
-                    yield canon, ce
+        for n in range(k, max_n + 1):
+            for canon in restricted_growth(n, k):
+                for ce in matrices:
+                    if (canon, ce) not in seen:
+                        seen.add((canon, ce))
+                        yield canon, ce
 
 
 def mask_partitions_below_kernel(points, tables):
-    """All partitions refining the kernel of a tuple, given encode's points,
-    each a list of (block bitmask, its label); tables maps a block size k
-    to the partitions of range(k) and gains the sizes missing."""
+    """The list of all partitions refining the kernel of a tuple, given
+    encode's points, each a list of (block bitmask, its label); tables
+    maps a block size k to the partitions of range(k) and gains the sizes
+    missing."""
     per_block = []
     for label, mask in points.items():
         bits = []  # the label's positions as one-bit masks, ascending
@@ -70,8 +76,7 @@ def mask_partitions_below_kernel(points, tables):
         if len(bits) not in tables:
             tables[len(bits)] = partitions_of_set(range(len(bits)))
         per_block.append([[(sum(bits[i] for i in c), label) for c in q] for q in tables[len(bits)]])
-    for combo in product(*per_block):
-        yield [blk for part in combo for blk in part]
+    return [[blk for part in combo for blk in part] for combo in product(*per_block)]
 
 
 class CheckResult:
@@ -104,14 +109,13 @@ class CheckResult:
         return out
 
 
-def membership_equivalence_check(result, entries, e, tables):
+def membership_equivalence_check(result, entries, e, points, partitions):
     """Pairwise-crossing characterization vs reduce-to-empty by greedy
-    block removal (no cache, no crossing test), for every partition below
-    the kernel of the tuple, on one bitmask encoding of the tuple; tables
-    as in mask_partitions_below_kernel."""
-    points = encode(entries)
+    block removal (no cache, no crossing test) under e, for every
+    partition below the kernel of the tuple: points is encode(entries)
+    and partitions is mask_partitions_below_kernel of it."""
     bars = bar_masks(e.against, points)
-    for blocks in mask_partitions_below_kernel(points, tables):
+    for blocks in partitions:
         fast = noncrossing_masks(blocks, bars)
         slow = reduces_masks(blocks, bars, len(entries))
         if fast == slow:
@@ -147,11 +151,16 @@ def evaluator_equivalence_check(e, max_n, rng, instances, corrupt):
     return result
 
 
-def group_model_check(result, entries, e, value):
+def group_model_check(result, entries, e, value, traces):
     """Trace of the product of u+u^{-1} in the graph product group vs
-    value, the tuple's cumulant sum with arcsine tables."""
-    group_value = generator_mixed_moment(entries, e)
-    result.compare(entries, "group", group_value, "cumulant", value)
+    value, the tuple's cumulant sum under e with arcsine tables.  The
+    trace ignores the diagonal, so traces maps each commutation pattern
+    (against with every label's own bit cleared) met for this tuple to
+    its trace, and gains the pattern of e."""
+    pattern = tuple(bar & ~(1 << a) for a, bar in enumerate(e.against))
+    if pattern not in traces:
+        traces[pattern] = generator_mixed_moment(entries, e)
+    result.compare(entries, "group", traces[pattern], "cumulant", value)
 
 
 def factorization_check(result, entries, e, tables, value):
@@ -173,13 +182,19 @@ def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):
     # of the table, so one table per kind serves every instance
     arcsine = {kind: arcsine_table(kind, max(max_n, 2)) for kind in (FREE, CLASSICAL)}
     rgs = {}  # block size -> its set partitions, for the membership check
-    for entries, ce in canonical_instances(e, max_n):
-        tables = {lbl: arcsine[ce.kind(lbl)] for lbl in set(entries)}
-        value = mixed_moment_cumulant(entries, ce, tables)
-        group_model_check(group, entries, ce, value)
-        if len(entries) <= 6:
-            membership_equivalence_check(membership, entries, ce, rgs)
-            factorization_check(factorization, entries, ce, tables, value)
+    for entries, pairs in groupby(canonical_instances(e, max_n), key=itemgetter(0)):
+        checked = len(entries) <= 6  # by membership and factorization
+        if checked:
+            points = encode(entries)
+            partitions = mask_partitions_below_kernel(points, rgs)
+        traces = {}  # this tuple's traces by commutation pattern
+        for _, ce in pairs:
+            tables = {lbl: arcsine[ce.kind(lbl)] for lbl in set(entries)}
+            value = mixed_moment_cumulant(entries, ce, tables)
+            group_model_check(group, entries, ce, value, traces)
+            if checked:
+                membership_equivalence_check(membership, entries, ce, points, partitions)
+                factorization_check(factorization, entries, ce, tables, value)
     checks = [membership, evaluator, group, factorization]
     report = {
         "max_n": max_n,

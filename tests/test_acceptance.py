@@ -22,9 +22,11 @@ from epsindep import (
 from epsindep.crosscheck import (
     CheckResult,
     canonical_instances,
+    mask_partitions_below_kernel,
     membership_equivalence_check,
 )
 from epsindep.cumulants import CLASSICAL, FREE, arcsine_table
+from epsindep.ncpartitions import encode
 from oracles import (
     bell_numbers,
     catalan_numbers,
@@ -87,7 +89,9 @@ def test_criterion_1_definition_equivalence():
     graphs = list(all_matrices(3)) + [random_matrix(rng, 4) for _ in range(200)]
     for e in graphs:
         for entries, ce in canonical_instances(e, 6, seen):
-            membership_equivalence_check(res, entries, ce, tables)
+            points = encode(entries)
+            partitions = mask_partitions_below_kernel(points, tables)
+            membership_equivalence_check(res, entries, ce, points, partitions)
     cases = res.cases
     report("1 definition-equivalence", res.failures == 0 and cases > 0, f"{cases} cases")
 

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 import epsindep
 from epsindep import EpsilonMatrix, cli, crosscheck
 from epsindep.cli import main
+from epsindep.ncpartitions import encode
 
 FIVE_CYCLE = {
     "labels": ["x1", "x2", "x3", "x4", "x5"],
@@ -31,6 +33,22 @@ SEMICIRCLES = [
     {"label": name, "named": "semicircle", "variance": "1"}
     for name in FIVE_CYCLE["labels"]
 ]
+
+
+def canonical_keys(e, max_n):
+    """Every instance of the battery up to relabeling, by brute force over
+    all tuples up to max_n: the tuple relabeled by first occurrence, the
+    eps entries between its labels in that order, and their diagonal."""
+    keys = set()
+    for n in range(1, max_n + 1):
+        for entries in product(range(e.size), repeat=n):
+            order = list(dict.fromkeys(entries))
+            keys.add((
+                tuple(order.index(a) for a in entries),
+                tuple(e.eps(a, b) for a, b in combinations(order, 2)),
+                tuple(e.diagonal(a) for a in order),
+            ))
+    return keys
 
 
 @pytest.fixture
@@ -623,6 +641,69 @@ class TestCrosscheck:
             "group_model": 1643,
             "factorization": 411,
         }
+
+
+    def test_every_instance_meets_the_shared_trace(self, monkeypatch):
+        # the trace is shared by the instances that differ only on the
+        # diagonal, yet each compares its own cumulant value: raising the
+        # value wherever a classical label occurs fails exactly those
+        e = EpsilonMatrix(3, [(0, 2)], diag=[0, 1, 0])
+        exact = crosscheck.mixed_moment_cumulant
+
+        def raised(entries, ce, tables):
+            value = exact(entries, ce, tables)
+            return value + 1 if any(ce.diagonal(a) for a in set(entries)) else value
+
+        monkeypatch.setattr(crosscheck, "mixed_moment_cumulant", raised)
+        report, ok = crosscheck.run_crosscheck(e, max_n=5, instances=0)
+        keys = canonical_keys(e, 5)
+        group = {c["name"]: c for c in report["checks"]}["group_model"]
+        assert not ok
+        assert group["cases"] == len(keys)
+        assert group["failures"] == sum(1 in diag for _, _, diag in keys)
+
+    def test_one_partition_list_per_tuple_and_one_trace_per_pattern(self, monkeypatch):
+        # per run: each tuple up to length 6 lists its partitions below
+        # the kernel once, and each (tuple, commutation pattern) is traced
+        # once, however many diagonals the pattern comes with
+        listed, traced = [], []
+        listing, trace = crosscheck.mask_partitions_below_kernel, crosscheck.generator_mixed_moment
+
+        def spy_listing(points, tables):
+            listed.append(tuple(sorted(points.items())))
+            return listing(points, tables)
+
+        def spy_trace(entries, ce):
+            traced.append((entries, tuple(ce.eps(a, b) for a, b in combinations(range(ce.size), 2))))
+            return trace(entries, ce)
+
+        monkeypatch.setattr(crosscheck, "mask_partitions_below_kernel", spy_listing)
+        monkeypatch.setattr(crosscheck, "generator_mixed_moment", spy_trace)
+        e = EpsilonMatrix(3, [(0, 2)], diag=[0, 1, 0])
+        report, ok = crosscheck.run_crosscheck(e, max_n=7, instances=0)
+        keys = canonical_keys(e, 7)
+        assert ok
+        assert sorted(traced) == sorted({(t, offdiag) for t, offdiag, _ in keys})
+        short = {t for t, _, _ in keys if len(t) <= 6}
+        assert sorted(listed) == sorted(tuple(sorted(encode(t).items())) for t in short)
+
+
+def test_battery_case_counts_match_the_benchmark_gate():
+    # bench/inputs.py counts the canonical instances without importing
+    # epsindep; the battery's seed-1 graphs must meet those counts here,
+    # before the benchmark's gate sees them
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_inputs", root / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for graph, seed, expected in inputs.battery_graphs(1, 0):
+        e = EpsilonMatrix.from_json(graph)
+        report, ok = crosscheck.run_crosscheck(
+            e, inputs.BATTERY_MAX_N, seed=seed, instances=inputs.BATTERY_INSTANCES
+        )
+        cases = {c["name"]: c["cases"] for c in report["checks"]}
+        assert ok
+        assert {name: cases[name] for name in expected} == expected
 
 
 def test_bench_tracer_finds_every_call_site():

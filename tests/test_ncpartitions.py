@@ -168,13 +168,17 @@ class TestEquivalence:
     def test_battery_lists_every_partition_below_the_kernel_once(self):
         # the membership check's bitmask partitions, one set-partition
         # table per block size shared across tuples, against the
-        # block-by-block enumeration above; blocks carry their labels
+        # block-by-block enumeration above; blocks carry their labels.
+        # The battery reads one tuple's partitions once per matrix, so
+        # they come as a list, not as a generator spent after one pass.
         tables = {}
         tuples = [(), (0,), (0, 0, 1, 0), (0, 1, 0, 1, 2, 0), (1, 1, 1, 1, 1), (0, 0, 0, 1, 1, 1)]
         for entries in tuples:
             n = len(entries)
             got = []
-            for blocks in mask_partitions_below_kernel(encode(entries), tables):
+            partitions = mask_partitions_below_kernel(encode(entries), tables)
+            assert isinstance(partitions, list)
+            for blocks in partitions:
                 pos = [[j + 1 for j in range(n) if m >> j & 1] for m, _ in blocks]
                 assert all(entries[x - 1] == k for (_, k), b in zip(blocks, pos) for x in b)
                 got.append(canon(pos))

@@ -4,8 +4,8 @@ route against generate-and-test, against its fold-free form
 own moment on constant tuples, the greedy reduce-to-empty check against a
 literal search, the kernel test against the kernel partition's, the
 definition route's and the group trace's left-to-right folds against
-literal expansions, the moment/cumulant
-conversions against each other and against partition sums, the word
+literal expansions, the group trace's indifference to the diagonal, the
+moment/cumulant conversions against each other and against partition sums, the word
 reducer, every route's invariance under relabeling and under the dihedral
 symmetry, the order to which every route reads each table, the
 plain-numeral rule and the moment-list parser against the eager one, and
@@ -312,6 +312,18 @@ def test_group_trace_matches_expanded_product(instance):
     """The pruned fold against the sum over all 2^n sign vectors."""
     entries, e = instance
     assert generator_mixed_moment(entries, e) == sign_sum_trace(entries, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_labels=5), st.data())
+def test_group_trace_ignores_the_diagonal(instance, data):
+    """The premise of the battery's one trace per commutation pattern:
+    a matrix that differs only on the diagonal gives the same trace."""
+    entries, e = instance
+    diag = data.draw(st.lists(st.integers(0, 1), min_size=e.size, max_size=e.size))
+    pairs = [(a, b) for a, b in combinations(range(e.size), 2) if e.eps(a, b)]
+    other = EpsilonMatrix(e.size, pairs, diag=diag)
+    assert generator_mixed_moment(entries, other) == generator_mixed_moment(entries, e)
 
 
 def reduces_to_empty(p, entries, e):
