@@ -642,7 +642,6 @@ class TestCrosscheck:
             "factorization": 411,
         }
 
-
     def test_every_instance_meets_the_shared_trace(self, monkeypatch):
         # the trace is shared by the instances that differ only on the
         # diagonal, yet each compares its own cumulant value: raising the
@@ -680,7 +679,7 @@ class TestCrosscheck:
         monkeypatch.setattr(crosscheck, "mask_partitions_below_kernel", spy_listing)
         monkeypatch.setattr(crosscheck, "generator_mixed_moment", spy_trace)
         e = EpsilonMatrix(3, [(0, 2)], diag=[0, 1, 0])
-        report, ok = crosscheck.run_crosscheck(e, max_n=7, instances=0)
+        _, ok = crosscheck.run_crosscheck(e, max_n=7, instances=0)
         keys = canonical_keys(e, 7)
         assert ok
         assert sorted(traced) == sorted({(t, offdiag) for t, offdiag, _ in keys})
