@@ -59,6 +59,8 @@ CASES = [
     ["moment", "--method", "both", "--tuple", "x3,x2,x3,x3,x2,x3", "--table"],
     ["crosscheck", "--max-n", "3", "--instances", "20"],
     ["crosscheck", "--max-n", "4", "--instances", "20", "--self-test-corrupt"],
+    # the benchmark's battery length
+    ["crosscheck", "--max-n", "5", "--instances", "20"],
     # the factorization shortcut applies to the first two, not the others
     ["moment", "--dist", "rational", "--method", "both", "--tuple", "x1,x3,x1,x3"],
     ["moment", "--dist", "rational", "--method", "both", "--tuple", "x5,x3,x5,x3,x5,x2,x2"],
