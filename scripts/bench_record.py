@@ -1,16 +1,27 @@
-"""Record the benchmark of one checkout in BENCH_<pr>.json.
+"""Record the benchmark of one checkout, or of a change against its
+parent, in BENCH_<pr>.json.
 
     python3 scripts/bench_record.py --pr 29 [--root DIR]
+    python3 scripts/bench_record.py --pr 31 --base-root PARENT [--root DIR]
+        [--seeds 1 2 3]
 
 Runs `python3 bench/run.py --workload W --seed S --seconds 30` of the
 checkout at --root (default: the one holding this script), for every
-workload of its BENCHMARK.json and every seed of SEEDS, one run at a
-time.  Each run's last line of standard output is the JSON object with
-the keys correct, attempted, failed and metrics; the record keeps, per
-workload, the number of correct runs, the failed operations, and the
-median and quartiles of each end-to-end metric over the seeds, with the
-values behind them.  The file is written to this repository, whatever
---root is.  Standard library only.
+workload of its BENCHMARK.json and every seed (default SEEDS), one run
+at a time.  Each run's last line of standard output is
+the JSON object with the keys correct, attempted, failed and metrics;
+the record keeps, per workload, the number of correct runs, the failed
+operations, and the median and quartiles of each end-to-end metric over
+the seeds, with the values behind them.
+
+With --base-root, each seed runs the checkout at --base-root (the base,
+say the parent commit) and the one at --root (the change) back to back,
+the base first on every other seed, so a drift of the host's speed
+falls on both sides alike.  Each workload then holds the two summaries,
+"base" and "change", and per end-to-end metric the pairs' change/base
+ratios, their median, and how many pairs the change improved, in the
+direction BENCHMARK.json gives.  The file is written to this
+repository, whatever --root is.  Standard library only.
 """
 
 import argparse
@@ -63,6 +74,32 @@ def summarize(results, metrics):
     return out
 
 
+def compare(pairs, metrics):
+    """Per metric, over the (base result, change result) pairs in which
+    both runs printed it: each pair's change/base ratio (None where the
+    base reads 0), their median, and how many pairs improved; metrics
+    maps a name to "lower" or "higher", the better direction."""
+    out = {}
+    for name, better in metrics.items():
+        values = [
+            (base["metrics"][name]["value"], change["metrics"][name]["value"])
+            for base, change in pairs
+            if name in base["metrics"] and name in change["metrics"]
+        ]
+        if not values:
+            continue
+        ratios = [c / b if b else None for b, c in values]
+        known = [r for r in ratios if r is not None]
+        out[name] = {
+            "better": better,
+            "pairs": len(values),
+            "improved": sum(c < b if better == "lower" else c > b for b, c in values),
+            "median_ratio": statistics.median(known) if known else None,
+            "ratios": ratios,
+        }
+    return out
+
+
 def run_once(root, workload, seed):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True)
@@ -78,30 +115,49 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout whose bench/run.py runs")
+    parser.add_argument(
+        "--base-root", type=Path, help="checkout to pair with --root, seed by seed, in alternating order"
+    )
+    parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS, help="benchmark seeds, one run each")
     args = parser.parse_args(argv)
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
-    metrics = [m["name"] for m in spec["end_to_end"]]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"change": args.root} if args.base_root is None else {"base": args.base_root, "change": args.root}
     workloads = {}
-    for w in spec["workloads"]:
-        results = []
-        for seed in SEEDS:
-            try:
-                results.append(run_once(args.root, w["name"], seed))
-            except ValueError as exc:
-                print(f"{w['name']} seed {seed}: {exc}", file=sys.stderr)
-            else:
-                print(f"{w['name']} seed {seed}: correct {results[-1]['correct']}", file=sys.stderr)
-        workloads[w["name"]] = summarize(results, metrics)
-    record = {
-        "commit": commit_of(args.root),
-        "python": platform.python_version(),
-        "cores": os.cpu_count(),
-        "seconds": SECONDS,
-        "seeds": SEEDS,
-        "workloads": workloads,
-    }
+    complete = True
+    for name in [w["name"] for w in spec["workloads"]]:
+        results = {side: [] for side in sides}
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            run = {}
+            for side in order:
+                try:
+                    run[side] = run_once(sides[side], name, seed)
+                except ValueError as exc:
+                    print(f"{name} seed {seed} {side}: {exc}", file=sys.stderr)
+                else:
+                    results[side].append(run[side])
+                    print(f"{name} seed {seed} {side}: correct {run[side]['correct']}", file=sys.stderr)
+            if len(run) == 2:
+                pairs.append((run["base"], run["change"]))
+        summaries = {side: summarize(results[side], metrics) for side in sides}
+        complete &= all(s["runs"] == len(args.seeds) == s["correct"] for s in summaries.values())
+        if args.base_root is None:
+            workloads[name] = summaries["change"]
+        else:
+            workloads[name] = dict(summaries, pairs=compare(pairs, metrics))
+    record = {"commit": commit_of(args.root)}
+    if args.base_root is not None:
+        record["base_commit"] = commit_of(args.base_root)
+    record.update(
+        python=platform.python_version(),
+        cores=os.cpu_count(),
+        seconds=SECONDS,
+        seeds=args.seeds,
+        workloads=workloads,
+    )
     (REPO / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=2) + "\n")
-    complete = all(s["runs"] == len(SEEDS) == s["correct"] for s in workloads.values())
     return 0 if complete else 1
 
 

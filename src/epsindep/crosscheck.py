@@ -6,11 +6,13 @@ run against each other.
 Instances are deduplicated up to relabeling: a tuple together with the
 restriction of the matrix to its labels determines every result, so each
 canonical (tuple, restricted matrix) pair is generated once.  The battery
-walks them tuple by tuple.  What depends on the tuple alone, its encoding
-and its partitions below the kernel, is built once per tuple; the group
-trace, which ignores the diagonal, once per commutation pattern of the
-tuple's matrices.  Each instance's cumulant sum is computed once and
-handed to the per-instance checks that need it.
+walks them tuple by tuple.  What depends on the tuple alone, its encoding,
+its partitions below the kernel and each partition's crossings, is built
+once per tuple, so a matrix costs the pairwise membership route one AND
+per crossing label of a partition; the group trace, which ignores the
+diagonal, once per commutation pattern of the tuple's matrices.  Each
+instance's cumulant sum is computed once and handed to the per-instance
+checks that need it.
 """
 
 import random
@@ -22,7 +24,7 @@ from .cumulants import CLASSICAL, FREE, CumulantTable, arcsine_table, format_fra
 from .epsilon import EpsilonMatrix
 from .graphgroup import generator_mixed_moment
 from .moments import factorization_shortcut, mixed_moment_by_definition, mixed_moment_cumulant
-from .ncpartitions import bar_masks, encode, noncrossing_masks, reduces_masks
+from .ncpartitions import bar_masks, crossings, crossings_allowed, encode, reduces_masks
 # not called here: bench/worker.py wraps these three names in this module
 from .moments import moments_from_tables  # noqa: F401
 from .ncpartitions import is_epsilon_noncrossing, reduction_membership  # noqa: F401
@@ -113,10 +115,12 @@ def membership_equivalence_check(result, entries, e, points, partitions):
     """Pairwise-crossing characterization vs reduce-to-empty by greedy
     block removal (no cache, no crossing test) under e, for every
     partition below the kernel of the tuple: points is encode(entries)
-    and partitions is mask_partitions_below_kernel of it."""
-    bars = bar_masks(e.against, points)
-    for blocks in partitions:
-        fast = noncrossing_masks(blocks, bars)
+    and partitions pairs each partition of mask_partitions_below_kernel
+    of it with its crossings, which do not depend on e."""
+    against = e.against
+    bars = bar_masks(against, points)
+    for blocks, crossed in partitions:
+        fast = crossings_allowed(crossed, against)
         slow = reduces_masks(blocks, bars, len(entries))
         if fast == slow:
             result.record(True)
@@ -186,7 +190,7 @@ def run_crosscheck(e, max_n, seed=0, instances=200, corrupt=False):
         checked = len(entries) <= 6  # by membership and factorization
         if checked:
             points = encode(entries)
-            partitions = mask_partitions_below_kernel(points, rgs)
+            partitions = [(p, crossings(p)) for p in mask_partitions_below_kernel(points, rgs)]
         traces = {}  # this tuple's traces by commutation pattern
         for _, ce in pairs:
             tables = {lbl: arcsine[ce.kind(lbl)] for lbl in set(entries)}

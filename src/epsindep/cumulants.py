@@ -40,16 +40,25 @@ def _convert(seq, kind, given):
     moments = [1]
     cumulants = []
     powers = [[1] + [0] * order] + [[] for _ in range(order)]
+    dn = 1  # d**n
     for n in range(1, order + 1):
+        dn *= d
+        rest = 0
         if kind == FREE:
             t = n - 1
             for s in range(1, order - t + 1):
                 prev = powers[s - 1]
-                powers[s].append(sum(moments[i] * prev[t - i] for i in range(t + 1) if prev[t - i]))
-            rest = sum(cumulants[s - 1] * powers[s][n - s] for s in range(1, n))
+                acc = 0
+                for i in range(t + 1):
+                    if prev[t - i]:
+                        acc += moments[i] * prev[t - i]
+                powers[s].append(acc)
+            for s in range(1, n):
+                rest += cumulants[s - 1] * powers[s][n - s]
         else:
-            rest = sum(comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s] for s in range(1, n))
-        value = seq[n - 1].numerator * (d**n // seq[n - 1].denominator)
+            for s in range(1, n):
+                rest += comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s]
+        value = seq[n - 1].numerator * (dn // seq[n - 1].denominator)
         if given == "moments":
             moments.append(value)
             cumulants.append(value - rest)

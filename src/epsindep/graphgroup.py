@@ -28,11 +28,10 @@ def _merge_target(word, lbl, e):
     return None
 
 
-def _append_syllable(word, lbl, exp, e):
+def _append_syllable(word, lbl, exp, idx):
     """Append one syllable to a reduced word, keeping it reduced: merged
-    into its _merge_target if it has one, and dropped with it if their
-    exponents cancel."""
-    idx = _merge_target(word, lbl, e)
+    into the syllable at idx, its _merge_target, unless that is None, and
+    dropped with it if their exponents cancel."""
     if idx is None:
         return word + ((lbl, exp),)
     merged = word[idx][1] + exp
@@ -50,7 +49,7 @@ def reduce_word(syllables, e):
         if not 0 <= lbl < e.size:
             raise DomainError(f"label {lbl} out of range")
         if exp:
-            word = _append_syllable(word, lbl, exp, e)
+            word = _append_syllable(word, lbl, exp, _merge_target(word, lbl, e))
     return word
 
 
@@ -58,20 +57,28 @@ def generator_mixed_moment(entries, e):
     """Trace of the product over positions of u + u^{-1}: the coefficient
     of () after folding the positions left to right on a dict from
     reduced prefix to coefficient, each prefix taking u and u^{-1} by
-    _append_syllable and equal results merging.  A coefficient counts
-    sign vectors, so it is never 0.  A prefix is dropped once the
-    appended label's sum of |exponent| exceeds its count among the
-    positions left: these reduce to no more of the label, yet must equal
-    the prefix's inverse, and all reduced forms of an element carry the
-    same syllables (E. R. Green, Graph products of groups, Leeds 1990)."""
+    _append_syllable from one _merge_target lookup, and equal results
+    merging.  A coefficient counts sign vectors, so it is never 0.
+
+    A child is pruned before it is built when its weight, the appended
+    label's sum of |exponent|, exceeds the label's count among the
+    positions left: the prefix's weight plus 1 without a merge target,
+    or minus |q| plus |q +- 1| when merging into exponent q.  Such a
+    child reduces to no more of the label, yet must equal the prefix's
+    inverse, and all reduced forms of an element carry the same syllables
+    (E. R. Green, Graph products of groups, Leeds 1990)."""
     e.check_tuple(entries)
     prefixes = {(): 1}
     for k, lbl in enumerate(entries):
         left = entries[k + 1 :].count(lbl)
         out = {}
         for word, coeff in prefixes.items():
+            weight = sum([abs(x) for wl, x in word if wl == lbl])
+            idx = _merge_target(word, lbl, e)
+            q = 0 if idx is None else word[idx][1]
             for exp in (1, -1):
-                nxt = _append_syllable(word, lbl, exp, e)
-                out[nxt] = out.get(nxt, 0) + coeff
-        prefixes = {w: c for w, c in out.items() if sum(abs(x) for wl, x in w if wl == lbl) <= left}
+                if weight - abs(q) + abs(q + exp) <= left:
+                    nxt = _append_syllable(word, lbl, exp, idx)
+                    out[nxt] = out.get(nxt, 0) + coeff
+        prefixes = out
     return Fraction(prefixes.get((), 0))

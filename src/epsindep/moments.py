@@ -16,10 +16,25 @@ from .ncpartitions import enumerate_nc_epsilon  # noqa: F401
 
 
 def _check_tables(entries, e, tables):
-    """Each label of the tuple needs a table of its kind to order
-    entries.count(label), and no route reads further: a block, a merged
+    """The tuple's {label: count}, in order of first occurrence, once the
+    labels are in range and each label of the tuple has a table of its
+    kind to order its count; no route reads further: a block, a merged
     power or a kernel block of a label has at most that many points."""
-    e.check_tuple(entries)
+    counts = {}
+    for a in entries:
+        counts[a] = counts.get(a, 0) + 1
+    size = e.size
+    for label, need in counts.items():
+        table = tables.get(label)
+        if table is None or not 0 <= label < size:
+            break
+        if table.kind != e.kind(label) or table.max_order < need:
+            break
+    else:
+        return counts
+    # some check fails: the error names the first out-of-range label of
+    # entries, else the first label with a bad table in set order
+    e.check_tuple(counts)
     for label in set(entries):
         if label not in tables:
             raise TableError(f"no table for label {label}")
@@ -30,15 +45,16 @@ def _check_tables(entries, e, tables):
                 f"label {label} has diagonal {e.diagonal(label)} but a "
                 f"{table.kind} table (expected {want})"
             )
-        need = entries.count(label)
+        need = counts[label]
         if table.max_order < need:
             raise TableError(f"table for label {label} covers order {table.max_order}, need {need}")
 
 
-def _scale(entries, tables):
+def _scale(counts, tables):
     """The divisor of a value summed in the tables' scaled integers: a
-    product of scaled values carries label l's d once per l-point."""
-    return prod(tables[label].d ** entries.count(label) for label in set(entries))
+    product of scaled values carries label l's d once per l-point, counts
+    as _check_tables returns them."""
+    return prod([tables[a].d ** c for a, c in counts.items()])
 
 
 def mixed_moment_cumulant(entries, e, tables):
@@ -66,9 +82,9 @@ def mixed_moment_cumulant(entries, e, tables):
     label l contributes kappa_l(s) * d_l**s, so every product carries d_l
     once per l-point (_scale).
     """
-    _check_tables(entries, e, tables)
-    once = {a for a in set(entries) if not any(tables[a].scaled_cumulants[1 : entries.count(a)])}
-    value = prod([tables[a].scaled_cumulants[0] ** entries.count(a) for a in once])
+    counts = _check_tables(entries, e, tables)
+    once = {a for a, c in counts.items() if not any(tables[a].scaled_cumulants[1:c])}
+    value = prod([tables[a].scaled_cumulants[0] ** counts[a] for a in once])
     if not value:
         return Fraction(0)
     lab = tuple([a for a in entries if a not in once])
@@ -77,7 +93,8 @@ def mixed_moment_cumulant(entries, e, tables):
     # cumulants, r (a block's further points) ascending
     scaled = {
         a: {r: kappa for r, kappa in enumerate(tables[a].scaled_cumulants[:n]) if kappa}
-        for a in set(lab)
+        for a in counts
+        if a not in once
     }
     present = sum([1 << a for a in scaled])
     against = {a: e.against[a] & present for a in scaled}
@@ -97,7 +114,7 @@ def mixed_moment_cumulant(entries, e, tables):
         part = lab if comp == present else tuple([a for a in lab if comp >> a & 1])
         left &= ~comp
         value *= noncrossing_sum(part, against, scaled)
-    return Fraction(value, _scale(entries, tables))
+    return Fraction(value, _scale(counts, tables))
 
 
 def mixed_moment_by_definition(entries, e, tables):
@@ -123,7 +140,7 @@ def mixed_moment_by_definition(entries, e, tables):
     contributes its mean.  The coefficients are integers as in
     mixed_moment_cumulant: each carries label l's d once per l-point
     folded and not in its word."""
-    _check_tables(entries, e, tables)
+    counts = _check_tables(entries, e, tables)
     word = reduce_word(((lbl, 1) for lbl in entries), e)
     labels = [lbl for lbl, _ in word]
     states = {(): 1}
@@ -155,17 +172,17 @@ def mixed_moment_by_definition(entries, e, tables):
             if const:
                 out[rest] = out.get(rest, 0) + c * const
         states = {w: c for w, c in out.items() if c}
-    return Fraction(states.get((), 0), _scale(entries, tables))
+    return Fraction(states.get((), 0), _scale(counts, tables))
 
 
 def factorization_shortcut(entries, e, tables):
     """If the kernel itself is epsilon-non-crossing the moment factorizes
     over kernel blocks; returns None when the shortcut does not apply."""
-    _check_tables(entries, e, tables)
+    counts = _check_tables(entries, e, tables)
     if not kernel_noncrossing(entries, e):
         return None
-    total = prod(tables[a].scaled_moments[entries.count(a) - 1] for a in set(entries))
-    return Fraction(total, _scale(entries, tables))
+    total = prod([tables[a].scaled_moments[c - 1] for a, c in counts.items()])
+    return Fraction(total, _scale(counts, tables))
 
 
 def moments_from_tables(tables):

@@ -6,9 +6,14 @@ oracle), decided by greedily removing a block that adjacent swaps of
 eps = 1 points can bring together; both are polynomial and keep no cache.
 Each is a core on blocks as (position bitmask, label) over encode, the
 one encoding of a tuple, wrapped for a partition given as its blocks of
-points; kernel_noncrossing runs the pairwise core on the tuple's kernel,
-one block per label.  A label is its own bit in every label mask, as in
-EpsilonMatrix.against.
+points.  The pairwise route is geometry, then eps: crossings lists which
+labels' blocks cross which, independent of the matrix, and
+crossings_allowed checks them against EpsilonMatrix.against, one AND per
+crossing label, so a caller that meets one partition under many matrices
+computes its crossings once.  kernel_noncrossing runs it on the tuple's
+kernel, one block per label.  bar_masks, the positions each label may not
+cross or pass, serves the reduce-to-empty oracle only.  A label is its own
+bit in every label mask, as in EpsilonMatrix.against.
 
 Enumeration and the cumulant sum share one state: the points not yet in
 a block, with a mask per gap of the labels that may not span it, cut to
@@ -33,13 +38,12 @@ from .partitions import (
 
 
 def _masks(blocks, entries, e):
-    """Validate the blocks; as (position bitmask, label) with the tuple's
-    bar_masks, or None if they do not refine the kernel of the tuple."""
+    """Validate the blocks; as (position bitmask, label), or None if they
+    do not refine the kernel of the tuple."""
     e.check_tuple(entries)
     if not below_kernel(blocks, entries):
         return None
-    masks = [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in blocks]
-    return masks, bar_masks(e.against, encode(entries))
+    return [(sum([1 << (x - 1) for x in b]), entries[b[0] - 1]) for b in blocks]
 
 
 def is_epsilon_noncrossing(blocks, entries, e):
@@ -47,28 +51,40 @@ def is_epsilon_noncrossing(blocks, entries, e):
     crossing between two of them happens between independent (eps = 1)
     labels."""
     masks = _masks(blocks, entries, e)
-    return masks is not None and noncrossing_masks(*masks)
+    return masks is not None and crossings_allowed(crossings(masks), e.against)
 
 
 def kernel_noncrossing(entries, e):
     """True iff the kernel of the tuple, the partition of its positions
     by label, is epsilon-non-crossing."""
-    points = encode(entries)
-    return noncrossing_masks([(m, a) for a, m in points.items()], bar_masks(e.against, points))
+    kernel = [(m, a) for a, m in encode(entries).items()]
+    return crossings_allowed(crossings(kernel), e.against)
 
 
-def noncrossing_masks(blocks, bars):
-    """The pairwise route on blocks as (position bitmask, label) below
-    the kernel: no two blocks whose labels have eps != 1 cross.
+def crossings(blocks):
+    """The pairwise route's geometry on blocks as (position bitmask,
+    label): (label, the mask of labels whose blocks cross one of its
+    blocks) for each label with a crossing block, as a tuple.
     Block b crosses block a iff b has points inside a's span and also
     points outside it or on both sides of some point of a."""
+    crossed = {}
     for i, (a, k) in enumerate(blocks):
         span = (1 << a.bit_length()) - (a & -a)
-        for b, _ in blocks[i + 1 :]:
+        for b, l in blocks[i + 1 :]:
             inner = b & span
-            if inner and b & bars[k]:
-                if b & ~span or a & ((1 << inner.bit_length()) - (inner & -inner)):
-                    return False
+            if inner and (b & ~span or a & ((1 << inner.bit_length()) - (inner & -inner))):
+                crossed[k] = crossed.get(k, 0) | 1 << l
+                crossed[l] = crossed.get(l, 0) | 1 << k
+    return tuple(crossed.items())
+
+
+def crossings_allowed(crossed, against):
+    """The pairwise route's eps test on crossings(blocks): no label
+    crossed by a label in against[label], that is, every crossing is
+    between labels with eps = 1."""
+    for label, mask in crossed:
+        if mask & against[label]:
+            return False
     return True
 
 
@@ -78,7 +94,7 @@ def reduction_membership(blocks, entries, e):
     masks = _masks(blocks, entries, e)
     if masks is None:
         raise DomainError("partition does not refine the kernel of the tuple")
-    return reduces_masks(*masks, len(entries))
+    return reduces_masks(masks, bar_masks(e.against, encode(entries)), len(entries))
 
 
 def reduces_masks(blocks, bars, n):

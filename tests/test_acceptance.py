@@ -26,7 +26,7 @@ from epsindep.crosscheck import (
     membership_equivalence_check,
 )
 from epsindep.cumulants import CLASSICAL, FREE, arcsine_table
-from epsindep.ncpartitions import encode
+from epsindep.ncpartitions import crossings, encode
 from oracles import (
     bell_numbers,
     catalan_numbers,
@@ -90,7 +90,7 @@ def test_criterion_1_definition_equivalence():
     for e in graphs:
         for entries, ce in canonical_instances(e, 6, seen):
             points = encode(entries)
-            partitions = mask_partitions_below_kernel(points, tables)
+            partitions = [(p, crossings(p)) for p in mask_partitions_below_kernel(points, tables)]
             membership_equivalence_check(res, entries, ce, points, partitions)
     cases = res.cases
     report("1 definition-equivalence", res.failures == 0 and cases > 0, f"{cases} cases")

@@ -56,3 +56,69 @@ def test_summary_counts_runs_and_spreads_each_metric():
     }
     assert summary["metrics"]["peak_rss_mb"]["median"] == 17.5
     assert "setup_s" not in summary["metrics"]  # no run printed it
+
+
+def result(**values):
+    """A parsed run result with the given metric values."""
+    return {
+        "correct": True,
+        "attempted": 6,
+        "failed": 0,
+        "metrics": {name: {"value": v, "unit": "x"} for name, v in values.items()},
+    }
+
+
+def test_compare_counts_improved_pairs_in_each_direction():
+    pairs = [
+        (result(queries_per_s=10.0, cpu_s=2.0), result(queries_per_s=12.0, cpu_s=1.0)),
+        (result(queries_per_s=10.0, cpu_s=2.0), result(queries_per_s=9.0, cpu_s=1.5)),
+        (result(queries_per_s=8.0, cpu_s=0.0), result(queries_per_s=10.0, cpu_s=1.0)),
+    ]
+    out = bench_record.compare(pairs, {"queries_per_s": "higher", "cpu_s": "lower", "setup_s": "lower"})
+    assert out["queries_per_s"] == {
+        "better": "higher", "pairs": 3, "improved": 2, "median_ratio": 1.2, "ratios": [1.2, 0.9, 1.25]
+    }
+    # a base that reads 0 gives no ratio, and the change is no improvement on it
+    assert out["cpu_s"]["ratios"] == [0.5, 0.75, None]
+    assert (out["cpu_s"]["improved"], out["cpu_s"]["median_ratio"]) == (2, 0.625)
+    assert "setup_s" not in out  # no run printed it
+
+
+def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
+    # no benchmark runs: run_once returns canned results, the change
+    # twice as fast as the base, and the record goes to a scratch copy
+    spec = {
+        "workloads": [{"name": "crosscheck-battery"}],
+        "end_to_end": [{"name": "queries_per_s", "better": "higher"}],
+    }
+    change, base = tmp_path / "change", tmp_path / "base"
+    change.mkdir()
+    base.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def canned(root, workload, seed):
+        calls.append((root.name, workload, seed))
+        return result(queries_per_s=20.0 + seed if root == change else 10.0)
+
+    monkeypatch.setattr(bench_record, "run_once", canned)
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    argv = ["--pr", "7", "--root", str(change), "--base-root", str(base), "--seeds", "3", "4", "5"]
+    assert bench_record.main(argv) == 0
+    assert calls == [
+        ("base", "crosscheck-battery", 3),
+        ("change", "crosscheck-battery", 3),
+        ("change", "crosscheck-battery", 4),
+        ("base", "crosscheck-battery", 4),
+        ("base", "crosscheck-battery", 5),
+        ("change", "crosscheck-battery", 5),
+    ]
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["seeds"] == [3, 4, 5]
+    [(name, workload)] = record["workloads"].items()
+    assert name == "crosscheck-battery"
+    assert workload["base"]["metrics"]["queries_per_s"]["median"] == 10.0
+    assert workload["change"]["metrics"]["queries_per_s"]["values"] == [23.0, 24.0, 25.0]
+    assert workload["pairs"]["queries_per_s"] == {
+        "better": "higher", "pairs": 3, "improved": 3, "median_ratio": 2.4, "ratios": [2.3, 2.4, 2.5]
+    }

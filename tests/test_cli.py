@@ -15,6 +15,7 @@ import epsindep
 from epsindep import EpsilonMatrix, cli, crosscheck
 from epsindep.cli import main
 from epsindep.ncpartitions import encode
+from oracles import enumerate_set_partitions, kernel, refines
 
 FIVE_CYCLE = {
     "labels": ["x1", "x2", "x3", "x4", "x5"],
@@ -545,14 +546,18 @@ class TestCrosscheck:
     def test_membership_failure_example(self, monkeypatch):
         # flip the pairwise verdict on one partition: {1},{3} of label 0
         # and {2} of label 1 in the tuple (0, 1, 0), listed in that order
-        # by the check and reported in canonical form
-        pairwise = crosscheck.noncrossing_masks
+        # by the check and reported in canonical form; no block of it
+        # crosses another, so its crossings claim labels 0 and 1 cross
+        geometry = crosscheck.crossings
 
-        def flipped(blocks, bars):
-            verdict = pairwise(blocks, bars)
-            return not verdict if blocks == [(1, 0), (4, 0), (2, 1)] else verdict
+        def flipped(blocks):
+            crossed = geometry(blocks)
+            if blocks == [(1, 0), (4, 0), (2, 1)]:
+                assert crossed == ()
+                return ((0, 1 << 1), (1, 1 << 0))
+            return crossed
 
-        monkeypatch.setattr(crosscheck, "noncrossing_masks", flipped)
+        monkeypatch.setattr(crosscheck, "crossings", flipped)
         report, ok = crosscheck.run_crosscheck(EpsilonMatrix(2), max_n=4, instances=0)
         assert not ok
         membership = report["checks"][0]
@@ -685,6 +690,30 @@ class TestCrosscheck:
         assert sorted(traced) == sorted({(t, offdiag) for t, offdiag, _ in keys})
         short = {t for t, _, _ in keys if len(t) <= 6}
         assert sorted(listed) == sorted(tuple(sorted(encode(t).items())) for t in short)
+
+    def test_crossings_once_per_tuple_and_partition(self, monkeypatch):
+        # per run: each partition below the kernel of each tuple up to
+        # length 6 has its crossings computed once, however many matrices
+        # the tuple comes with; a partition's blocks name its tuple
+        seen = []
+        geometry = crosscheck.crossings
+
+        def spy(blocks):
+            seen.append(frozenset(blocks))
+            return geometry(blocks)
+
+        monkeypatch.setattr(crosscheck, "crossings", spy)
+        e = EpsilonMatrix(3, [(0, 2)], diag=[0, 1, 0])
+        _, ok = crosscheck.run_crosscheck(e, max_n=7, instances=0)
+        assert ok
+        want = [
+            frozenset((sum(1 << (x - 1) for x in b), t[b[0] - 1]) for b in p)
+            for t in {t for t, _, _ in canonical_keys(e, 7) if len(t) <= 6}
+            for p in enumerate_set_partitions(len(t))
+            if refines(p, kernel(t))
+        ]
+        assert len(seen) == len(want)
+        assert sorted(seen, key=sorted) == sorted(want, key=sorted)
 
 
 def test_battery_case_counts_match_the_benchmark_gate():

@@ -8,6 +8,7 @@ from epsindep import (
     CLASSICAL,
     FREE,
     CumulantTable,
+    DomainError,
     EpsilonMatrix,
     TableError,
     arcsine_table,
@@ -94,10 +95,20 @@ class TestCumulantEvaluator:
         sc = semicircle_table(1, 4)
         assert mixed_moment_cumulant((0, 0, 0, 0), FREE2, {0: sc, 1: sc}) == F(2)
 
-    # both routes check their tables the same way (moments._check_tables)
+    # every route checks its tuple and tables the same way (moments._check_tables)
     routes = pytest.mark.parametrize(
-        "route", [mixed_moment_cumulant, mixed_moment_by_definition], ids=["cumulant", "definition"]
+        "route",
+        [mixed_moment_cumulant, mixed_moment_by_definition, factorization_shortcut],
+        ids=["cumulant", "definition", "shortcut"],
     )
+
+    @routes
+    @pytest.mark.parametrize("entries, bad", [((0, 2), 2), ((-1, 0), -1), ((0, 1, 7, 0, 5), 7)])
+    def test_label_out_of_range(self, route, entries, bad):
+        # the error names the first bad label of the tuple
+        sc = semicircle_table(1, 4)
+        with pytest.raises(DomainError, match=f"label {bad} out of range"):
+            route(entries, FREE2, {0: sc, 1: sc})
 
     @routes
     def test_missing_table(self, route):

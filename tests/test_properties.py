@@ -47,9 +47,10 @@ from epsindep.crosscheck import _restrict
 from epsindep.cumulants import _PLAIN, parse_fraction, spec_moments
 from epsindep.ncpartitions import (
     bar_masks,
+    crossings,
+    crossings_allowed,
     encode,
     kernel_noncrossing,
-    noncrossing_masks,
     reduces_masks,
 )
 from epsindep.partitions import restricted_growth
@@ -412,11 +413,12 @@ def below_kernel(draw, max_n=8):
 @example(((0, 1, 0), EpsilonMatrix(2), ((1, 3), (2,))))
 def test_mask_cores_match_references(instance):
     """The battery's two cores on the tuple's bitmask encoding against the
-    gap-bisecting pairwise test and the literal reduce-to-empty search."""
+    gap-bisecting pairwise test and the literal reduce-to-empty search:
+    the pairwise core is crossings, then the eps test."""
     entries, e, p = instance
     bars = bar_masks(e.against, encode(entries))
     blocks = [(sum(1 << (x - 1) for x in b), entries[b[0] - 1]) for b in p]
-    assert noncrossing_masks(blocks, bars) == pairwise_by_gaps(p, entries, e)
+    assert crossings_allowed(crossings(blocks), e.against) == pairwise_by_gaps(p, entries, e)
     assert reduces_masks(blocks, bars, len(entries)) == reduces_to_empty(p, entries, e)
 
 
