@@ -22,12 +22,17 @@ falls on both sides alike.  Each workload then holds the two summaries,
 ratios, their median, and how many pairs the change improved, in the
 direction BENCHMARK.json gives.  The file is written to this
 repository, whatever --root is.  Standard library only.
+
+Before the first run, every __pycache__ under src/ of each checkout is
+deleted, so that no side imports bytecode left by an earlier build: a
+stale cache inflated setup_s by about 10 %.
 """
 
 import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -100,6 +105,12 @@ def compare(pairs, metrics):
     return out
 
 
+def clear_pycache(root):
+    """Delete every __pycache__ directory under root/src."""
+    for cache in list((root / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
 def run_once(root, workload, seed):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True)
@@ -123,6 +134,8 @@ def main(argv=None):
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"change": args.root} if args.base_root is None else {"base": args.base_root, "change": args.root}
+    for root in sides.values():
+        clear_pycache(root)
     workloads = {}
     complete = True
     for name in [w["name"] for w in spec["workloads"]]:

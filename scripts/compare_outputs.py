@@ -1,0 +1,179 @@
+"""Compare the CLI output of two checkouts, call by call.
+
+    python3 scripts/compare_outputs.py --base-root PARENT [--root DIR] [--queries N]
+
+Writes the input files of these calls to a temporary directory:
+- the first N (default 400) seed-1 and seed-2 queries of both moment
+  workloads, with --method both, the first 40 of each also with --table;
+- crosscheck --max-n 5 on the six seed-1 battery graphs (batteries 0 and
+  1), as the benchmark runs it;
+then runs one child process per checkout, the base at --base-root and the
+change at --root (default: the one holding this script).  Each child
+imports its checkout's epsindep and calls epsindep.cli.main in process on
+each of them and on every case of tests/golden_cli.json, and prints one
+line per call: the call, its exit code and the SHA-256 digests of its
+stdout and stderr.  The inputs come from this repository's
+bench/inputs.py, imported read-only, and tests/test_golden.py, so both
+checkouts get the same calls.
+
+Prints the first call whose exit code, stdout or stderr differs and exits
+1, or prints the number of calls compared and exits 0.  Standard library
+only.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+QUERIES = 400
+TABLE_QUERIES = 40  # of each (workload, seed), also run with --table
+SEEDS = (1, 2)
+BATTERIES = (0, 1)  # of seed 1: six graphs
+
+
+def load(name, path):
+    """A module of this repository loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_calls(workdir, queries):
+    """The argv of every call but the golden ones, with the input files
+    they read written to workdir."""
+    inputs = load("bench_inputs", REPO / "bench" / "inputs.py")
+
+    def write(name, data):
+        path = workdir / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    graph = write("graph.json", inputs.MOMENT_GRAPH)
+    arcsine = write("arcsine.json", inputs.ARCSINE_DIST)
+    calls = []
+    for workload in (inputs.KERNEL_HEAVY, inputs.MANY_LABELS):
+        for seed in SEEDS:
+            for index in range(queries):
+                entries, dist = inputs.moment_query(workload, seed, index)
+                dist_path = arcsine if dist is None else write(f"{workload}-{seed}-{index}.json", dist)
+                argv = [
+                    "moment", "--graph", graph, "--dist", dist_path,
+                    "--tuple", ",".join(inputs.LABELS[k] for k in entries), "--method", "both",
+                ]
+                calls.append(argv)
+                if index < TABLE_QUERIES:
+                    calls.append(argv + ["--table"])
+    for battery in BATTERIES:
+        for g, (spec, seed, _) in enumerate(inputs.battery_graphs(1, battery)):
+            calls.append([
+                "crosscheck", "--graph", write(f"battery{battery}-graph{g}.json", spec),
+                "--max-n", str(inputs.BATTERY_MAX_N), "--seed", str(seed),
+                "--instances", str(inputs.BATTERY_INSTANCES),
+            ])
+    return calls
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def child(root, calls_path):
+    """Run every call of calls_path, then every golden case, through the
+    epsindep of the checkout at root, printing one result line each."""
+    sys.path.insert(0, str(Path(root) / "src"))
+    import epsindep
+    from epsindep.cli import main
+
+    if Path(epsindep.__file__).resolve().parent != (Path(root) / "src" / "epsindep").resolve():
+        raise RuntimeError(f"imported epsindep from {epsindep.__file__}, not from {root}")
+
+    stdout = sys.stdout  # run_cases below redirects sys.stdout
+
+    def call(argv, label):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        print(json.dumps([label, code, digest(out.getvalue()), digest(err.getvalue())]), file=stdout)
+        return code
+
+    for argv in json.loads(Path(calls_path).read_text()):
+        call(argv, argv)
+    # test_golden writes each case's files, builds its argv and calls its
+    # `main`, which this stands in for, labelled with the case
+    golden = load("test_golden", REPO / "tests" / "test_golden.py")
+    for case, _, _ in json.loads(Path(golden.FIXTURE).read_text()):
+        golden.main = lambda argv: call(argv, case)
+        golden.run_cases([case])
+
+
+def first_difference(base_lines, change_lines):
+    """None when the two children printed the same results, else a report
+    of the first call whose exit code, stdout or stderr differs, or of
+    the first call only one side made."""
+    for k, (base, change) in enumerate(zip(base_lines, change_lines)):
+        if base == change:
+            continue
+        (label, base_code, base_out, base_err), (change_label, change_code, change_out, change_err) = (
+            json.loads(base), json.loads(change)
+        )
+        if label != change_label:
+            return f"call {k}: the base ran {label}, the change {change_label}"
+        what = [
+            name
+            for name, a, b in [
+                (f"exit code {base_code} -> {change_code}", base_code, change_code),
+                ("stdout", base_out, change_out),
+                ("stderr", base_err, change_err),
+            ]
+            if a != b
+        ]
+        return f"call {k}, {' '.join(map(str, label))}: differs in {', '.join(what)}"
+    if len(base_lines) != len(change_lines):
+        k = min(len(base_lines), len(change_lines))
+        side, lines = ("base", base_lines) if len(base_lines) > k else ("change", change_lines)
+        return f"call {k}, {' '.join(map(str, json.loads(lines[k])[0]))}: run by the {side} alone"
+    return None
+
+
+def run_child(root, calls_path):
+    code = (
+        f"import sys; sys.path.insert(0, {str(REPO / 'scripts')!r}); "
+        f"import compare_outputs; compare_outputs.child({str(root)!r}, {str(calls_path)!r})"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base-root", type=Path, required=True, help="checkout of the base, say the parent commit")
+    parser.add_argument("--root", type=Path, default=REPO, help="checkout of the change (default: this one)")
+    parser.add_argument(
+        "--queries", type=int, default=QUERIES, help=f"moment queries per workload and seed (default: {QUERIES})"
+    )
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        calls_path = workdir / "calls.json"
+        calls_path.write_text(json.dumps(write_calls(workdir, args.queries)))
+        base = run_child(args.base_root.resolve(), calls_path)
+        change = run_child(args.root.resolve(), calls_path)
+    report = first_difference(base, change)
+    if report is not None:
+        print(report)
+        return 1
+    print(f"{len(base)} calls: exit code, stdout and stderr identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,13 @@ moments by one or both evaluators, and run the cross-validation battery.
 All rationals are printed as "p/q" strings in lowest terms with positive
 denominator; output is deterministic byte-for-byte for fixed inputs.
 Exit codes: 0 ok, 1 check/agreement failure, 2 input error or closed stdout.
+
+A call made of a subcommand and its exact option strings, each once with
+a valid value, is read off that subcommand's parser without argparse's
+loop; any other goes through argparse, the one source of help, usage and
+errors.  JSON is written directly, the same bytes as
+json.dumps(payload, sort_keys=True, indent=2), in batches, so that a long
+enumeration streams.
 """
 
 import argparse
@@ -11,6 +18,7 @@ import json
 import os
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _ascii_string
 
 from .cumulants import CumulantTable, format_fraction, parse_fraction, spec_moments
 from .epsilon import EpsilonMatrix, is_admissible_tuple
@@ -128,15 +136,74 @@ def _load_tables(path, e, entries):
 
 
 def _emit(payload, table_mode):
-    """The payload line by line, or as JSON in batches of encoder chunks."""
+    """The payload line by line, or as JSON in batches of _json_chunks,
+    so that a long enumeration streams."""
     if table_mode:
         for line in _as_table(payload):
             print(line)
         return
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    chunks = _json_chunks(payload)
     while batch := "".join(islice(chunks, 65536)):
         print(batch, end="")
     print()
+
+
+def _json_text(value):
+    """The JSON text of a string, int, bool or None, as the encoder writes
+    it; None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return _ascii_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(value, indent="\n"):
+    """The text json.JSONEncoder(sort_keys=True, indent=2).iterencode
+    gives for value, written directly, in no more chunks than it yields.
+    Strings, ints, bools and None are the scalars; a dict's keys must be
+    strings.  Any other type raises TypeError."""
+    text = _json_text(value)
+    if text is not None:
+        yield text
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            text = _json_text(item)
+            if text is None:
+                yield sep + _ascii_string(key) + ": "
+                yield from _json_chunks(item, inner)
+            else:
+                yield sep + _ascii_string(key) + ": " + text
+            sep = "," + inner
+        yield indent + "}"
+    else:
+        sep = "[" + inner
+        for item in value:
+            text = _json_text(item)
+            if text is None:
+                yield sep
+                yield from _json_chunks(item, inner)
+            else:
+                yield sep + text
+            sep = "," + inner
+        yield indent + "]"
 
 
 def _as_table(payload, prefix=""):
@@ -288,18 +355,78 @@ def build_parser():
     return parser, sub.choices
 
 
+def _option_table(parser):
+    """What _fast_parse reads of a subcommand's parser: its store and
+    store-const actions by exact option string (every option but -h),
+    the namespace parse_args starts from (each action's default, then
+    set_defaults), and its required actions."""
+    options = {
+        option: action
+        for action in parser._actions
+        if isinstance(action, argparse._StoreConstAction)
+        or isinstance(action, argparse._StoreAction) and action.nargs is None
+        for option in action.option_strings
+    }
+    defaults = {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, default in parser._defaults.items():
+        defaults.setdefault(dest, default)
+    return options, defaults, [action for action in parser._actions if action.required]
+
+
 _PARSER, _COMMANDS = build_parser()
+_OPTION_TABLES = {name: _option_table(parser) for name, parser in _COMMANDS.items()}
+
+
+def _fast_parse(command, argv):
+    """What the parser of subcommand `command` returns for argv, read off
+    its option table without argparse's loop; None, for argparse to
+    decide, unless every token is an exact option string, no dest is
+    given twice, each option that takes a value is followed by one that
+    does not start with "-" and passes the option's type and choices, and
+    every required option is given."""
+    options, defaults, required = _OPTION_TABLES[command]
+    values = dict(defaults, command=command)
+    seen = {}
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action.dest in seen:
+            return None
+        seen[action.dest] = action
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(seen.get(action.dest) is not action for action in required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv):
     """What _PARSER.parse_args(argv) returns, or the same exit.  A call
-    that starts with a subcommand goes to that subcommand's parser alone,
-    which _PARSER would hand argv[1:] to anyway, so its help and errors
-    are the same.  Any other call, or one that parser leaves arguments
-    over from, goes through _PARSER, the one source of the top-level
-    usage, help and errors."""
+    that starts with a subcommand goes to _fast_parse, and if that
+    declines, to that subcommand's parser alone, which _PARSER would hand
+    argv[1:] to anyway, so its help and errors are the same.  Any other
+    call, or one that parser leaves arguments over from, goes through
+    _PARSER, the one source of the top-level usage, help and errors."""
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is not None:
+        args = _fast_parse(argv[0], argv[1:])
+        if args is not None:
+            return args
         args, rest = command.parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
@@ -340,8 +467,12 @@ def main(argv=None):
         print("error: input nested or long beyond the recursion limit", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        pass
+    # reported only once the handler is left and the traceback, whose
+    # frames hold what filled the memory, is freed: inside the handler,
+    # printing can fail again and the exit becomes 1
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

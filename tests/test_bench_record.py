@@ -1,5 +1,6 @@
 """scripts/bench_record.py on canned bench/run.py output: the parser and
-the summary, with no benchmark run."""
+the summary, with no benchmark run; and its __pycache__ clean on a
+scratch tree."""
 
 import importlib.util
 import json
@@ -92,12 +93,15 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
         "end_to_end": [{"name": "queries_per_s", "better": "higher"}],
     }
     change, base = tmp_path / "change", tmp_path / "base"
-    change.mkdir()
-    base.mkdir()
+    for root in (change, base):
+        (root / "src" / "__pycache__").mkdir(parents=True)
     (change / "BENCHMARK.json").write_text(json.dumps(spec))
     calls = []
 
     def canned(root, workload, seed):
+        # both trees' bytecode is gone before the first run
+        assert not (change / "src" / "__pycache__").exists()
+        assert not (base / "src" / "__pycache__").exists()
         calls.append((root.name, workload, seed))
         return result(queries_per_s=20.0 + seed if root == change else 10.0)
 
@@ -122,3 +126,17 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
     assert workload["pairs"]["queries_per_s"] == {
         "better": "higher", "pairs": 3, "improved": 3, "median_ratio": 2.4, "ratios": [2.3, 2.4, 2.5]
     }
+
+
+def test_clear_pycache_only_under_src(tmp_path):
+    caches = [tmp_path / "src" / "__pycache__", tmp_path / "src" / "pkg" / "__pycache__"]
+    kept = [tmp_path / "bench" / "__pycache__", tmp_path / "src" / "pkg" / "cache.pyc"]
+    for cache in caches + kept[:1]:
+        cache.mkdir(parents=True)
+        (cache / "mod.cpython-311.pyc").write_bytes(b"stale")
+    kept[1].write_bytes(b"kept")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+    bench_record.clear_pycache(tmp_path)
+    assert not any(cache.exists() for cache in caches)
+    assert all(path.exists() for path in kept)
+    assert (tmp_path / "src" / "pkg" / "mod.py").exists()

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import inspect
 import json
@@ -6,10 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import epsindep
 from epsindep import EpsilonMatrix, cli, crosscheck
@@ -715,14 +719,20 @@ class TestCrosscheck:
         assert sorted(seen, key=sorted) == sorted(want, key=sorted)
 
 
-def test_battery_case_counts_match_the_benchmark_gate():
-    # bench/inputs.py counts the canonical instances without importing
-    # epsindep; the battery's seed-1 graphs must meet those counts here,
-    # before the benchmark's gate sees them
+def bench_inputs():
+    """bench/inputs.py, the benchmark's seeded inputs, loaded read-only."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("bench_inputs", root / "bench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_battery_case_counts_match_the_benchmark_gate():
+    # bench/inputs.py counts the canonical instances without importing
+    # epsindep; the battery's seed-1 graphs must meet those counts here,
+    # before the benchmark's gate sees them
+    inputs = bench_inputs()
     for graph, seed, expected in inputs.battery_graphs(1, 0):
         e = EpsilonMatrix.from_json(graph)
         report, ok = crosscheck.run_crosscheck(
@@ -1098,6 +1108,30 @@ class TestInputHandling:
         assert proc.returncode == 2
         assert proc.stderr == "error: out of memory\n"
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is a Linux limit")
+    @pytest.mark.parametrize("megabytes", range(24, 41))
+    def test_memory_exhausted_at_any_limit(self, tmp_path, megabytes):
+        # wherever the limit falls, the report is printed after the
+        # handler has freed the traceback: inside it, the print could
+        # fail again, with exit 1 and "Exception ignored" lines
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"], "diagonal": {"a": 1}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "epsindep.cli", "enumerate", "--graph", str(graph), "--tuple", ",".join("a" * 10)],
+            env=fresh_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=limit,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
+
     def test_unknown_label(self, five_cycle, capsys):
         graph, _ = five_cycle
         code, _ = run(capsys, ["enumerate", "--graph", graph, "--tuple", "nope"])
@@ -1236,3 +1270,153 @@ def test_subcommand_parser_matches_full_parser(five_cycle, capsys, monkeypatch, 
     got = main(argv), capsys.readouterr()
     monkeypatch.setattr(cli, "_COMMANDS", {})
     assert got == (main(argv), capsys.readouterr())
+
+
+# Pieces of argv for the fast-path check below: each option of a
+# subcommand, with values that pass and values that fail its type or
+# choices, then other tokens: the other subcommands' options,
+# abbreviations, "=" forms, the tokens argparse reads specially and stray
+# values.  "G" and "D" stand for the graph and distribution files; no
+# value makes a call long.
+OPTION_VALUES = {
+    "--graph": ["G", "G", "D"],
+    "--dist": ["D", "D", "G"],
+    "--tuple": ["x1,x2", "x1,x3,x1", " x2 ", "", "-x"],
+    "--cap": ["3", "2", "+2", "0", "x", "-3"],
+    "--method": ["cumulant", "definition", "both", "bogus"],
+    "--max-n": ["1", "2", "2", "x"],
+    "--seed": ["0", "7", "-1"],
+    "--instances": ["0", "2", "x"],
+}
+OTHER_TOKENS = sorted({o for p in cli._COMMANDS.values() for a in p._actions for o in a.option_strings}) + [
+    "--gr", "--tu", "--di", "--ca", "--js", "--ta", "--m", "--s", "--max", "--inst", "--self",
+    "--graph=G", "--tuple=x1", "--cap=3", "--method=both", "--", "-3", "-x",
+    "", "x1", "1", "both", "G", "moment",
+]
+REQUIRED = {
+    "enumerate": ["--graph", "G", "--tuple", "x1,x2"],
+    "moment": ["--graph", "G", "--dist", "D", "--tuple", "x1,x3,x1"],
+    "crosscheck": ["--graph", "G", "--max-n", "2"],
+}
+
+
+def option_pieces(option):
+    """The option alone if it takes no value, else with one of its values."""
+    if option not in OPTION_VALUES:
+        return st.just([option])
+    return st.sampled_from(OPTION_VALUES[option]).map(lambda value: [option, value])
+
+
+@st.composite
+def fast_path_argvs(draw):
+    """A subcommand, mostly with its required options, then a few of its
+    options, each at most once more, and rarely another token, each piece
+    put in at a random boundary between the pieces before it."""
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    required = REQUIRED[command]
+    pieces = [required[k:k + 2] for k in range(0, len(required), 2)] if draw(st.integers(0, 3)) else []
+    options = [o for a in cli._COMMANDS[command]._actions for o in a.option_strings if a.dest != "help"]
+    extras = [draw(option_pieces(o)) for o in draw(st.lists(st.sampled_from(options), unique=True, max_size=3))]
+    if not draw(st.integers(0, 3)):
+        extras.append([draw(st.sampled_from(OTHER_TOKENS))])
+    for piece in extras:
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fast_path_argvs())
+def test_fast_parse_matches_full_parser(five_cycle, capsys, monkeypatch, argv):
+    # the exit code and both streams are those of the full parser, the
+    # oracle, whether _fast_parse reads argv or hands it to argparse; a
+    # small default cap keeps every crosscheck short
+    monkeypatch.setenv("EPSINDEP_MAX_N", "3")
+    graph, dist = five_cycle
+    argv = [{"G": graph, "D": dist}.get(a, a) for a in argv]
+    got = main(argv), capsys.readouterr()
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_COMMANDS", {})
+        assert got == (main(argv), capsys.readouterr())
+
+
+def test_benchmark_argv_takes_the_fast_path(monkeypatch):
+    # the argv bench/worker.py builds for moment and crosscheck, read by
+    # _fast_parse alone, to the namespace the full parser gives
+    inputs = bench_inputs()
+    argvs = [
+        [
+            "moment", "--graph", "graph.json", "--dist", "dist.json",
+            "--tuple", ",".join(inputs.LABELS[k] for k in inputs.moment_query(workload, 1, index)[0]),
+            "--method", "both",
+        ]
+        for workload in (inputs.KERNEL_HEAVY, inputs.MANY_LABELS)
+        for index in range(8)
+    ] + [
+        [
+            "crosscheck", "--graph", "graph.json", "--max-n", str(inputs.BATTERY_MAX_N),
+            "--seed", str(seed), "--instances", str(inputs.BATTERY_INSTANCES),
+        ]
+        for _, seed, _ in inputs.battery_graphs(1, 0)
+    ]
+    want = [vars(cli._PARSER.parse_args(argv)) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a call the fast path should take")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [vars(cli._parse(argv)) for argv in argvs] == want
+
+
+# JSON values of every type a payload holds, with the strings the
+# encoder escapes: quotes, backslashes, control characters, non-ASCII
+# and lone surrogates
+json_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x07\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+        st.characters(categories=["Cs"]),
+        st.characters(),
+    )
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | json_text,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_text, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_chunks_match_the_encoder(value):
+    # the same text as the encoder _emit used to run, in no more chunks,
+    # so a batch of chunks holds no more text than before
+    chunks = list(cli._json_chunks(value))
+    assert "".join(chunks) == json.dumps(value, sort_keys=True, indent=2)
+    assert len(chunks) <= len(list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(value)))
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), ["a", [Fraction(1, 2)]], {"a": 1.0}, {1: "a"}])
+def test_json_chunks_reject_other_types(value):
+    with pytest.raises(TypeError):
+        "".join(cli._json_chunks(value))
+
+
+def test_escaped_label_names(tmp_path, capsys):
+    # label names the encoder escapes come out as it writes them
+    names = ["\u00e9", 'q"', "b\\s", "\u0007"]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"labels": names, "independent_pairs": [names[:2]]}))
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({name: {"named": "arcsine"} for name in names}))
+    tuple_arg = ",".join(names + names[::-1])
+    for argv in (
+        ["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", tuple_arg],
+        ["enumerate", "--graph", str(graph), "--tuple", tuple_arg, "--json"],
+    ):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["tuple"] == names + names[::-1]
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

@@ -1,0 +1,56 @@
+"""scripts/compare_outputs.py on canned child output: the diff and its
+report, with no checkout or benchmark run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+MOMENT = ["moment", "--graph", "g.json", "--dist", "d.json", "--tuple", "x1,x2", "--method", "both"]
+CROSSCHECK = ["crosscheck", "--graph", "g.json", "--max-n", "5"]
+
+
+def line(argv, code=0, out="{}\n", err=""):
+    """What a child prints for one call."""
+    return json.dumps([argv, code, compare_outputs.digest(out), compare_outputs.digest(err)])
+
+
+def test_equal_outputs_report_nothing():
+    lines = [line(MOMENT), line(CROSSCHECK, 1, '{"total_failures": 1}\n')]
+    assert compare_outputs.first_difference(lines, list(lines)) is None
+
+
+def test_first_differing_call_is_named_with_what_differs():
+    base = [line(MOMENT), line(MOMENT + ["--table"]), line(CROSSCHECK)]
+    change = [line(MOMENT), line(MOMENT + ["--table"], 2, "", "input error: x\n"), line(CROSSCHECK, 1)]
+    assert compare_outputs.first_difference(base, change) == (
+        "call 1, " + " ".join(MOMENT + ["--table"]) + ": differs in exit code 0 -> 2, stdout, stderr"
+    )
+    change = [line(MOMENT), line(MOMENT + ["--table"]), line(CROSSCHECK, out="{} \n")]
+    assert compare_outputs.first_difference(base, change) == f"call 2, {' '.join(CROSSCHECK)}: differs in stdout"
+
+
+def test_calls_made_by_one_side_alone():
+    base = [line(MOMENT), line(CROSSCHECK)]
+    assert compare_outputs.first_difference(base, base[:1]) == f"call 1, {' '.join(CROSSCHECK)}: run by the base alone"
+    assert compare_outputs.first_difference(base[:1], base) == f"call 1, {' '.join(CROSSCHECK)}: run by the change alone"
+    assert compare_outputs.first_difference(base, [line(CROSSCHECK), line(MOMENT)]) == (
+        f"call 0: the base ran {MOMENT}, the change {CROSSCHECK}"
+    )
+
+
+def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
+    # two queries per (workload, seed), both also with --table, and the
+    # six battery graphs, each reading a file written to the directory
+    calls = compare_outputs.write_calls(tmp_path, 2)
+    assert len(calls) == 2 * 2 * 2 * 2 + 6
+    moments = [argv for argv in calls if argv[0] == "moment"]
+    assert sum("--table" in argv for argv in moments) == 8
+    assert all(argv[argv.index("--method") + 1] == "both" for argv in moments)
+    assert [argv[argv.index("--max-n") + 1] for argv in calls if argv[0] == "crosscheck"] == ["5"] * 6
+    paths = {argv[k + 1] for argv in calls for k, a in enumerate(argv) if a in ("--graph", "--dist")}
+    assert all(Path(path).parent == tmp_path and Path(path).is_file() for path in paths)
