@@ -170,7 +170,7 @@ def _json_chunks(value, indent="\n"):
     """The text json.JSONEncoder(sort_keys=True, indent=2).iterencode
     gives for value, written directly, in no more chunks than it yields.
     Strings, ints, bools and None are the scalars; a dict's keys must be
-    strings.  Any other type raises TypeError."""
+    strings.  Any other type, as a value or a key, raises TypeError."""
     text = _json_text(value)
     if text is not None:
         yield text
@@ -182,8 +182,6 @@ def _json_chunks(value, indent="\n"):
     if isinstance(value, dict):
         sep = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             item = value[key]
             text = _json_text(item)
             if text is None:
