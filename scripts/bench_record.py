@@ -25,13 +25,18 @@ repository, whatever --root is.  Standard library only.
 
 Before the first run, every __pycache__ under src/ of each checkout is
 deleted, so that no side imports bytecode left by an earlier build: a
-stale cache inflated setup_s by about 10 %.
+stale cache inflated setup_s by about 10 %.  After the last run, each
+checkout runs its Tier-1 suite once (TIER1, with src/ on PYTHONPATH),
+after the benchmark so that no run imports bytecode the tests wrote, and
+the record's "tier1" holds, per side, the passed and failed tests and the
+wall time in seconds, read off pytest's summary line.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -41,6 +46,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = [1, 2, 3, 4, 5]
 SECONDS = 30  # the benchmark's run length, as in BENCHMARK.json
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
+_WALL = re.compile(r" in (\d+(?:\.\d+)?)s\b")
 
 
 def parse_run(stdout):
@@ -105,6 +113,29 @@ def compare(pairs, metrics):
     return out
 
 
+def parse_summary(stdout):
+    """{passed, failed, wall_s} from pytest's summary line, the last line
+    of stdout that gives the run's time ("2 failed, 448 passed in 60.01s");
+    an error counts as failed.  None if no line gives the time."""
+    for line in reversed(stdout.splitlines()):
+        wall = _WALL.search(line)
+        if wall:
+            counts = {kind.rstrip("s"): int(n) for n, kind in _COUNT.findall(line)}
+            return {
+                "passed": counts.get("passed", 0),
+                "failed": counts.get("failed", 0) + counts.get("error", 0),
+                "wall_s": float(wall[1]),
+            }
+    return None
+
+
+def run_tier1(root):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    return parse_summary(proc.stdout)
+
+
 def clear_pycache(root):
     """Delete every __pycache__ directory under root/src."""
     for cache in list((root / "src").rglob("__pycache__")):
@@ -160,6 +191,10 @@ def main(argv=None):
             workloads[name] = summaries["change"]
         else:
             workloads[name] = dict(summaries, pairs=compare(pairs, metrics))
+    tier1 = {}
+    for side, root in sides.items():
+        tier1[side] = run_tier1(root)
+        print(f"tier1 {side}: {tier1[side]}", file=sys.stderr)
     record = {"commit": commit_of(args.root)}
     if args.base_root is not None:
         record["base_commit"] = commit_of(args.base_root)
@@ -169,6 +204,7 @@ def main(argv=None):
         seconds=SECONDS,
         seeds=args.seeds,
         workloads=workloads,
+        tier1=tier1,
     )
     (REPO / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0 if complete else 1

@@ -23,7 +23,9 @@ each with the state it leaves.  enumerate_nc_epsilon expands it over
 every block size, one member per leaf and no dead ends.  noncrossing_sum,
 the sum the cumulant route (moments.mixed_moment_cumulant) evaluates,
 memoises the states and folds each first block point by point instead of
-listing its subsets.  Filtering every partition below the kernel through
+listing its subsets; a state holding a count of some label's points that
+no blocks with nonzero cumulants fill sums to 0 without a fold.
+Filtering every partition below the kernel through
 is_epsilon_noncrossing (generate-and-test) is the reference the tests
 compare both against.
 """
@@ -272,14 +274,36 @@ def noncrossing_sum(lab, against, kappas):
     spanning that gap would have its label on both sides, where it is
     barred; so every block lies on one side, blocks of different sides do
     not cross, and the child's total is the product of its sides' totals.
-    After the last point every segment closes."""
+    After the last point every segment closes.
+
+    A state in which some label's point count is not a sum of block sizes
+    with nonzero cumulants of that label sums to 0, with no fold.  Proof:
+    every partition of the state's points lies below the kernel, so the
+    label's blocks split its points in the state; one of them has a size
+    whose cumulant is 0, and so has kappa_pi.  fillable[l], for a label
+    without kappa_1, has bit c set iff c points can be so split; a label
+    with kappa_1 fills every count and gets no mask."""
     memo = {(): 1}  # states (labels, gaps) and the fold's segments, () the empty one
+    fillable = []  # (label, fillable[label])
+    for a in set(lab):
+        if not kappas[a].get(0):
+            c = lab.count(a)
+            fill = 1
+            for r, kappa in kappas[a].items():
+                if kappa:
+                    for _ in range(c // (r + 1)):  # c // (r + 1) blocks at most
+                        fill |= fill << r + 1
+            fillable.append((a, fill))
 
     def total(lab, gaps):
         state = (lab, gaps)
         value = memo.get(state)
         if value is not None:
             return value
+        for a, fill in fillable:
+            if not fill >> lab.count(a) & 1:
+                memo[state] = 0
+                return 0
         n = len(lab)
         later = [0] * (n + 1)  # labels at positions j and after
         for j in range(n - 1, 0, -1):

@@ -1,6 +1,6 @@
-"""scripts/bench_record.py on canned bench/run.py output: the parser and
-the summary, with no benchmark run; and its __pycache__ clean on a
-scratch tree."""
+"""scripts/bench_record.py on canned bench/run.py and pytest output: the
+parsers and the summary, with no benchmark or test run; and its
+__pycache__ clean on a scratch tree."""
 
 import importlib.util
 import json
@@ -106,6 +106,8 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
         return result(queries_per_s=20.0 + seed if root == change else 10.0)
 
     monkeypatch.setattr(bench_record, "run_once", canned)
+    tier1 = {"passed": 450, "failed": 0, "wall_s": 53.42}
+    monkeypatch.setattr(bench_record, "run_tier1", lambda root: dict(tier1, side=root.name))
     monkeypatch.setattr(bench_record, "REPO", tmp_path)
     argv = ["--pr", "7", "--root", str(change), "--base-root", str(base), "--seeds", "3", "4", "5"]
     assert bench_record.main(argv) == 0
@@ -126,6 +128,7 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
     assert workload["pairs"]["queries_per_s"] == {
         "better": "higher", "pairs": 3, "improved": 3, "median_ratio": 2.4, "ratios": [2.3, 2.4, 2.5]
     }
+    assert record["tier1"] == {"base": dict(tier1, side="base"), "change": dict(tier1, side="change")}
 
 
 def test_clear_pycache_only_under_src(tmp_path):
@@ -140,3 +143,23 @@ def test_clear_pycache_only_under_src(tmp_path):
     assert not any(cache.exists() for cache in caches)
     assert all(path.exists() for path in kept)
     assert (tmp_path / "src" / "pkg" / "mod.py").exists()
+
+
+@pytest.mark.parametrize(
+    "stdout, want",
+    [
+        ("450 passed in 53.42s\n", {"passed": 450, "failed": 0, "wall_s": 53.42}),
+        ("2 failed, 448 passed, 1 skipped in 60.01s\n", {"passed": 448, "failed": 2, "wall_s": 60.01}),
+        # the summary is the last timed line; errors count as failed
+        (
+            "...F.. [100%]\nFAILED tests/t.py::test_x - assert 1 in 2.5s\n"
+            "1 failed, 447 passed, 2 errors in 61.00s (0:01:01)\n\n",
+            {"passed": 447, "failed": 3, "wall_s": 61.0},
+        ),
+        ("no tests ran in 0.01s\n", {"passed": 0, "failed": 0, "wall_s": 0.01}),
+        ("", None),
+        ("ERROR: file or directory not found: tests\n", None),
+    ],
+)
+def test_parse_summary_reads_pytests_last_line(stdout, want):
+    assert bench_record.parse_summary(stdout) == want

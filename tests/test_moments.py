@@ -175,6 +175,26 @@ class TestCumulantEvaluator:
         assert mixed_moment_cumulant((0, 1, 0, 1, 1, 0, 1), e, tables) == F(3, 2) ** 3 * 2
         assert folded and all(0 not in lab for lab in folded)
 
+    @pytest.mark.parametrize("kind", [FREE, CLASSICAL])
+    def test_symmetric_law_folds_no_odd_state(self, kind, monkeypatch):
+        # the arcsine law is symmetric, so its odd cumulants are 0 and a
+        # state with an odd number of its points sums to 0 without a fold:
+        # an odd-length tuple folds no state at all
+        folded = []
+
+        def spy(lab, gaps):
+            folded.append(lab)
+            return eligible_points(lab, gaps)
+
+        monkeypatch.setattr("epsindep.ncpartitions.eligible_points", spy)
+        e = EpsilonMatrix(1, [], diag=[1 if kind == CLASSICAL else 0])
+        for n in range(6, 10):
+            folded.clear()
+            table = arcsine_table(kind, n)
+            assert mixed_moment_cumulant((0,) * n, e, {0: table}) == table.moment(n)
+            assert all(len(lab) % 2 == 0 for lab in folded)
+            assert bool(folded) == (n % 2 == 0)
+
 
 class TestDefinitionEvaluator:
     def test_alternating_semicircles(self):

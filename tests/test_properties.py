@@ -1,5 +1,6 @@
 """Property tests: the enumerator against generate-and-test, the cumulant
-route against generate-and-test, against its fold-free form
+route against generate-and-test (also on tables whose nonzero cumulant
+sizes leave gaps), against its fold-free form
 (oracles.cumulant_by_first_blocks) on long tuples and against the table's
 own moment on constant tuples, the greedy reduce-to-empty check against a
 literal search, the kernel test against the kernel partition's, the
@@ -32,6 +33,7 @@ from epsindep import (
     EpsilonMatrix,
     InputError,
     TableError,
+    arcsine_table,
     enumerate_nc_epsilon,
     factorization_shortcut,
     generator_mixed_moment,
@@ -200,6 +202,46 @@ def test_cumulant_moment_matches_first_blocks_sum_on_long_tuples(instance):
     entries, e, cumulants = instance
     tables = cumulant_tables(e, cumulants)
     assert mixed_moment_cumulant(entries, e, tables) == cumulant_by_first_blocks(entries, e, tables)
+
+
+@st.composite
+def with_gapped_cumulants(draw, max_n=8):
+    """An instance plus one cumulant sequence per label, as long as the
+    tuple, nonzero only at sizes from a set without 1: the multiples of 2
+    or of 3, {2, 5}, {3, 4} or a random subset of 2..n."""
+    entries, e = draw(instances(max_n=max_n))
+    n = max(len(entries), 1)
+    gapped = [set(range(2, n + 1, 2)), set(range(3, n + 1, 3)), {2, 5}, {3, 4}]
+    sizes = st.one_of(st.sampled_from(gapped), st.sets(st.integers(2, max(n, 2))))
+    cumulants = {}
+    for label in range(e.size):
+        nonzero = draw(sizes)
+        cumulants[label] = [draw(rationals.filter(bool)) if p in nonzero else 0 for p in range(1, n + 1)]
+    return entries, e, cumulants
+
+
+FREE1, CLASSICAL1 = EpsilonMatrix(1, diag=[0]), EpsilonMatrix(1, diag=[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_gapped_cumulants())
+# a free semicircle: every odd state sums to 0, the even ones do not
+@example(((0,) * 7, FREE1, {0: [0, 1, 0, 0, 0, 0, 0]}))
+@example(((0,) * 8, FREE1, {0: [0, 1, 0, 0, 0, 0, 0, 0]}))
+@example(((0,) * 8, FREE1, {0: list(arcsine_table(FREE, 8).cumulants)}))
+@example(((0,) * 8, CLASSICAL1, {0: list(arcsine_table(CLASSICAL, 8).cumulants)}))
+# kappa_3 only: 3 and 6 points fill, 1, 2, 4 and 5 do not
+@example(((0,) * 6, CLASSICAL1, {0: [0, 0, Fraction(2, 3), 0, 0, 0]}))
+# two eps-dependent labels, only label 0 without kappa_1 and so masked
+@example(((0, 1, 0, 0, 1, 0, 1), EpsilonMatrix(2), {
+    0: [0, 2, 0, -1, 0, 0, 0], 1: [1, Fraction(1, 2), 3, 0, 0, 0, 0]}))
+def test_cumulant_moment_with_gapped_sizes(instance):
+    """Labels whose nonzero cumulant sizes leave gaps, so that a state can
+    hold a count of a label's points that no blocks of those sizes fill."""
+    entries, e, cumulants = instance
+    tables = cumulant_tables(e, cumulants)
+    want = sum(kappa_pi(p, entries, tables) for p in oracle_members(entries, e))
+    assert mixed_moment_cumulant(entries, e, tables) == want
 
 
 def phi_by_masks(word, e, moments, cache):
