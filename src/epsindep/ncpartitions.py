@@ -284,7 +284,7 @@ def noncrossing_sum(lab, against, kappas):
     without kappa_1, has bit c set iff c points can be so split; a label
     with kappa_1 fills every count and gets no mask."""
     memo = {(): 1}  # states (labels, gaps) and the fold's segments, () the empty one
-    fillable = []  # (label, fillable[label])
+    fillable = []  # (label, its mask) for each label without kappa_1
     for a in set(lab):
         if not kappas[a].get(0):
             c = lab.count(a)
