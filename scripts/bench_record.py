@@ -1,27 +1,25 @@
-"""Record the benchmark of one checkout, or of a change against its
-parent, in BENCH_<pr>.json.
+"""Record the benchmark of a change against a base checkout, in pairs,
+in BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py --pr 29 [--root DIR]
-    python3 scripts/bench_record.py --pr 31 --base-root PARENT [--root DIR]
+    python3 scripts/bench_record.py --pr 31 --base-root BASE [--root DIR]
         [--seeds 1 2 3]
 
-Runs `python3 bench/run.py --workload W --seed S --seconds 30` of the
-checkout at --root (default: the one holding this script), for every
-workload of its BENCHMARK.json and every seed (default SEEDS), one run
-at a time.  Each run's last line of standard output is
-the JSON object with the keys correct, attempted, failed and metrics;
-the record keeps, per workload, the number of correct runs, the failed
-operations, and the median and quartiles of each end-to-end metric over
-the seeds, with the values behind them.
-
-With --base-root, each seed runs the checkout at --base-root (the base,
-say the parent commit) and the one at --root (the change) back to back,
-the base first on every other seed, so a drift of the host's speed
-falls on both sides alike.  Each workload then holds the two summaries,
-"base" and "change", and per end-to-end metric the pairs' change/base
-ratios, their median, and how many pairs the change improved, in the
-direction BENCHMARK.json gives.  The file is written to this
-repository, whatever --root is.  Standard library only.
+For every workload of the BENCHMARK.json at --root (default: the
+checkout holding this script) and every seed (default SEEDS), runs
+`python3 bench/run.py --workload W --seed S --seconds 30` of the checkout
+at --base-root (the base, say the parent commit) and of the one at
+--root (the change) back to back, one run at a time, the base first on
+every other seed, so a drift of the host's speed falls on both sides
+alike.  A baseline is a base at the same commit as the change: its pairs
+show the spread of pairs that differ in nothing.  Each run's last line
+of standard output is the JSON object with the keys correct, attempted,
+failed and metrics.  The record keeps, per workload and side, the number
+of correct runs, the failed operations, and the median and quartiles of
+each end-to-end metric over the seeds, with the values behind them; and
+per end-to-end metric the pairs' change/base ratios, their median, and
+how many pairs the change improved, in the direction BENCHMARK.json
+gives.  The file is written to this repository, whatever --root is.
+Standard library only.
 
 Before the first run, every __pycache__ under src/ of each checkout is
 deleted, so that no side imports bytecode left by an earlier build: a
@@ -156,15 +154,18 @@ def commit_of(root):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--root", type=Path, default=REPO, help="checkout whose bench/run.py runs")
+    parser.add_argument("--root", type=Path, default=REPO, help="the change's checkout (default: this one)")
     parser.add_argument(
-        "--base-root", type=Path, help="checkout to pair with --root, seed by seed, in alternating order"
+        "--base-root",
+        type=Path,
+        required=True,
+        help="checkout to pair with --root, seed by seed, in alternating order",
     )
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS, help="benchmark seeds, one run each")
     args = parser.parse_args(argv)
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    sides = {"change": args.root} if args.base_root is None else {"base": args.base_root, "change": args.root}
+    sides = {"base": args.base_root, "change": args.root}
     for root in sides.values():
         clear_pycache(root)
     workloads = {}
@@ -187,18 +188,14 @@ def main(argv=None):
                 pairs.append((run["base"], run["change"]))
         summaries = {side: summarize(results[side], metrics) for side in sides}
         complete &= all(s["runs"] == len(args.seeds) == s["correct"] for s in summaries.values())
-        if args.base_root is None:
-            workloads[name] = summaries["change"]
-        else:
-            workloads[name] = dict(summaries, pairs=compare(pairs, metrics))
+        workloads[name] = dict(summaries, pairs=compare(pairs, metrics))
     tier1 = {}
     for side, root in sides.items():
         tier1[side] = run_tier1(root)
         print(f"tier1 {side}: {tier1[side]}", file=sys.stderr)
-    record = {"commit": commit_of(args.root)}
-    if args.base_root is not None:
-        record["base_commit"] = commit_of(args.base_root)
-    record.update(
+    record = dict(
+        commit=commit_of(args.root),
+        base_commit=commit_of(args.base_root),
         python=platform.python_version(),
         cores=os.cpu_count(),
         seconds=SECONDS,

@@ -7,8 +7,8 @@ Exit codes: 0 ok, 1 check/agreement failure, 2 input error or closed stdout.
 
 A call made of a subcommand and its exact option strings, each once with
 a valid value, is read off that subcommand's parser without argparse's
-loop; any other goes through argparse, the one source of help, usage and
-errors.  JSON is written directly, the same bytes as
+loop; any other goes through the full parser, the one source of help,
+usage and errors.  JSON is written directly, the same bytes as
 json.dumps(payload, sort_keys=True, indent=2), in batches, so that a long
 enumeration streams.
 """
@@ -415,21 +415,11 @@ def _fast_parse(command, argv):
 
 def _parse(argv):
     """What _PARSER.parse_args(argv) returns, or the same exit.  A call
-    that starts with a subcommand goes to _fast_parse, and if that
-    declines, to that subcommand's parser alone, which _PARSER would hand
-    argv[1:] to anyway, so its help and errors are the same.  Any other
-    call, or one that parser leaves arguments over from, goes through
-    _PARSER, the one source of the top-level usage, help and errors."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args = _fast_parse(argv[0], argv[1:])
-        if args is not None:
-            return args
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _PARSER.parse_args(argv)
+    that starts with a subcommand goes to _fast_parse; one that it
+    declines, and any other call, goes through _PARSER, the one source of
+    usage, help and errors."""
+    args = _fast_parse(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv=None):

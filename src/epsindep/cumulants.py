@@ -155,8 +155,18 @@ def arcsine_moments(max_order=12):
     return [Fraction(comb(n, n // 2)) if n % 2 == 0 else Fraction(0) for n in range(1, max_order + 1)]
 
 
-def arcsine_table(kind=FREE, max_order=12, label=None):
-    return CumulantTable.from_moments(kind, arcsine_moments(max_order), label=label)
+def arcsine_table(kind=FREE, max_order=12):
+    return CumulantTable.from_moments(kind, arcsine_moments(max_order))
+
+
+def semicircle_moments(variance, max_order=12):
+    """Free Gaussian: m_2k = C_k v**k, C_k the Catalan number counting the
+    non-crossing pairings of 2k points; odd moments are 0."""
+    v = Fraction(variance)
+    return [
+        Fraction(0) if n % 2 else comb(n, n // 2) // (n // 2 + 1) * v ** (n // 2)
+        for n in range(1, max_order + 1)
+    ]
 
 
 def bernoulli_moments(max_order=12):
@@ -203,8 +213,14 @@ def format_fraction(f):
     return unlimited_int_digits(lambda: f"{f.numerator}/{f.denominator}")
 
 
-# the named laws of a distribution spec, each with its parameter's key
-_NAMED = {"semicircle": ("variance",), "arcsine": (), "bernoulli": (), "point_mass": ("value",)}
+# the named laws of a distribution spec: each one's moment generator, and
+# the key of its one parameter (default 1), None if it takes none
+_NAMED = {
+    "semicircle": (semicircle_moments, "variance"),
+    "arcsine": (arcsine_moments, None),
+    "bernoulli": (bernoulli_moments, None),
+    "point_mass": (point_mass_moments, "value"),
+}
 
 
 def spec_moments(spec, order):
@@ -214,8 +230,9 @@ def spec_moments(spec, order):
     Either {"kind": "free"|"classical", "moments": ["p/q", ...]}, whose
     moments are validated in full, first bad entry first, but built only
     up to order, or a named one, e.g. {"named": "semicircle", "variance":
-    "1", "kind": ...}, generated to order.  kind defaults to free, and
-    "label" is allowed; any other key is an input error.
+    "1", "kind": ...}, generated to order by its _NAMED generator.  kind
+    defaults to free, and "label" is allowed; any other key is an input
+    error.
     """
     if not isinstance(spec, dict):
         raise InputError(f"distribution spec must be a JSON object: {excerpt(spec)}")
@@ -228,7 +245,8 @@ def spec_moments(spec, order):
     if "moments" in spec:
         allowed = ("label", "kind", "moments")
     elif isinstance(name, str) and name in _NAMED:
-        allowed = ("label", "kind", "named") + _NAMED[name]
+        generate, param = _NAMED[name]
+        allowed = ("label", "kind", "named") + ((param,) if param else ())
     else:
         raise InputError(f"distribution spec needs 'moments' or a known 'named': {excerpt(spec)}")
     for key in spec:
@@ -244,13 +262,6 @@ def spec_moments(spec, order):
             if not (isinstance(m, str) and _PLAIN.fullmatch(m)):
                 parse_fraction(m)
         return kind, read
-    if name == "semicircle":
-        variance = parse_fraction(spec.get("variance", "1"))
-        cumulants = ([Fraction(0), variance] + [Fraction(0)] * order)[:order]
-        return kind, CumulantTable(FREE, cumulants).moments()
-    if name == "arcsine":
-        return kind, arcsine_moments(order)
-    if name == "bernoulli":
-        return kind, bernoulli_moments(order)
-    value = parse_fraction(spec.get("value", "1"))
-    return kind, point_mass_moments(value, order)
+    if param is None:
+        return kind, generate(order)
+    return kind, generate(parse_fraction(spec.get(param, "1")), order)

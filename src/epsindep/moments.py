@@ -16,38 +16,30 @@ from .ncpartitions import enumerate_nc_epsilon  # noqa: F401
 
 
 def _check_tables(entries, e, tables):
-    """The tuple's {label: count}, in order of first occurrence, once the
-    labels are in range and each label of the tuple has a table of its
-    kind to order its count; no route reads further: a block, a merged
-    power or a kernel block of a label has at most that many points."""
+    """The tuple's {label: count}, in order of first occurrence, once each
+    label, in that order, is in range and has a table of its kind to order
+    its count; the first fault found raises.  No route reads further: a
+    block, a merged power or a kernel block of a label has at most that
+    many points."""
     counts = {}
     for a in entries:
         counts[a] = counts.get(a, 0) + 1
     size = e.size
     for label, need in counts.items():
+        if not 0 <= label < size:
+            e.check_tuple((label,))  # raises the DomainError
         table = tables.get(label)
-        if table is None or not 0 <= label < size:
-            break
-        if table.kind != e.kind(label) or table.max_order < need:
-            break
-    else:
-        return counts
-    # some check fails: the error names the first out-of-range label of
-    # entries, else the first label with a bad table in set order
-    e.check_tuple(counts)
-    for label in set(entries):
-        if label not in tables:
+        if table is None:
             raise TableError(f"no table for label {label}")
-        table = tables[label]
         want = e.kind(label)
         if table.kind != want:
             raise TableError(
                 f"label {label} has diagonal {e.diagonal(label)} but a "
                 f"{table.kind} table (expected {want})"
             )
-        need = counts[label]
         if table.max_order < need:
             raise TableError(f"table for label {label} covers order {table.max_order}, need {need}")
+    return counts
 
 
 def _scale(counts, tables):

@@ -1,6 +1,6 @@
 """scripts/bench_record.py on canned bench/run.py and pytest output: the
-parsers and the summary, with no benchmark or test run; and its
-__pycache__ clean on a scratch tree."""
+parsers and the summary, with no benchmark or test run; its refusal of a
+call without a base; and its __pycache__ clean on a scratch tree."""
 
 import importlib.util
 import json
@@ -129,6 +129,18 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
         "better": "higher", "pairs": 3, "improved": 3, "median_ratio": 2.4, "ratios": [2.3, 2.4, 2.5]
     }
     assert record["tier1"] == {"base": dict(tier1, side="base"), "change": dict(tier1, side="change")}
+
+
+def test_a_record_needs_a_base(tmp_path, monkeypatch, capsys):
+    # a record of one checkout is no paired comparison: argparse exits 2
+    # before any run, and no file is written
+    monkeypatch.setattr(bench_record, "run_once", lambda *args: pytest.fail("a benchmark ran"))
+    monkeypatch.setattr(bench_record, "REPO", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--pr", "7", "--root", str(ROOT)])
+    assert exc.value.code == 2
+    assert "--base-root" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_clear_pycache_only_under_src(tmp_path):

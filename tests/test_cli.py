@@ -1262,8 +1262,9 @@ def test_every_option_has_help(command):
 
 @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
 def test_subcommand_parser_matches_full_parser(five_cycle, capsys, monkeypatch, argv):
-    # a call that starts with a subcommand is parsed by that
-    # subcommand's parser alone; the full parser is the oracle
+    # a call that _fast_parse declines goes to the full parser, so
+    # whether it starts with a subcommand or not, the outcome is that of
+    # the full parser alone, the oracle
     graph, dist = five_cycle
     files = {"G": graph, "D": dist}
     argv = [re.sub(r"\b[GD]\b", lambda m: files[m[0]], a) for a in argv]

@@ -127,6 +127,25 @@ class TestCumulantEvaluator:
             route((0,) * 5, FREE2, {0: semicircle_table(1, 4), 1: semicircle_table(1, 4)})
 
     @routes
+    @pytest.mark.parametrize(
+        "entries, given, error, match",
+        [
+            # label 0 has no table, label 7 is out of range
+            ((0, 7), {1}, TableError, "no table for label 0"),
+            ((7, 0), {1}, DomainError, "label 7 out of range"),
+            # label 0's table is too short, label 1's is free on a classical label
+            ((0, 1, 0), {0, 1}, TableError, "table for label 0 covers order 1, need 2"),
+        ],
+    )
+    def test_first_faulty_label_raises(self, route, entries, given, error, match):
+        # labels are checked in order of first occurrence, each for range,
+        # table, kind and order, and the first fault found raises
+        e = EpsilonMatrix(2, [], diag=[0, 1])
+        tables = {0: semicircle_table(1, 1), 1: semicircle_table(1, 2)}
+        with pytest.raises(error, match=match):
+            route(entries, e, {a: tables[a] for a in given})
+
+    @routes
     def test_order_of_multiplicity(self, route):
         # each table need only reach its label's multiplicity, 4 and 2,
         # not the tuple's length 6: phi(x0^4) phi(x1^2) = 2 * 2

@@ -9,8 +9,9 @@ literal expansions, the group trace's indifference to the diagonal, the
 moment/cumulant conversions against each other and against partition sums, the word
 reducer, every route's invariance under relabeling and under the dihedral
 symmetry, the order to which every route reads each table, the
-plain-numeral rule and the moment-list parser against the eager one, and
-the CLI's exit codes on random input files."""
+plain-numeral rule and the moment-list parser against the eager one, the
+named semicircle's moments against its cumulants, and the CLI's exit
+codes on random input files."""
 
 import io
 import json
@@ -68,6 +69,7 @@ from oracles import (
     moments_to_free_cumulants,
     normalize_tuple,
     parse_moments_eagerly,
+    semicircle_table,
 )
 from test_cumulants import classical_cumulants_mobius, classical_moments_oracle, free_moments_oracle
 from test_ncpartitions import partitions_below_kernel
@@ -833,3 +835,13 @@ def test_spec_moments_validates_every_entry_and_builds_to_order(moments, data):
         assert str(got.value) == str(exc)
     else:
         assert spec_moments({"moments": moments}, order) == (FREE, want[:order])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, st.integers(0, 14))
+@example(Fraction(3, 2), 14)
+def test_named_semicircle_matches_its_cumulants(variance, order):
+    # the closed form C_k v**k against the free conversion of the
+    # cumulants (0, v, 0, ...), an independent route
+    spec = {"named": "semicircle", "variance": str(variance)}
+    assert spec_moments(spec, order)[1] == semicircle_table(variance, order).moments()
