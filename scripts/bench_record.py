@@ -88,8 +88,10 @@ def summarize(results, metrics):
 def compare(pairs, metrics):
     """Per metric, over the (base result, change result) pairs in which
     both runs printed it: each pair's change/base ratio (None where the
-    base reads 0), their median, and how many pairs improved; metrics
-    maps a name to "lower" or "higher", the better direction."""
+    base reads 0), their median and quartiles (inclusive method), and how
+    many pairs improved; metrics maps a name to "lower" or "higher", the
+    better direction.  The host's drift moves both runs of a pair alike,
+    so it widens each side's quartiles but not the ratios'."""
     out = {}
     for name, better in metrics.items():
         values = [
@@ -101,11 +103,14 @@ def compare(pairs, metrics):
             continue
         ratios = [c / b if b else None for b, c in values]
         known = [r for r in ratios if r is not None]
+        quartiles = spread(known) if known else dict.fromkeys(("median", "q1", "q3"))
         out[name] = {
             "better": better,
             "pairs": len(values),
             "improved": sum(c < b if better == "lower" else c > b for b, c in values),
-            "median_ratio": statistics.median(known) if known else None,
+            "median_ratio": quartiles["median"],
+            "ratio_q1": quartiles["q1"],
+            "ratio_q3": quartiles["q3"],
             "ratios": ratios,
         }
     return out

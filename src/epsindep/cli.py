@@ -91,9 +91,10 @@ def _load_tables(path, e, entries):
     for each label of the tuple from its first entries.count(label)
     moments, the most any evaluator reads of it and all that spec_moments
     builds (0 for a label outside the tuple; the rest of a moments list is
-    only validated).  A label's kind is fixed by the graph's diagonal; a
-    spec that names another kind is rejected, whether its label is used or
-    not."""
+    only validated).  Each spec is read as written, under its key (an
+    object, in key order) or its "label" (an array).  A label's kind is
+    fixed by the graph's diagonal; a spec that names another kind is
+    rejected, whether its label is used or not."""
     data = _load_json(path)
     if isinstance(data, dict):
         for name, spec in data.items():
@@ -101,37 +102,35 @@ def _load_tables(path, e, entries):
                 raise InputError(
                     f"spec under key {excerpt(name)} names another label, {excerpt(spec['label'])}"
                 )
-        data = [
-            dict(spec, label=name) if isinstance(spec, dict) else spec
-            for name, spec in sorted(data.items())
-        ]
-    if not isinstance(data, list):
+        named = sorted(data.items())
+    elif isinstance(data, list):
+        named = ((spec.get("label") if isinstance(spec, dict) else None, spec) for spec in data)
+    else:
         raise InputError("distribution file must be a JSON array or object")
     specs = {}
-    for spec in data:
-        if not isinstance(spec, dict) or "label" not in spec:
+    for name, spec in named:
+        if not isinstance(spec, dict) or isinstance(data, list) and "label" not in spec:
             raise InputError(f"distribution spec without label: {excerpt(spec)}")
-        idx = e.label_index(spec["label"])
+        idx = e.label_index(name)
         if idx in specs:
-            raise InputError(f"label {excerpt(spec['label'])} has more than one spec")
+            raise InputError(f"label {excerpt(name)} has more than one spec")
         kind = e.kind(idx)
-        given, moments = spec_moments({"kind": kind, **spec}, entries.count(idx))
-        if given != kind:
+        specs[idx] = spec_moments(spec, entries.count(idx))
+        if spec.get("kind", kind) != kind:
             raise InputError(
-                f"label {excerpt(spec['label'])} has diagonal {e.diagonal(idx)}, so its kind is "
-                f"{kind}, but its spec gives kind {given!r}"
+                f"label {excerpt(name)} has diagonal {e.diagonal(idx)}, so its kind is "
+                f"{kind}, but its spec gives kind {spec['kind']!r}"
             )
-        specs[idx] = kind, moments
     tables = {}
     for idx in dict.fromkeys(entries):
         count = entries.count(idx)
-        kind, moments = specs.get(idx, (None, None))
+        moments = specs.get(idx)
         if moments is None or len(moments) < count:
             given = "no spec" if moments is None else f"its spec gives {len(moments)} moments"
             raise InputError(
                 f"label {excerpt(e.labels[idx])} has multiplicity {count} in the tuple, but {given}"
             )
-        tables[idx] = CumulantTable.from_moments(kind, moments)
+        tables[idx] = CumulantTable.from_moments(e.kind(idx), moments)
     return tables
 
 

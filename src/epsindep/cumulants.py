@@ -31,10 +31,11 @@ def _convert(seq, kind, given):
       powers[s][t] = [z^t] M(z)^s gains column t = n-1 at order n, from
       the moments known by then, so the pass costs O(N^3) operations.
     Both are homogeneous of degree n, so they run unchanged on the scaled
-    integers, and every output is an integer too.
+    integers, and every output is an integer too.  An empty seq, on either
+    side, is a TableError.
     """
-    if given == "moments" and not seq:
-        raise TableError("empty moment sequence")
+    if not seq:
+        raise TableError(f"empty sequence of {given}")
     order = len(seq)
     d = lcm(*(v.denominator for v in seq))
     moments = [1]
@@ -75,37 +76,26 @@ def _fractions(seq):
 class CumulantTable:
     """The law of one variable, free or classical flavour, held as d and
     the integers m_p * d**p and kappa_p * d**p (_convert), d the common
-    denominator of the sequence it was built from.  Tables compare and
-    hash by (kind, cumulants, label)."""
+    denominator of the sequence it was built from, of order 1 or more."""
 
-    __slots__ = ("kind", "label", "d", "scaled_moments", "scaled_cumulants")
+    __slots__ = ("kind", "d", "scaled_moments", "scaled_cumulants")
 
-    def __init__(self, kind, cumulants, label=None):
-        self._fill(kind, cumulants, label, "cumulants")
+    def __init__(self, kind, cumulants):
+        self._fill(kind, cumulants, "cumulants")
 
     @classmethod
     def from_moments(cls, kind, moments, label=None):
+        """The table of the moments m_1..m_N.  label is accepted and
+        ignored: bench/worker.py's counting wrapper still passes it."""
         table = cls.__new__(cls)
-        table._fill(kind, moments, label, "moments")
+        table._fill(kind, moments, "moments")
         return table
 
-    def _fill(self, kind, seq, label, given):
+    def _fill(self, kind, seq, given):
         if kind not in (FREE, CLASSICAL):
             raise TableError(f"unknown kind {kind!r}")
-        self.kind, self.label = kind, label
+        self.kind = kind
         self.d, self.scaled_moments, self.scaled_cumulants = _convert(_fractions(seq), kind, given)
-
-    def _key(self):
-        return self.kind, self.cumulants, self.label
-
-    def __eq__(self, other):
-        return isinstance(other, CumulantTable) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"CumulantTable({self.kind!r}, {self.cumulants!r}, label={self.label!r})"
 
     @property
     def max_order(self):
@@ -147,7 +137,7 @@ def kappa_pi(blocks, entries, tables):
 # -- named distributions ----------------------------------------------------
 
 
-def arcsine_moments(max_order=12):
+def arcsine_moments(max_order):
     """Even moments are central binomials C(2k,k), odd are 0.
 
     This is the distribution of a group generator plus its inverse under
@@ -155,11 +145,11 @@ def arcsine_moments(max_order=12):
     return [Fraction(comb(n, n // 2)) if n % 2 == 0 else Fraction(0) for n in range(1, max_order + 1)]
 
 
-def arcsine_table(kind=FREE, max_order=12):
+def arcsine_table(kind, max_order):
     return CumulantTable.from_moments(kind, arcsine_moments(max_order))
 
 
-def semicircle_moments(variance, max_order=12):
+def semicircle_moments(variance, max_order):
     """Free Gaussian: m_2k = C_k v**k, C_k the Catalan number counting the
     non-crossing pairings of 2k points; odd moments are 0."""
     v = Fraction(variance)
@@ -169,12 +159,12 @@ def semicircle_moments(variance, max_order=12):
     ]
 
 
-def bernoulli_moments(max_order=12):
+def bernoulli_moments(max_order):
     """Symmetric +/-1 coin: moments alternate 0, 1."""
     return [Fraction(0) if n % 2 else Fraction(1) for n in range(1, max_order + 1)]
 
 
-def point_mass_moments(value, max_order=12):
+def point_mass_moments(value, max_order):
     v = Fraction(value)
     return [v**n for n in range(1, max_order + 1)]
 
@@ -224,21 +214,21 @@ _NAMED = {
 
 
 def spec_moments(spec, order):
-    """Validate a JSON distribution spec and return (kind, moments), the
-    moments to the given order (order 0 only validates the spec).
+    """Validate a JSON distribution spec and return its moments to the
+    given order (order 0 only validates the spec).
 
     Either {"kind": "free"|"classical", "moments": ["p/q", ...]}, whose
     moments are validated in full, first bad entry first, but built only
     up to order, or a named one, e.g. {"named": "semicircle", "variance":
-    "1", "kind": ...}, generated to order by its _NAMED generator.  kind
-    defaults to free, and "label" is allowed; any other key is an input
-    error.
+    "1", "kind": ...}, generated to order by its _NAMED generator.  "kind"
+    may be left out, and a given one is only checked to be a kind: the
+    caller decides the label's kind.  "label" is allowed; any other key is
+    an input error.
     """
     if not isinstance(spec, dict):
         raise InputError(f"distribution spec must be a JSON object: {excerpt(spec)}")
-    kind = spec.get("kind", FREE)
-    if kind not in (FREE, CLASSICAL):
-        raise InputError(f"unknown kind {excerpt(kind)}")
+    if spec.get("kind", FREE) not in (FREE, CLASSICAL):
+        raise InputError(f"unknown kind {excerpt(spec['kind'])}")
     if "moments" in spec and "named" in spec:
         raise InputError(f"distribution spec gives both 'moments' and 'named': {excerpt(spec)}")
     name = spec.get("named")
@@ -261,7 +251,7 @@ def spec_moments(spec, order):
         for m in spec["moments"][order:]:
             if not (isinstance(m, str) and _PLAIN.fullmatch(m)):
                 parse_fraction(m)
-        return kind, read
+        return read
     if param is None:
-        return kind, generate(order)
-    return kind, generate(parse_fraction(spec.get(param, "1")), order)
+        return generate(order)
+    return generate(parse_fraction(spec.get(param, "1")), order)

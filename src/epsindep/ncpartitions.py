@@ -200,11 +200,10 @@ def eligible_points(lab, gaps):
     return eligible
 
 
-def first_blocks(lab, gaps, against, eligible):
+def first_blocks(lab, gaps, against):
     """The blocks the first point of a state can head, as (r, block,
     next state) with r the block's further points, r ascending; block is
-    a bitmask over the state's positions, and eligible is
-    eligible_points(lab, gaps).
+    a bitmask over the state's positions.
 
     A state is the labels of the points not yet in a block, plus one
     bitmask per gap between consecutive points: the labels (bit l for
@@ -218,6 +217,7 @@ def first_blocks(lab, gaps, against, eligible):
     every state has a completion and the expansion never dead-ends.
     """
     mark = against[lab[0]]
+    eligible = eligible_points(lab, gaps)
     for r in range(len(eligible) + 1):
         for chosen in combinations(eligible, r):
             block = 1
@@ -245,7 +245,7 @@ def enumerate_nc_epsilon(entries, e):
             m = range(len(pos))
             kids = children[state] = [
                 ([j for j in m if block >> j & 1], [j for j in m if not block >> j & 1], nxt)
-                for _, block, nxt in first_blocks(*state, e.against, eligible_points(*state))
+                for _, block, nxt in first_blocks(*state, e.against)
             ]
             kids.sort(key=lambda kid: kid[0])  # by indices taken; states never compare
         for take, keep, nxt in kids:

@@ -17,7 +17,7 @@ from epsindep import (
     reduce_word,
 )
 from epsindep.cumulants import parse_fraction
-from epsindep.ncpartitions import eligible_points, first_blocks
+from epsindep.ncpartitions import first_blocks
 from epsindep.partitions import partitions_of_set
 
 
@@ -125,12 +125,12 @@ def moments_to_classical_cumulants(moments):
     return list(CumulantTable.from_moments(CLASSICAL, moments).cumulants)
 
 
-def semicircle_table(variance=1, max_order=12, label=None):
+def semicircle_table(variance=1, max_order=12):
     """Free analogue of the Gaussian: only the second free cumulant."""
     cum = [Fraction(0)] * max_order
     if max_order >= 2:
         cum[1] = Fraction(variance)
-    return CumulantTable(FREE, cum, label=label)
+    return CumulantTable(FREE, cum)
 
 
 def parse_moments_eagerly(moments):
@@ -190,7 +190,7 @@ def cumulant_by_first_blocks(entries, e, tables):
         key = (lab, gaps)
         if key not in memo:
             sizes = kappas[lab[0]]
-            blocks = first_blocks(lab, gaps, e.against, eligible_points(lab, gaps))
+            blocks = first_blocks(lab, gaps, e.against)
             memo[key] = sum(
                 (sizes[r] * total(*state) for r, _, state in blocks if r in sizes), Fraction(0)
             )

@@ -77,12 +77,30 @@ def test_compare_counts_improved_pairs_in_each_direction():
     ]
     out = bench_record.compare(pairs, {"queries_per_s": "higher", "cpu_s": "lower", "setup_s": "lower"})
     assert out["queries_per_s"] == {
-        "better": "higher", "pairs": 3, "improved": 2, "median_ratio": 1.2, "ratios": [1.2, 0.9, 1.25]
+        "better": "higher", "pairs": 3, "improved": 2, "median_ratio": 1.2,
+        "ratio_q1": 1.05, "ratio_q3": 1.225, "ratios": [1.2, 0.9, 1.25],
     }
     # a base that reads 0 gives no ratio, and the change is no improvement on it
     assert out["cpu_s"]["ratios"] == [0.5, 0.75, None]
     assert (out["cpu_s"]["improved"], out["cpu_s"]["median_ratio"]) == (2, 0.625)
     assert "setup_s" not in out  # no run printed it
+
+
+def test_ratio_quartiles_ignore_a_drift_both_sides_share():
+    # the host slows down over the seeds: each side's own values spread
+    # fourfold, while every pair's ratio stays within 1.4-1.6
+    drift = [1.0, 1.5, 2.0, 3.0, 4.0]
+    ratios = [1.5, 1.4, 1.6, 1.5, 1.5]
+    pairs = [
+        (result(query_p50_ms=d), result(query_p50_ms=d * r)) for d, r in zip(drift, ratios)
+    ]
+    base = bench_record.spread(drift)
+    out = bench_record.compare(pairs, {"query_p50_ms": "lower"})["query_p50_ms"]
+    assert (base["q1"], base["q3"]) == (1.5, 3.0)
+    assert (out["ratio_q1"], out["median_ratio"], out["ratio_q3"]) == (1.5, 1.5, 1.5)
+    # no ratio at all where every base reads 0
+    zero = bench_record.compare([(result(cpu_s=0.0), result(cpu_s=1.0))], {"cpu_s": "lower"})
+    assert zero["cpu_s"]["median_ratio"] is zero["cpu_s"]["ratio_q1"] is zero["cpu_s"]["ratio_q3"] is None
 
 
 def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
@@ -125,9 +143,10 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
     assert name == "crosscheck-battery"
     assert workload["base"]["metrics"]["queries_per_s"]["median"] == 10.0
     assert workload["change"]["metrics"]["queries_per_s"]["values"] == [23.0, 24.0, 25.0]
-    assert workload["pairs"]["queries_per_s"] == {
-        "better": "higher", "pairs": 3, "improved": 3, "median_ratio": 2.4, "ratios": [2.3, 2.4, 2.5]
-    }
+    assert workload["pairs"]["queries_per_s"] == pytest.approx({
+        "better": "higher", "pairs": 3, "improved": 3, "median_ratio": 2.4,
+        "ratio_q1": 2.35, "ratio_q3": 2.45, "ratios": [2.3, 2.4, 2.5],
+    })
     assert record["tier1"] == {"base": dict(tier1, side="base"), "change": dict(tier1, side="change")}
 
 

@@ -350,6 +350,27 @@ class TestMoment:
         assert captured.out == ""
         assert "both 'moments' and 'named'" in captured.err
 
+    @pytest.mark.parametrize(
+        "specs, written",
+        [
+            ({"a": {"named": "bogus"}}, {"named": "bogus"}),
+            ([{"label": "a", "moments": []}], {"label": "a", "moments": []}),
+        ],
+        ids=["object", "array"],
+    )
+    def test_errors_quote_the_spec_as_written(self, tmp_path, capsys, specs, written):
+        # the spec the file holds, with no kind or label filled in
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"]}))
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(specs))
+        code = main(["moment", "--graph", str(graph), "--dist", str(dist), "--tuple", "a"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert repr(written) in captured.err
+        assert "'kind'" not in captured.err
+
     def test_long_unknown_key_is_excerpted(self, five_cycle, tmp_path, capsys):
         graph, _ = five_cycle
         dist = tmp_path / "dist.json"

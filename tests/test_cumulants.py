@@ -207,41 +207,40 @@ class TestKappaPi:
 
 class TestTableSpecs:
     def test_moment_list_spec(self):
-        kind, moments = spec_moments(
-            {"label": "x", "kind": "free", "moments": ["0", "1", "0", "2"]}, 4
-        )
-        assert kind == "free" and moments == [F(0), F(1), F(0), F(2)]
-        t = CumulantTable.from_moments(kind, moments)
+        moments = spec_moments({"label": "x", "kind": "free", "moments": ["0", "1", "0", "2"]}, 4)
+        assert moments == [F(0), F(1), F(0), F(2)]
+        t = CumulantTable.from_moments("free", moments)
         assert t.cumulants == (F(0), F(1), F(0), F(0))
 
     def test_moment_list_built_to_order_validated_in_full(self):
         moments = ["1/2", "-3", "0", "2", "5", "7/3"]
-        assert spec_moments({"moments": moments}, order=2) == ("free", [F(1, 2), F(-3)])
+        assert spec_moments({"moments": moments}, order=2) == [F(1, 2), F(-3)]
         moments[4] = "1/0"
         with pytest.raises(InputError, match="bad rational '1/0'"):
             spec_moments({"moments": moments}, order=2)
 
     def test_named_semicircle_classical_kind(self):
-        kind, moments = spec_moments(
+        moments = spec_moments(
             {"label": "x", "named": "semicircle", "variance": "1", "kind": "classical"},
             order=6,
         )
-        assert kind == "classical"
         assert moments == [F(0), F(1), F(0), F(2), F(0), F(5)]
 
     def test_bernoulli_and_point_mass(self):
-        assert spec_moments({"named": "bernoulli", "kind": "classical"}, 4) == (
-            "classical",
-            [F(0), F(1), F(0), F(1)],
-        )
-        assert spec_moments({"named": "point_mass", "value": "3/2"}, 3) == (
-            "free",
-            [F(3, 2), F(9, 4), F(27, 8)],
-        )
+        assert spec_moments({"named": "bernoulli", "kind": "classical"}, 4) == [F(0), F(1), F(0), F(1)]
+        assert spec_moments({"named": "point_mass", "value": "3/2"}, 3) == [F(3, 2), F(9, 4), F(27, 8)]
 
     def test_empty_moments_rejected(self):
         with pytest.raises(TableError):
             moments_to_free_cumulants([])
+
+    @pytest.mark.parametrize("kind", ["free", "classical"])
+    def test_empty_sequence_rejected_on_either_side(self, kind):
+        # no table has order 0, whichever side it is built from
+        with pytest.raises(TableError, match="empty sequence of moments"):
+            CumulantTable.from_moments(kind, [])
+        with pytest.raises(TableError, match="empty sequence of cumulants"):
+            CumulantTable(kind, [])
 
 
 class TestProductsAsArguments:

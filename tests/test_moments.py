@@ -164,7 +164,9 @@ class TestCumulantEvaluator:
             for lbl in range(3)
         }
         by_cumulants = {lbl: CumulantTable(t.kind, t.cumulants) for lbl, t in by_moments.items()}
-        assert by_moments == by_cumulants
+        for lbl in range(3):
+            assert by_moments[lbl].kind == by_cumulants[lbl].kind
+            assert by_moments[lbl].cumulants == by_cumulants[lbl].cumulants
         assert all(by_moments[lbl].d != by_cumulants[lbl].d for lbl in range(3))
         for entries in [(0, 1, 0, 1, 2, 0), (2, 0, 2, 1, 0, 1), (1, 0, 0, 1, 2, 2)]:
             for route in (mixed_moment_cumulant, mixed_moment_by_definition):

@@ -513,7 +513,8 @@ def test_conversions_round_trip(kind, seq):
     assert to_cumulants(to_moments(seq)) == seq
     table = CumulantTable.from_moments(kind, seq)
     assert table.moments() == seq
-    assert table == CumulantTable(kind, to_cumulants(seq))
+    from_cumulants = CumulantTable(kind, to_cumulants(seq))
+    assert (table.kind, table.cumulants) == (from_cumulants.kind, from_cumulants.cumulants)
     assert CumulantTable(kind, table.cumulants).moments() == seq
     # each table holds d, the common denominator of the sequence it was
     # built from, and the integers value_p * d**p of both sides
@@ -834,14 +835,16 @@ def test_spec_moments_validates_every_entry_and_builds_to_order(moments, data):
             spec_moments({"moments": moments}, order)
         assert str(got.value) == str(exc)
     else:
-        assert spec_moments({"moments": moments}, order) == (FREE, want[:order])
+        assert spec_moments({"moments": moments}, order) == want[:order]
 
 
 @settings(max_examples=100, deadline=None)
-@given(rationals, st.integers(0, 14))
+@given(rationals, st.integers(1, 14))
 @example(Fraction(3, 2), 14)
 def test_named_semicircle_matches_its_cumulants(variance, order):
     # the closed form C_k v**k against the free conversion of the
-    # cumulants (0, v, 0, ...), an independent route
+    # cumulants (0, v, 0, ...), an independent route; order 0 builds no
+    # table, so it only validates the spec
     spec = {"named": "semicircle", "variance": str(variance)}
-    assert spec_moments(spec, order)[1] == semicircle_table(variance, order).moments()
+    assert spec_moments(spec, order) == semicircle_table(variance, order).moments()
+    assert spec_moments(spec, 0) == []
