@@ -838,6 +838,38 @@ class TestInputHandling:
         assert code == 2
         assert captured.err.startswith("input error:")
 
+    @pytest.mark.parametrize("which", ["graph", "dist"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'\xef\xbb\xbf{"a": 1}', "{path}: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            (b'\xff{"a": 1}', "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            # one syntax error on line 3, whichever line ending the file uses
+            (b'{\n"a":\n x}\n', "{path}: line 3, column 2: Expecting value"),
+            (b'{\r\n"a":\r\n x}\r\n', "{path}: line 3, column 2: Expecting value"),
+            (b'{\r"a":\r x}\r', "{path}: line 3, column 2: Expecting value"),
+            (b'{\n"abc\rd": 1}', "{path}: line 2, column 5: Invalid control character at"),
+            (b'{"a": 1, "a": 2}', "repeated key 'a' in a JSON object"),
+            (None, "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+        ],
+        ids=["bom", "not-utf8", "lf", "crlf", "cr", "cr-in-string", "repeated-key", "directory"],
+    )
+    def test_reader_errors(self, tmp_path, capsys, which, content, message):
+        # the exact message of each way the JSON reader rejects a file
+        files = {"graph": tmp_path / "graph.json", "dist": tmp_path / "dist.json"}
+        files["graph"].write_text('{"labels": ["a"]}')
+        files["dist"].write_text('{"a": {"moments": ["1"]}}')
+        path = files[which] = tmp_path / which
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = ["moment", "--graph", str(files["graph"]), "--dist", str(files["dist"]), "--tuple", "a"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "input error: " + message.format(path=path) + "\n"
+
     def test_file_not_utf8(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_bytes(b'\xff{"labels": ["a"]}')
