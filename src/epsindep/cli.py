@@ -49,24 +49,38 @@ def _check_cap(entries, cap):
 
 
 def _unique_keys(pairs):
-    """A JSON object as a dict; a key given twice is an input error, not
-    a silent override."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise InputError(f"repeated key {excerpt(key)} in a JSON object")
-        out[key] = value
+    """A JSON object as a dict; a repeated key, sought only when the dict
+    is shorter than the pairs, is an input error, not a silent override."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise InputError(f"repeated key {excerpt(repeated)} in a JSON object")
     return out
+
+
+# holds no input between calls: json.load would build one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=parse_fraction)
 
 
 def _load_json(path):
     """The file's JSON, with number literals in decimal or exponent form
-    read as the exact rationals they spell."""
+    read as the exact rationals they spell.  The bytes are read as UTF-8
+    (RFC 8259) whatever the locale, "\\r\\n" and a lone "\\r" as "\\n", as
+    text mode reads them, and a leading BOM is rejected, as json.loads
+    rejects it."""
     try:
-        with open(path) as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys, parse_float=parse_fraction)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    try:
+        text = data.decode()
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:
@@ -80,9 +94,11 @@ def _load_graph(path):
 
 
 def _parse_tuple(text, e):
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    if not names:
-        raise InputError("empty tuple")
+    """The tuple's label indices and names; an empty item is an input error."""
+    names = [t.strip() for t in text.split(",")]
+    if "" in names:
+        empty = f"item {names.index('') + 1} of --tuple {excerpt(text)} is empty"
+        raise InputError("empty tuple" if names == [""] else empty)
     return tuple(e.label_index(name) for name in names), names
 
 

@@ -10,6 +10,7 @@ import re
 import sys
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 
 from .epsilon import CLASSICAL, FREE
 from .errors import DomainError, InputError, TableError, excerpt, unlimited_int_digits
@@ -25,11 +26,15 @@ def _convert(seq, kind, given):
     m_n = kappa_n + rest_n, where rest_n sums over the partitions whose
     block containing point 1 has size s < n (m_0 = 1):
     - classical: choose the block's other s-1 points, the remaining n-s
-      points partition freely, so rest_n = sum C(n-1, s-1) kappa_s m_{n-s};
+      points partition freely, so rest_n = sum C(n-1, s-1) kappa_s m_{n-s},
+      its binomials read off one Pascal row, row n-1 at order n;
     - free: the s gaps the block leaves fill independently, so
       rest_n = sum kappa_s [z^(n-s)] M(z)^s with M(z) = sum m_i z^i.
       powers[s][t] = [z^t] M(z)^s gains column t = n-1 at order n, from
       the moments known by then, so the pass costs O(N^3) operations.
+    Both sums skip the zero moments: they run over `nonzero`, the i >= 1
+    with m_i != 0, to which i is added once m_i is known, and the free
+    one takes the m_0 = 1 term, [z^t] M(z)^(s-1), directly.
     Both are homogeneous of degree n, so they run unchanged on the scaled
     integers, and every output is an integer too.  An empty seq, on either
     side, is a TableError.
@@ -40,7 +45,9 @@ def _convert(seq, kind, given):
     d = lcm(*(v.denominator for v in seq))
     moments = [1]
     cumulants = []
+    nonzero = []
     powers = [[1] + [0] * order] + [[] for _ in range(order)]
+    pascal = [1]  # C(n-1, j) for j = 0..n-1
     dn = 1  # d**n
     for n in range(1, order + 1):
         dn *= d
@@ -49,16 +56,16 @@ def _convert(seq, kind, given):
             t = n - 1
             for s in range(1, order - t + 1):
                 prev = powers[s - 1]
-                acc = 0
-                for i in range(t + 1):
-                    if prev[t - i]:
-                        acc += moments[i] * prev[t - i]
+                acc = prev[t]
+                for i in nonzero:
+                    acc += moments[i] * prev[t - i]
                 powers[s].append(acc)
             for s in range(1, n):
                 rest += cumulants[s - 1] * powers[s][n - s]
         else:
-            for s in range(1, n):
-                rest += comb(n - 1, s - 1) * cumulants[s - 1] * moments[n - s]
+            for i in nonzero:
+                rest += pascal[i] * cumulants[n - i - 1] * moments[i]
+            pascal = [1, *map(add, pascal, pascal[1:]), 1]
         value = seq[n - 1].numerator * (dn // seq[n - 1].denominator)
         if given == "moments":
             moments.append(value)
@@ -66,6 +73,8 @@ def _convert(seq, kind, given):
         else:
             cumulants.append(value)
             moments.append(value + rest)
+        if moments[n]:
+            nonzero.append(n)
     return d, tuple(moments[1:]), tuple(cumulants)
 
 

@@ -870,6 +870,19 @@ class TestInputHandling:
         assert (code, captured.out) == (2, "")
         assert captured.err == "input error: " + message.format(path=path) + "\n"
 
+    @pytest.mark.parametrize("command", ["enumerate", "moment"])
+    @pytest.mark.parametrize(
+        "tuple_arg, position", [("x1,,x2", 2), ("x1,", 2), (",x1", 1), ("x1, ,x2", 2), ("x1,x2,,", 3)]
+    )
+    def test_empty_tuple_item(self, five_cycle, capsys, command, tuple_arg, position):
+        # an empty item is an input error that names its position, not dropped
+        graph, dist = five_cycle
+        argv = [command, "--graph", graph, "--tuple", tuple_arg]
+        code = main(argv + (["--dist", dist] if command == "moment" else []))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"input error: item {position} of --tuple {tuple_arg!r} is empty\n"
+
     def test_file_not_utf8(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_bytes(b'\xff{"labels": ["a"]}')

@@ -47,7 +47,14 @@ from epsindep import (
 )
 from epsindep.cli import main
 from epsindep.crosscheck import _restrict
-from epsindep.cumulants import _PLAIN, parse_fraction, spec_moments
+from epsindep.cumulants import (
+    _PLAIN,
+    arcsine_moments,
+    bernoulli_moments,
+    parse_fraction,
+    semicircle_moments,
+    spec_moments,
+)
 from epsindep.ncpartitions import (
     bar_masks,
     crossings,
@@ -536,10 +543,35 @@ COPRIME = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(0), Fractio
            Fraction(5, 11), Fraction(6, 13), Fraction(-7, 17)]
 
 
+# zeros where the conversions skip terms: every odd entry (arcsine,
+# Bernoulli, semicircle), the first two, every one, all but the first
+# (read as cumulants, the point mass at 1, whose moments are all 1), and
+# a single entry
+STRUCTURED_ZEROS = [
+    arcsine_moments(8),
+    bernoulli_moments(8),
+    semicircle_moments(Fraction(3, 2), 8),
+    [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(-3, 4)],
+    [Fraction(0)] * 6,
+    [Fraction(1)] + [Fraction(0)] * 5,
+    [Fraction(-2, 3)],
+]
+
+
+def structured_zeros(test):
+    """test with an @example of each STRUCTURED_ZEROS sequence, for
+    either kind."""
+    for seq in STRUCTURED_ZEROS:
+        for kind in (FREE, CLASSICAL):
+            test = example(kind, seq)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([FREE, CLASSICAL]), st.lists(mixed_denominators, min_size=1, max_size=8))
 @example(FREE, COPRIME)
 @example(CLASSICAL, COPRIME)
+@structured_zeros
 def test_conversions_match_partition_sums(kind, seq):
     """Both directions against the lattice sums over NC(n) or all
     partitions and, classically, the Moebius sum."""
