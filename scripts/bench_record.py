@@ -21,13 +21,15 @@ how many pairs the change improved, in the direction BENCHMARK.json
 gives.  The file is written to this repository, whatever --root is.
 Standard library only.
 
-Before the first run, every __pycache__ under src/ of each checkout is
-deleted, so that no side imports bytecode left by an earlier build: a
-stale cache inflated setup_s by about 10 %.  After the last run, each
-checkout runs its Tier-1 suite once (TIER1, with src/ on PYTHONPATH),
-after the benchmark so that no run imports bytecode the tests wrote, and
-the record's "tier1" holds, per side, the passed and failed tests and the
-wall time in seconds, read off pytest's summary line.
+Each side gets its own PYTHONPYCACHEPREFIX, an empty directory outside
+both checkouts, for every process of its runs and of its Tier-1 suite,
+so that no side reads bytecode from its tree: stale bytecode under src/
+inflated setup_s by about 10 %, and a copied checkout's stale
+bench/__pycache__ was recompiled by every worker, +4.9 % with
+PYTHONDONTWRITEBYTECODE set.  After the last run, each checkout runs its
+Tier-1 suite once (TIER1, with src/ on PYTHONPATH), and the record's
+"tier1" holds, per side, the passed and failed tests and the wall time
+in seconds, read off pytest's summary line.
 """
 
 import argparse
@@ -35,10 +37,10 @@ import json
 import os
 import platform
 import re
-import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -132,23 +134,52 @@ def parse_summary(stdout):
     return None
 
 
-def run_tier1(root):
-    env = dict(os.environ)
+def side_env(pycache):
+    """The environment of a side's processes: bytecode read and written
+    under pycache only, never in a checkout."""
+    return dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+
+
+def run_tier1(root, pycache):
+    env = side_env(pycache)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, stdout=subprocess.PIPE, text=True)
     return parse_summary(proc.stdout)
 
 
-def clear_pycache(root):
-    """Delete every __pycache__ directory under root/src."""
-    for cache in list((root / "src").rglob("__pycache__")):
-        shutil.rmtree(cache)
-
-
-def run_once(root, workload, seed):
+def run_once(root, workload, seed, pycache):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
-    proc = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(argv, cwd=root, env=side_env(pycache), stdout=subprocess.PIPE, text=True)
     return parse_run(proc.stdout)
+
+
+def run_pairs(spec, sides, seeds, pycache):
+    """Per workload of spec, the summary of each side's runs and the
+    comparison of their pairs, seed by seed, the base first on every
+    other seed; and whether every run printed a correct result."""
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = {}
+    complete = True
+    for name in [w["name"] for w in spec["workloads"]]:
+        results = {side: [] for side in sides}
+        pairs = []
+        for i, seed in enumerate(seeds):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            run = {}
+            for side in order:
+                try:
+                    run[side] = run_once(sides[side], name, seed, pycache[side])
+                except ValueError as exc:
+                    print(f"{name} seed {seed} {side}: {exc}", file=sys.stderr)
+                else:
+                    results[side].append(run[side])
+                    print(f"{name} seed {seed} {side}: correct {run[side]['correct']}", file=sys.stderr)
+            if len(run) == 2:
+                pairs.append((run["base"], run["change"]))
+        summaries = {side: summarize(results[side], metrics) for side in sides}
+        complete &= all(s["runs"] == len(seeds) == s["correct"] for s in summaries.values())
+        workloads[name] = dict(summaries, pairs=compare(pairs, metrics))
+    return workloads, complete
 
 
 def commit_of(root):
@@ -169,35 +200,14 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS, help="benchmark seeds, one run each")
     args = parser.parse_args(argv)
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"base": args.base_root, "change": args.root}
-    for root in sides.values():
-        clear_pycache(root)
-    workloads = {}
-    complete = True
-    for name in [w["name"] for w in spec["workloads"]]:
-        results = {side: [] for side in sides}
-        pairs = []
-        for i, seed in enumerate(args.seeds):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            run = {}
-            for side in order:
-                try:
-                    run[side] = run_once(sides[side], name, seed)
-                except ValueError as exc:
-                    print(f"{name} seed {seed} {side}: {exc}", file=sys.stderr)
-                else:
-                    results[side].append(run[side])
-                    print(f"{name} seed {seed} {side}: correct {run[side]['correct']}", file=sys.stderr)
-            if len(run) == 2:
-                pairs.append((run["base"], run["change"]))
-        summaries = {side: summarize(results[side], metrics) for side in sides}
-        complete &= all(s["runs"] == len(args.seeds) == s["correct"] for s in summaries.values())
-        workloads[name] = dict(summaries, pairs=compare(pairs, metrics))
-    tier1 = {}
-    for side, root in sides.items():
-        tier1[side] = run_tier1(root)
-        print(f"tier1 {side}: {tier1[side]}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        pycache = {side: Path(tmp) / side for side in sides}
+        workloads, complete = run_pairs(spec, sides, args.seeds, pycache)
+        tier1 = {}
+        for side, root in sides.items():
+            tier1[side] = run_tier1(root, pycache[side])
+            print(f"tier1 {side}: {tier1[side]}", file=sys.stderr)
     record = dict(
         commit=commit_of(args.root),
         base_commit=commit_of(args.base_root),

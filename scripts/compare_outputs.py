@@ -7,6 +7,9 @@ Writes the input files of these calls to a temporary directory:
   workloads, with --method both, the first 40 of each also with --table;
 - crosscheck --max-n 5 on the six seed-1 battery graphs (batteries 0 and
   1), as the benchmark runs it;
+- a moment call for each file of READER_CASES, as the graph and as the
+  distribution file, whose exit code and stderr give the JSON reader's
+  rejection of it;
 then runs one child process per checkout, the base at --base-root and the
 change at --root (default: the one holding this script).  Each child
 imports its checkout's epsindep and calls epsindep.cli.main in process on
@@ -37,6 +40,19 @@ QUERIES = 400
 TABLE_QUERIES = 40  # of each (workload, seed), also run with --table
 SEEDS = (1, 2)
 BATTERIES = (0, 1)  # of seed 1: six graphs
+# files the JSON reader rejects, as in tests/test_cli.py's test_reader_errors:
+# a BOM, a byte that is not UTF-8, a syntax error on line 3 with each line
+# ending, a raw CR in a string, a repeated key, and (None) a directory
+READER_CASES = {
+    "bom": b'\xef\xbb\xbf{"a": 1}',
+    "not-utf8": b'\xff{"a": 1}',
+    "lf": b'{\n"a":\n x}\n',
+    "crlf": b'{\r\n"a":\r\n x}\r\n',
+    "cr": b'{\r"a":\r x}\r',
+    "cr-in-string": b'{\n"abc\rd": 1}',
+    "repeated-key": b'{"a": 1, "a": 2}',
+    "directory": None,
+}
 
 
 def load(name, path):
@@ -78,6 +94,19 @@ def write_calls(workdir, queries):
                 "crosscheck", "--graph", write(f"battery{battery}-graph{g}.json", spec),
                 "--max-n", str(inputs.BATTERY_MAX_N), "--seed", str(seed),
                 "--instances", str(inputs.BATTERY_INSTANCES),
+            ])
+    files = {"graph": write("reader-graph.json", {"labels": ["a"]}),
+             "dist": write("reader-dist.json", {"a": {"moments": ["1"]}})}
+    for case, content in READER_CASES.items():
+        for which in files:
+            path = workdir / f"reader-{case}-{which}"
+            if content is None:
+                path.mkdir()
+            else:
+                path.write_bytes(content)
+            argv = dict(files, **{which: str(path)})
+            calls.append([
+                "moment", "--graph", argv["graph"], "--dist", argv["dist"], "--tuple", "a", "--method", "both",
             ])
     return calls
 

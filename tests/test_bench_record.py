@@ -1,6 +1,7 @@
 """scripts/bench_record.py on canned bench/run.py and pytest output: the
 parsers and the summary, with no benchmark or test run; its refusal of a
-call without a base; and its __pycache__ clean on a scratch tree."""
+call without a base; and each side's own bytecode prefix, on a stub
+bench/run.py in a scratch tree."""
 
 import importlib.util
 import json
@@ -115,17 +116,22 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
         (root / "src" / "__pycache__").mkdir(parents=True)
     (change / "BENCHMARK.json").write_text(json.dumps(spec))
     calls = []
+    prefixes = {}
 
-    def canned(root, workload, seed):
-        # both trees' bytecode is gone before the first run
-        assert not (change / "src" / "__pycache__").exists()
-        assert not (base / "src" / "__pycache__").exists()
+    def canned(root, workload, seed, pycache):
+        # each side keeps one bytecode prefix of its own, outside both trees
+        assert prefixes.setdefault(root.name, pycache) == pycache
+        assert change not in pycache.parents and base not in pycache.parents
         calls.append((root.name, workload, seed))
         return result(queries_per_s=20.0 + seed if root == change else 10.0)
 
+    def tier1_run(root, pycache):
+        assert prefixes[root.name] == pycache
+        return dict(tier1, side=root.name)
+
     monkeypatch.setattr(bench_record, "run_once", canned)
     tier1 = {"passed": 450, "failed": 0, "wall_s": 53.42}
-    monkeypatch.setattr(bench_record, "run_tier1", lambda root: dict(tier1, side=root.name))
+    monkeypatch.setattr(bench_record, "run_tier1", tier1_run)
     monkeypatch.setattr(bench_record, "REPO", tmp_path)
     argv = ["--pr", "7", "--root", str(change), "--base-root", str(base), "--seeds", "3", "4", "5"]
     assert bench_record.main(argv) == 0
@@ -148,6 +154,9 @@ def test_paired_record_alternates_the_sides(tmp_path, monkeypatch):
         "ratio_q1": 2.35, "ratio_q3": 2.45, "ratios": [2.3, 2.4, 2.5],
     })
     assert record["tier1"] == {"base": dict(tier1, side="base"), "change": dict(tier1, side="change")}
+    assert prefixes["base"] != prefixes["change"]
+    # no bytecode of either tree is touched
+    assert (change / "src" / "__pycache__").exists() and (base / "src" / "__pycache__").exists()
 
 
 def test_a_record_needs_a_base(tmp_path, monkeypatch, capsys):
@@ -162,18 +171,22 @@ def test_a_record_needs_a_base(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_clear_pycache_only_under_src(tmp_path):
-    caches = [tmp_path / "src" / "__pycache__", tmp_path / "src" / "pkg" / "__pycache__"]
-    kept = [tmp_path / "bench" / "__pycache__", tmp_path / "src" / "pkg" / "cache.pyc"]
-    for cache in caches + kept[:1]:
-        cache.mkdir(parents=True)
-        (cache / "mod.cpython-311.pyc").write_bytes(b"stale")
-    kept[1].write_bytes(b"kept")
-    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
-    bench_record.clear_pycache(tmp_path)
-    assert not any(cache.exists() for cache in caches)
-    assert all(path.exists() for path in kept)
-    assert (tmp_path / "src" / "pkg" / "mod.py").exists()
+def test_each_side_reads_bytecode_under_its_own_prefix(tmp_path, monkeypatch):
+    # a stub bench/run.py that imports a module of its tree and prints
+    # its interpreter's bytecode prefix in the result: the module's
+    # bytecode goes under the prefix, and none into the tree
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    bench = tmp_path / "tree" / "bench"
+    bench.mkdir(parents=True)
+    (bench / "helper.py").write_text("VALUE = 1\n")
+    (bench / "run.py").write_text(
+        "import json, sys\nimport helper\nprint(json.dumps({'correct': True, 'attempted': 1, "
+        "'failed': 0, 'metrics': {}, 'prefix': sys.pycache_prefix}))\n"
+    )
+    prefix = tmp_path / "prefix"
+    assert bench_record.run_once(bench.parent, "w", 1, prefix)["prefix"] == str(prefix)
+    assert list(prefix.rglob("helper.*.pyc"))
+    assert not (bench / "__pycache__").exists()
 
 
 @pytest.mark.parametrize(

@@ -43,14 +43,28 @@ def test_calls_made_by_one_side_alone():
     )
 
 
-def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
-    # two queries per (workload, seed), both also with --table, and the
-    # six battery graphs, each reading a file written to the directory
+def test_calls_cover_both_moment_workloads_the_battery_and_the_reader(tmp_path):
+    # two queries per (workload, seed), both also with --table, the six
+    # battery graphs, and each reader case as either file, each reading
+    # a file written to the directory
     calls = compare_outputs.write_calls(tmp_path, 2)
-    assert len(calls) == 2 * 2 * 2 * 2 + 6
+    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 8 * 2
     moments = [argv for argv in calls if argv[0] == "moment"]
     assert sum("--table" in argv for argv in moments) == 8
     assert all(argv[argv.index("--method") + 1] == "both" for argv in moments)
     assert [argv[argv.index("--max-n") + 1] for argv in calls if argv[0] == "crosscheck"] == ["5"] * 6
     paths = {argv[k + 1] for argv in calls for k, a in enumerate(argv) if a in ("--graph", "--dist")}
-    assert all(Path(path).parent == tmp_path and Path(path).is_file() for path in paths)
+    assert all(Path(path).parent == tmp_path and Path(path).exists() for path in paths)
+    # each reader case once as the graph and once as the distribution
+    # file, beside the valid other file; the directory case is a directory
+    read = [
+        (Path(argv[argv.index("--graph") + 1]).name, Path(argv[argv.index("--dist") + 1]).name)
+        for argv in calls[-16:]
+    ]
+    assert read == [
+        pair
+        for case in compare_outputs.READER_CASES
+        for pair in [(f"reader-{case}-graph", "reader-dist.json"), ("reader-graph.json", f"reader-{case}-dist")]
+    ]
+    assert all(path.is_dir() == ("directory" in path.name) for path in tmp_path.glob("reader-*"))
+    assert (tmp_path / "reader-bom-dist").read_bytes() == b'\xef\xbb\xbf{"a": 1}'
