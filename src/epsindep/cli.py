@@ -14,6 +14,7 @@ enumeration streams.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -59,16 +60,14 @@ def _unique_keys(pairs):
     return out
 
 
-# holds no input between calls: json.load would build one per call
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=parse_fraction)
 
 
 def _load_json(path):
-    """The file's JSON, with number literals in decimal or exponent form
-    read as the exact rationals they spell.  The bytes are read as UTF-8
-    (RFC 8259) whatever the locale, "\\r\\n" and a lone "\\r" as "\\n", as
-    text mode reads them, and a leading BOM is rejected, as json.loads
-    rejects it."""
+    """The file's JSON, number literals in decimal or exponent form read as
+    the exact rationals they spell, by _DECODER, which keeps no input
+    between calls; the bytes read as UTF-8 (RFC 8259) whatever the locale,
+    "\\r\\n" and "\\r" as "\\n" as text mode reads them, a BOM rejected."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -472,8 +471,10 @@ def main(argv=None):
     except MemoryError:
         pass
     # reported only once the handler is left and the traceback, whose
-    # frames hold what filled the memory, is freed: inside the handler,
-    # printing can fail again and the exit becomes 1
+    # frames hold what filled the memory, is freed, and with it what a
+    # cycle among them (a recursive closure) holds: else printing or the
+    # exit can fail again, with exit 1 or "Exception ignored" lines
+    gc.collect()
     print("error: out of memory", file=sys.stderr)
     return 2
 

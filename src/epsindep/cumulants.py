@@ -32,9 +32,8 @@ def _convert(seq, kind, given):
       rest_n = sum kappa_s [z^(n-s)] M(z)^s with M(z) = sum m_i z^i.
       powers[s][t] = [z^t] M(z)^s gains column t = n-1 at order n, from
       the moments known by then, so the pass costs O(N^3) operations.
-    Both sums skip the zero moments: they run over `nonzero`, the i >= 1
-    with m_i != 0, to which i is added once m_i is known, and the free
-    one takes the m_0 = 1 term, [z^t] M(z)^(s-1), directly.
+    Both sums run over `nonzero`, the i >= 1 with m_i != 0, each added once
+    m_i is known; the free one takes the m_0 = 1 term directly.
     Both are homogeneous of degree n, so they run unchanged on the scaled
     integers, and every output is an integer too.  An empty seq, on either
     side, is a TableError.

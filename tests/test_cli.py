@@ -1198,6 +1198,31 @@ class TestInputHandling:
         )
         assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is a Linux limit")
+    @pytest.mark.parametrize("megabytes", [26, 31, 36])
+    def test_memory_exhausted_without_automatic_gc(self, tmp_path, megabytes):
+        # the enumeration's partial output stays in a reference cycle (its
+        # recursive closure) once the traceback is freed; main collects it
+        # itself, so the report comes alone whenever the collector would run
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"labels": ["a"], "diagonal": {"a": 1}}))
+        code = "import gc, sys; gc.disable(); from epsindep.cli import main; sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "enumerate", "--graph", str(graph), "--tuple", ",".join("a" * 10)],
+            env=fresh_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=limit,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
+
     def test_unknown_label(self, five_cycle, capsys):
         graph, _ = five_cycle
         code, _ = run(capsys, ["enumerate", "--graph", graph, "--tuple", "nope"])

@@ -43,7 +43,7 @@ def test_calls_made_by_one_side_alone():
     )
 
 
-def test_calls_cover_both_moment_workloads_the_battery_and_the_reader(tmp_path):
+def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     # two queries per (workload, seed), both also with --table, the six
     # battery graphs, and each reader case as either file, each reading
     # a file written to the directory
