@@ -104,9 +104,9 @@ def write_calls(workdir, queries):
                 path.mkdir()
             else:
                 path.write_bytes(content)
-            argv = dict(files, **{which: str(path)})
+            paths = dict(files, **{which: str(path)})
             calls.append([
-                "moment", "--graph", argv["graph"], "--dist", argv["dist"], "--tuple", "a", "--method", "both",
+                "moment", "--graph", paths["graph"], "--dist", paths["dist"], "--tuple", "a", "--method", "both",
             ])
     return calls
 
