@@ -7,11 +7,16 @@ Writes the input files of these calls to a temporary directory:
   workloads, with --method both, the first 40 of each also with --table;
 - crosscheck --max-n 5 on the six seed-1 battery graphs (batteries 0 and
   1), as the benchmark runs it;
+- a moment call on six points of a free and of a classical label for
+  each spec of NAMED_LAWS, with --method cumulant and --method definition
+  alone, and one with --method both on a point mass whose printed moment
+  has more than 640 digits;
 - a moment call for each file of READER_CASES, as the graph and as the
   distribution file, whose exit code and stderr give the JSON reader's
   rejection of it;
 then runs one child process per checkout, the base at --base-root and the
-change at --root (default: the one holding this script).  Each child
+change at --root (default: the one holding this script), with string-hash
+seeds 1 and 2, so an output that depends on hash order differs.  Each child
 imports its checkout's epsindep and calls epsindep.cli.main in process on
 each of them and on every case of tests/golden_cli.json, and prints one
 line per call: the call, its exit code and the SHA-256 digests of its
@@ -30,6 +35,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -40,6 +46,15 @@ QUERIES = 400
 TABLE_QUERIES = 40  # of each (workload, seed), also run with --table
 SEEDS = (1, 2)
 BATTERIES = (0, 1)  # of seed 1: six graphs
+# every named law, with a parameter that is not 1 where it takes one
+NAMED_LAWS = (
+    {"named": "semicircle", "variance": "3/2"},
+    {"named": "arcsine"},
+    {"named": "bernoulli"},
+    {"named": "point_mass", "value": "-3/7"},
+)
+# a point mass whose fourth moment has 801 digits over 573
+LONG_POINT_MASS = {"named": "point_mass", "value": f"{10**200 + 7}/{3**300}"}
 # files the JSON reader rejects, as in tests/test_cli.py's test_reader_errors:
 # a BOM, a byte that is not UTF-8, a syntax error on line 3 with each line
 # ending, a raw CR in a string, a repeated key, and (None) a directory
@@ -95,6 +110,19 @@ def write_calls(workdir, queries):
                 "--max-n", str(inputs.BATTERY_MAX_N), "--seed", str(seed),
                 "--instances", str(inputs.BATTERY_INSTANCES),
             ])
+    named_graph = write("named-graph.json", {"labels": ["f", "c"], "diagonal": {"c": 1}})
+    for k, spec in enumerate(NAMED_LAWS):
+        dist = write(f"named-{k}.json", {"f": spec, "c": spec})
+        for label in ("f", "c"):
+            for method in ("cumulant", "definition"):
+                calls.append([
+                    "moment", "--graph", named_graph, "--dist", dist,
+                    "--tuple", ",".join([label] * 6), "--method", method,
+                ])
+    calls.append([
+        "moment", "--graph", named_graph, "--dist", write("named-long.json", {"f": LONG_POINT_MASS}),
+        "--tuple", "f,f,f,f", "--method", "both",
+    ])
     files = {"graph": write("reader-graph.json", {"labels": ["a"]}),
              "dist": write("reader-dist.json", {"a": {"moments": ["1"]}})}
     for case, content in READER_CASES.items():
@@ -173,12 +201,13 @@ def first_difference(base_lines, change_lines):
     return None
 
 
-def run_child(root, calls_path):
+def run_child(root, calls_path, hash_seed):
     code = (
         f"import sys; sys.path.insert(0, {str(REPO / 'scripts')!r}); "
         f"import compare_outputs; compare_outputs.child({str(root)!r}, {str(calls_path)!r})"
     )
-    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True)
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True, env=env)
     return proc.stdout.splitlines()
 
 
@@ -194,8 +223,8 @@ def main(argv=None):
         workdir = Path(tmp)
         calls_path = workdir / "calls.json"
         calls_path.write_text(json.dumps(write_calls(workdir, args.queries)))
-        base = run_child(args.base_root.resolve(), calls_path)
-        change = run_child(args.root.resolve(), calls_path)
+        base = run_child(args.base_root.resolve(), calls_path, 1)
+        change = run_child(args.root.resolve(), calls_path, 2)
     report = first_difference(base, change)
     if report is not None:
         print(report)

@@ -103,13 +103,14 @@ def _parse_tuple(text, e):
 
 def _load_tables(path, e, entries):
     """Validate every spec in the distribution file, then build a table
-    for each label of the tuple from its first entries.count(label)
-    moments, the most any evaluator reads of it and all that spec_moments
-    builds (0 for a label outside the tuple; the rest of a moments list is
-    only validated).  Each spec is read as written, under its key (an
-    object, in key order) or its "label" (an array).  A label's kind is
-    fixed by the graph's diagonal; a spec that names another kind is
-    rejected, whether its label is used or not."""
+    for each label of the tuple from its first moments, as many as the
+    label's count in the tuple (counted once): the most any evaluator
+    reads of it and all that spec_moments builds (0 for a label outside
+    the tuple; the rest of a moments list is only validated).  Each spec
+    is read as written, under its key (an object, in key order) or its
+    "label" (an array).  A label's kind is fixed by the graph's diagonal;
+    a spec that names another kind is rejected, whether its label is used
+    or not."""
     data = _load_json(path)
     if isinstance(data, dict):
         for name, spec in data.items():
@@ -122,6 +123,9 @@ def _load_tables(path, e, entries):
         named = ((spec.get("label") if isinstance(spec, dict) else None, spec) for spec in data)
     else:
         raise InputError("distribution file must be a JSON array or object")
+    counts = {}
+    for a in entries:
+        counts[a] = counts.get(a, 0) + 1
     specs = {}
     for name, spec in named:
         if not isinstance(spec, dict) or isinstance(data, list) and "label" not in spec:
@@ -130,15 +134,14 @@ def _load_tables(path, e, entries):
         if idx in specs:
             raise InputError(f"label {excerpt(name)} has more than one spec")
         kind = e.kind(idx)
-        specs[idx] = spec_moments(spec, entries.count(idx))
+        specs[idx] = spec_moments(spec, counts.get(idx, 0))
         if spec.get("kind", kind) != kind:
             raise InputError(
                 f"label {excerpt(name)} has diagonal {e.diagonal(idx)}, so its kind is "
                 f"{kind}, but its spec gives kind {spec['kind']!r}"
             )
     tables = {}
-    for idx in dict.fromkeys(entries):
-        count = entries.count(idx)
+    for idx, count in counts.items():
         moments = specs.get(idx)
         if moments is None or len(moments) < count:
             given = "no spec" if moments is None else f"its spec gives {len(moments)} moments"

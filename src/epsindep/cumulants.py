@@ -78,7 +78,10 @@ def _convert(seq, kind, given):
 
 
 def _fractions(seq):
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in seq)
+    """seq with each entry that is not an int or a Fraction (say a str)
+    made a Fraction: _convert reads only numerator and denominator, which
+    an int has too."""
+    return tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in seq)
 
 
 class CumulantTable:
@@ -149,8 +152,8 @@ def arcsine_moments(max_order):
     """Even moments are central binomials C(2k,k), odd are 0.
 
     This is the distribution of a group generator plus its inverse under
-    the canonical trace."""
-    return [Fraction(comb(n, n // 2)) if n % 2 == 0 else Fraction(0) for n in range(1, max_order + 1)]
+    the canonical trace.  The moments are ints."""
+    return [0 if n % 2 else comb(n, n // 2) for n in range(1, max_order + 1)]
 
 
 def arcsine_table(kind, max_order):
@@ -168,8 +171,8 @@ def semicircle_moments(variance, max_order):
 
 
 def bernoulli_moments(max_order):
-    """Symmetric +/-1 coin: moments alternate 0, 1."""
-    return [Fraction(0) if n % 2 else Fraction(1) for n in range(1, max_order + 1)]
+    """Symmetric +/-1 coin: moments alternate 0, 1, as ints."""
+    return [0 if n % 2 else 1 for n in range(1, max_order + 1)]
 
 
 def point_mass_moments(value, max_order):
@@ -206,9 +209,16 @@ def parse_fraction(text):
 
 
 def format_fraction(f):
-    """f as "p/q", exactly, whatever its number of digits."""
-    f = Fraction(f)
-    return unlimited_int_digits(lambda: f"{f.numerator}/{f.denominator}")
+    """f, a Fraction as given or anything else Fraction reads, as "p/q",
+    exactly, whatever its number of digits.  The int-to-str digit limit is
+    lifted only when p or q has 2,000 bits or more: a smaller int has at
+    most 602 digits, below 640, the lowest limit Python accepts."""
+    if not isinstance(f, Fraction):
+        f = Fraction(f)
+    p, q = f.numerator, f.denominator
+    if p.bit_length() < 2000 and q.bit_length() < 2000:
+        return f"{p}/{q}"
+    return unlimited_int_digits(lambda: f"{p}/{q}")
 
 
 # the named laws of a distribution spec: each one's moment generator, and

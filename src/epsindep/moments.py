@@ -5,6 +5,7 @@ kernel-factorization shortcut."""
 from fractions import Fraction
 from math import prod
 
+from .epsilon import CLASSICAL, FREE
 from .errors import TableError
 from .graphgroup import _merge_target, reduce_word
 from .ncpartitions import kernel_noncrossing, noncrossing_sum
@@ -24,14 +25,14 @@ def _check_tables(entries, e, tables):
     counts = {}
     for a in entries:
         counts[a] = counts.get(a, 0) + 1
-    size = e.size
+    size, against = e.size, e.against
     for label, need in counts.items():
         if not 0 <= label < size:
             e.check_tuple((label,))  # raises the DomainError
         table = tables.get(label)
         if table is None:
             raise TableError(f"no table for label {label}")
-        want = e.kind(label)
+        want = FREE if against[label] >> label & 1 else CLASSICAL  # e.kind(label)
         if table.kind != want:
             raise TableError(
                 f"label {label} has diagonal {e.diagonal(label)} but a "
@@ -42,11 +43,14 @@ def _check_tables(entries, e, tables):
     return counts
 
 
-def _scale(counts, tables):
-    """The divisor of a value summed in the tables' scaled integers: a
-    product of scaled values carries label l's d once per l-point, counts
-    as _check_tables returns them."""
-    return prod([tables[a].d ** c for a, c in counts.items()])
+def _unscale(value, counts, tables):
+    """A value summed in the tables' scaled integers as the Fraction it
+    stands for: a product of scaled values carries label l's d once per
+    l-point, counts as _check_tables returns them.  A zero needs no
+    divisor."""
+    if not value:
+        return Fraction(0)
+    return Fraction(value, prod([tables[a].d ** c for a, c in counts.items()]))
 
 
 def mixed_moment_cumulant(entries, e, tables):
@@ -72,7 +76,7 @@ def mixed_moment_cumulant(entries, e, tables):
 
     The sum runs in the tables' scaled integers: a block of size s and
     label l contributes kappa_l(s) * d_l**s, so every product carries d_l
-    once per l-point (_scale).
+    once per l-point (_unscale).
     """
     counts = _check_tables(entries, e, tables)
     once = {a for a, c in counts.items() if not any(tables[a].scaled_cumulants[1:c])}
@@ -106,7 +110,7 @@ def mixed_moment_cumulant(entries, e, tables):
         part = lab if comp == present else tuple([a for a in lab if comp >> a & 1])
         left &= ~comp
         value *= noncrossing_sum(part, against, scaled)
-    return Fraction(value, _scale(counts, tables))
+    return _unscale(value, counts, tables)
 
 
 def mixed_moment_by_definition(entries, e, tables):
@@ -164,7 +168,7 @@ def mixed_moment_by_definition(entries, e, tables):
             if const:
                 out[rest] = out.get(rest, 0) + c * const
         states = {w: c for w, c in out.items() if c}
-    return Fraction(states.get((), 0), _scale(counts, tables))
+    return _unscale(states.get((), 0), counts, tables)
 
 
 def factorization_shortcut(entries, e, tables):
@@ -174,7 +178,7 @@ def factorization_shortcut(entries, e, tables):
     if not kernel_noncrossing(entries, e):
         return None
     total = prod([tables[a].scaled_moments[c - 1] for a, c in counts.items()])
-    return Fraction(total, _scale(counts, tables))
+    return _unscale(total, counts, tables)
 
 
 def moments_from_tables(tables):

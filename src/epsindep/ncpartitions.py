@@ -24,7 +24,8 @@ every block size, one member per leaf and no dead ends.  noncrossing_sum,
 the sum the cumulant route (moments.mixed_moment_cumulant) evaluates,
 memoises the states and folds each first block point by point instead of
 listing its subsets; a state holding a count of some label's points that
-no blocks with nonzero cumulants fill sums to 0 without a fold.
+no blocks with nonzero cumulants fill sums to 0 without a fold, and one
+whose first point has no partner is that point's kappa_1 times the rest.
 Filtering every partition below the kernel through
 is_epsilon_noncrossing (generate-and-test) is the reference the tests
 compare both against.
@@ -58,8 +59,12 @@ def is_epsilon_noncrossing(blocks, entries, e):
 
 def kernel_noncrossing(entries, e):
     """True iff the kernel of the tuple, the partition of its positions
-    by label, is epsilon-non-crossing."""
-    kernel = [(m, a) for a, m in encode(entries).items()]
+    by label, is epsilon-non-crossing: at once for one label, whose one
+    block crosses nothing."""
+    points = encode(entries)
+    if len(points) < 2:
+        return True
+    kernel = [(m, a) for a, m in points.items()]
     return crossings_allowed(crossings(kernel), e.against)
 
 
@@ -274,7 +279,18 @@ def noncrossing_sum(lab, against, kappas):
     spanning that gap would have its label on both sides, where it is
     barred; so every block lies on one side, blocks of different sides do
     not cross, and the child's total is the product of its sides' totals.
-    After the last point every segment closes.
+    After the last point every segment closes.  A join closes it too when
+    the pending gap (the gaps and marks gathered since the segment's last
+    point) already bars every label of the segment still to come: each
+    later kept gap holds the pending one, so the segment would close at
+    the next kept point anyway, and equal partial children merge a step
+    sooner.
+
+    A state whose first point has no eligible point sums to kappa_1 of its
+    label times the state without that point, its gaps trimmed again, with
+    no fold: the point is a singleton in every partition of the state, a
+    singleton crosses and bars nothing, and removing the first point
+    merges no gap.
 
     A state in which some label's point count is not a sum of block sizes
     with nonzero cumulants of that label sums to 0, with no fold.  Proof:
@@ -304,20 +320,26 @@ def noncrossing_sum(lab, against, kappas):
             if not fill >> lab.count(a) & 1:
                 memo[state] = 0
                 return 0
+        sizes = kappas[lab[0]]
+        eligible = eligible_points(lab, gaps)
+        if not eligible:
+            # the first point is a singleton, which crosses nothing
+            value = sizes.get(0, 0)
+            if value and len(lab) > 1:
+                rest = lab[1:]
+                value *= total(rest, trim_gaps(rest, gaps[1:]))
+            memo[state] = value
+            return value
         n = len(lab)
         later = [0] * (n + 1)  # labels at positions j and after
         for j in range(n - 1, 0, -1):
             later[j] = later[j + 1] | 1 << lab[j]
-        sizes = kappas[lab[0]]
         mark = against[lab[0]]
         top = max(sizes)
-        eligible = eligible_points(lab, gaps)
-        last = eligible[-1] if eligible else 0
+        last = eligible[-1]
         eligible = set(eligible)
         done = ((), 0, 0, 0)
-        # no eligible point: the block is the first point alone, weighed now
-        weight = 1 if eligible else sizes.get(0, 0)
-        parts = {done: weight} if weight else {}
+        parts = {done: 1}
         for j in range(1, n + 1):
             if j < n:
                 label = lab[j]
@@ -328,8 +350,20 @@ def noncrossing_sum(lab, against, kappas):
             for (seg, seen, acc, r), c in parts.items():
                 if j < n:
                     if join and r < top:
-                        key = (seg, seen, acc | gap_in | mark if seg else 0, r + 1)
-                        out[key] = out.get(key, 0) + c
+                        pending = acc | gap_in | mark
+                        if seen & later[j + 1] & ~pending:
+                            key = (seg, seen, pending, r + 1)
+                            out[key] = out.get(key, 0) + c
+                        else:
+                            # the pending gap bars every label of the segment
+                            # still to come (if any): close it here
+                            value = memo.get(seg)
+                            if value is None:
+                                labels = seg[::2]
+                                value = memo[seg] = total(labels, trim_gaps(labels, seg[1::2]))
+                            if value:
+                                key = ((), 0, 0, r + 1)
+                                out[key] = out.get(key, 0) + c * value
                     if not seg:
                         key = ((label,), bit, 0, r)
                         out[key] = out.get(key, 0) + c

@@ -3,6 +3,8 @@ report, with no checkout or benchmark run."""
 
 import importlib.util
 import json
+import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,14 +47,36 @@ def test_calls_made_by_one_side_alone():
 
 def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     # two queries per (workload, seed), both also with --table, the six
-    # battery graphs, and each reader case as either file, each reading
-    # a file written to the directory
+    # battery graphs, each named law on a free and a classical label by
+    # either route alone, one long point mass, and each reader case as
+    # either file, each reading a file written to the directory
     calls = compare_outputs.write_calls(tmp_path, 2)
-    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 8 * 2
+    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 + 1 + 8 * 2
     moments = [argv for argv in calls if argv[0] == "moment"]
     assert sum("--table" in argv for argv in moments) == 8
-    assert all(argv[argv.index("--method") + 1] == "both" for argv in moments)
+    workloads = moments[:16]
+    assert all(argv[argv.index("--method") + 1] == "both" for argv in workloads)
     assert [argv[argv.index("--max-n") + 1] for argv in calls if argv[0] == "crosscheck"] == ["5"] * 6
+    named = calls[22:39]
+    graph = json.loads(Path(named[0][named[0].index("--graph") + 1]).read_text())
+    assert graph == {"labels": ["f", "c"], "diagonal": {"c": 1}}
+    read = [
+        (
+            json.loads(Path(argv[argv.index("--dist") + 1]).read_text()),
+            argv[argv.index("--tuple") + 1],
+            argv[argv.index("--method") + 1],
+        )
+        for argv in named
+    ]
+    assert read == [
+        ({"f": spec, "c": spec}, ",".join([label] * 6), method)
+        for spec in compare_outputs.NAMED_LAWS
+        for label in ("f", "c")
+        for method in ("cumulant", "definition")
+    ] + [({"f": compare_outputs.LONG_POINT_MASS}, "f,f,f,f", "both")]
+    assert {spec["named"] for spec in compare_outputs.NAMED_LAWS} == {"semicircle", "arcsine", "bernoulli", "point_mass"}
+    value = Fraction(compare_outputs.LONG_POINT_MASS["value"]) ** 4
+    assert len(str(value.numerator)) > 640
     paths = {argv[k + 1] for argv in calls for k, a in enumerate(argv) if a in ("--graph", "--dist")}
     assert all(Path(path).parent == tmp_path and Path(path).exists() for path in paths)
     # each reader case once as the graph and once as the distribution
@@ -68,3 +92,18 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     ]
     assert all(path.is_dir() == ("directory" in path.name) for path in tmp_path.glob("reader-*"))
     assert (tmp_path / "reader-bom-dist").read_bytes() == b'\xef\xbb\xbf{"a": 1}'
+
+
+def test_children_get_different_hash_seeds(tmp_path, monkeypatch, capsys):
+    # an output that depends on string-hash order differs between them
+    seeds = []
+
+    def run(argv, env, **kwargs):
+        seeds.append(env["PYTHONHASHSEED"])
+        return subprocess.CompletedProcess(argv, 0, stdout="")
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", run)
+    assert compare_outputs.main(["--base-root", str(tmp_path), "--queries", "1"]) == 0
+    assert seeds == ["1", "2"]
+    assert capsys.readouterr().out == "0 calls: exit code, stdout and stderr identical\n"
+

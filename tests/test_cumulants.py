@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from epsindep import (
     InputError,
     TableError,
     arcsine_moments,
+    format_fraction,
     kappa_pi,
 )
-from epsindep.cumulants import spec_moments
+from epsindep.cumulants import bernoulli_moments, spec_moments
 from oracles import (
     JointMomentOracle,
     classical_cumulants_to_moments,
@@ -241,6 +243,48 @@ class TestTableSpecs:
             CumulantTable.from_moments(kind, [])
         with pytest.raises(TableError, match="empty sequence of cumulants"):
             CumulantTable(kind, [])
+
+
+    @pytest.mark.parametrize("generate", [arcsine_moments, bernoulli_moments])
+    @pytest.mark.parametrize("kind", ["free", "classical"])
+    def test_integer_named_laws(self, generate, kind):
+        # the generators give ints, equal to the Fractions they stand for,
+        # and a table of them is the table of those Fractions
+        for order in range(1, 11):
+            moments = generate(order)
+            assert all(type(m) is int for m in moments)
+            fractions = [F(m) for m in moments]
+            by_ints = CumulantTable.from_moments(kind, moments)
+            by_fractions = CumulantTable.from_moments(kind, fractions)
+            assert by_ints.d == by_fractions.d == 1
+            assert by_ints.scaled_moments == by_fractions.scaled_moments
+            assert by_ints.scaled_cumulants == by_fractions.scaled_cumulants
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+class TestFormatFractionAtTheDigitLimit:
+    """640 is the lowest limit Python accepts.  602 digits fit under 2,000
+    bits, the bound below which the limit is left alone; 603 do not; 641
+    would raise ValueError at 640 if the limit were not lifted."""
+
+    @pytest.mark.parametrize("digits", [602, 603, 641, 5000])
+    @pytest.mark.parametrize("side", ["numerator", "denominator"])
+    def test_prints_exactly_and_restores_the_limit(self, digits, side):
+        big = 10 ** (digits - 1) + 7  # not a multiple of 3
+        text = "1" + "0" * (digits - 2) + "7"
+        value, want = (F(-big, 3), f"-{text}/3") if side == "numerator" else (F(3, big), f"3/{text}")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = format_fraction(value)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == want
+
+    def test_not_a_fraction(self):
+        assert format_fraction(-7) == "-7/1"
+        assert format_fraction("6/4") == "3/2"
 
 
 class TestProductsAsArguments:

@@ -18,15 +18,23 @@ from epsindep import (
     mixed_moment_by_definition,
     mixed_moment_cumulant,
 )
-from epsindep.ncpartitions import eligible_points
+from epsindep.cumulants import arcsine_moments, kappa_pi
+from epsindep.ncpartitions import (
+    eligible_points,
+    is_epsilon_noncrossing,
+    kernel_noncrossing,
+    trim_gaps,
+)
 from oracles import (
     admissible_by_definition,
     complete_graph_matrix,
+    cumulant_by_first_blocks,
     cycle_graph_matrix,
     empty_graph_matrix,
     normalize_tuple,
     semicircle_table,
 )
+from test_ncpartitions import partitions_below_kernel
 
 F = Fraction
 FREE2 = empty_graph_matrix(2)
@@ -386,3 +394,110 @@ class TestLengthTwelve:
         tables = {lbl: arcsine_table(FREE, 12) for lbl in (0, 2)}
         e = cycle_graph_matrix(5)
         assert mixed_moment_by_definition(entries, e, tables) == F(400)
+
+
+def per_partition_sum(entries, e, tables):
+    """kappa_pi summed over every partition below the kernel that
+    is_epsilon_noncrossing accepts: generate-and-test."""
+    members = [p for p in partitions_below_kernel(entries) if is_epsilon_noncrossing(p, entries, e)]
+    return sum((kappa_pi(p, entries, tables) for p in members), F(0))
+
+
+def folded_states(monkeypatch):
+    """The (labels, gaps) of every state noncrossing_sum folds or steps
+    past, in order: it asks for each one's eligible points once."""
+    states = []
+
+    def spy(lab, gaps):
+        states.append((lab, gaps))
+        return eligible_points(lab, gaps)
+
+    monkeypatch.setattr("epsindep.ncpartitions.eligible_points", spy)
+    return states
+
+
+# the 5-cycle of the moment benchmark: neighbours free, x3 (label 2) classical
+CYCLE5 = EpsilonMatrix(
+    5, [(a, b) for a, b in combinations(range(5), 2) if cycle_graph_matrix(5).eps(a, b)], diag=[0, 0, 1, 0, 0]
+)
+
+
+class TestFoldSteps:
+    """noncrossing_sum's two shortcuts: a first point with no eligible
+    partner is its kappa_1 times the rest, and a join whose pending gap
+    bars the open segment's labels still to come closes it."""
+
+    @pytest.mark.parametrize("kappa_1", [F(0), F(3, 2)], ids=["kappa_1=0", "kappa_1=3/2"])
+    @pytest.mark.parametrize("diag", [0, 1], ids=["free", "classical"])
+    def test_first_point_behind_a_barring_gap(self, kappa_1, diag, monkeypatch):
+        # x (label 1) is free with b (label 0), y (label 2) independent of
+        # it; b's block {1,4} marks the gap between y(3) and y(5) with
+        # against[b], which bars x but not y, so the segment x,y,y,x stays
+        # one state whose first x has no eligible partner behind that gap
+        e = EpsilonMatrix(3, [(0, 2)], diag=[0, diag, 0])
+        tables = {
+            0: CumulantTable(FREE, [1, F(1, 2)]),
+            1: CumulantTable(CLASSICAL if diag else FREE, [kappa_1, 2]),
+            2: CumulantTable(FREE, [F(-1, 3), F(-2, 3)]),
+        }
+        entries = (0, 1, 2, 0, 2, 1)
+        states = folded_states(monkeypatch)
+        value = mixed_moment_cumulant(entries, e, tables)
+        monkeypatch.undo()
+        assert value == cumulant_by_first_blocks(entries, e, tables) == per_partition_sum(entries, e, tables)
+        assert ((1, 2, 2, 1), (0, 1 << 1, 0)) in states
+        # the state left without the first x is trimmed again: x no longer
+        # lies on the left of the barring gap
+        assert (((2, 2, 1), (0, 0)) in states) == bool(kappa_1)
+        assert all(gaps == trim_gaps(lab, gaps) for lab, gaps in states)
+
+    @pytest.mark.parametrize(
+        "entries", [(0,) * 8, (0, 1, 0, 0, 1, 0), (2,) * 8, (0, 2, 0, 0, 2, 0, 0, 2)],
+        ids=["x1^8", "x1,x2,x1,x1,x2,x1", "x3^8", "x1,x3,x1,x1,x3,x1,x1,x3"],
+    )
+    @pytest.mark.parametrize("law", ["arcsine", "random"])
+    def test_runs_of_joins_with_kept_points_between(self, entries, law):
+        # x1 free: every join of x1 marks its gap with x1 and so bars the
+        # segment's x1 points still to come; x3 classical marks nothing of
+        # its own label
+        rng = random.Random(repr((entries, law)))
+        n = len(entries)
+        tables = {}
+        for lbl in set(entries):
+            kind = CLASSICAL if CYCLE5.diagonal(lbl) else FREE
+            if law == "arcsine":
+                moments = arcsine_moments(n)
+            else:
+                moments = [F(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(n)]
+            tables[lbl] = CumulantTable.from_moments(kind, moments)
+        value = mixed_moment_cumulant(entries, CYCLE5, tables)
+        assert value == cumulant_by_first_blocks(entries, CYCLE5, tables)
+        assert value == per_partition_sum(entries, CYCLE5, tables)
+        if law == "arcsine" and len(set(entries)) == 1:
+            assert value == tables[entries[0]].moment(n)
+
+    def test_every_folded_state_is_trimmed(self, monkeypatch):
+        # a canonical state shares one memo entry with every equal one
+        rng = random.Random(37)
+        states = folded_states(monkeypatch)
+        for _ in range(60):
+            n = rng.randint(4, 9)
+            entries = tuple(rng.randrange(5) for _ in range(n))
+            tables = random_tables(rng, CYCLE5, n)
+            mixed_moment_cumulant(entries, CYCLE5, tables)
+        assert states and all(gaps == trim_gaps(lab, gaps) for lab, gaps in states)
+
+
+class TestOneLabelTuple:
+    @pytest.mark.parametrize("diag", [0, 1], ids=["free", "classical"])
+    def test_kernel_is_a_member_and_shortcut_gives_m_n(self, diag):
+        # one label is one kernel block, which crosses nothing
+        e = EpsilonMatrix(3, [(0, 2)], diag=[diag, 0, 1])
+        rng = random.Random(diag)
+        moments = [F(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(9)]
+        table = CumulantTable.from_moments(e.kind(0), moments)
+        for n in range(1, 10):
+            entries = (0,) * n
+            assert kernel_noncrossing(entries, e) is True
+            assert factorization_shortcut(entries, e, {0: table}) == table.moment(n) == moments[n - 1]
+
