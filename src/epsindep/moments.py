@@ -32,7 +32,7 @@ def _check_tables(entries, e, tables):
         table = tables.get(label)
         if table is None:
             raise TableError(f"no table for label {label}")
-        want = FREE if against[label] >> label & 1 else CLASSICAL  # e.kind(label)
+        want = FREE if against[label] >> label & 1 else CLASSICAL
         if table.kind != want:
             raise TableError(
                 f"label {label} has diagonal {e.diagonal(label)} but a "

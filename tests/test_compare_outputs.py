@@ -74,7 +74,8 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
         for label in ("f", "c")
         for method in ("cumulant", "definition")
     ] + [({"f": compare_outputs.LONG_POINT_MASS}, "f,f,f,f", "both")]
-    assert {spec["named"] for spec in compare_outputs.NAMED_LAWS} == {"semicircle", "arcsine", "bernoulli", "point_mass"}
+    names = {spec["named"] for spec in compare_outputs.NAMED_LAWS}
+    assert names == {"semicircle", "arcsine", "bernoulli", "point_mass"}
     value = Fraction(compare_outputs.LONG_POINT_MASS["value"]) ** 4
     assert len(str(value.numerator)) > 640
     paths = {argv[k + 1] for argv in calls for k, a in enumerate(argv) if a in ("--graph", "--dist")}
