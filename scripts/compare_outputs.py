@@ -11,7 +11,7 @@ Writes the input files of these calls to a temporary directory:
   each spec of NAMED_LAWS, with --method cumulant and --method definition
   alone, and one with --method both on a point mass whose printed moment
   has more than 640 digits;
-- a moment call for each file of READER_CASES, as the graph and as the
+- a moment call for each path of READER_CASES, as the graph and as the
   distribution file, whose exit code and stderr give the JSON reader's
   rejection of it;
 then runs one child process per checkout, the base at --base-root and the
@@ -57,7 +57,8 @@ NAMED_LAWS = (
 LONG_POINT_MASS = {"named": "point_mass", "value": f"{10**200 + 7}/{3**300}"}
 # files the JSON reader rejects, as in tests/test_cli.py's test_reader_errors:
 # a BOM, a byte that is not UTF-8, a syntax error on line 3 with each line
-# ending, a raw CR in a string, a repeated key, and (None) a directory
+# ending, a raw CR in a string, a repeated key, and (None) a directory and
+# a path that does not exist
 READER_CASES = {
     "bom": b'\xef\xbb\xbf{"a": 1}',
     "not-utf8": b'\xff{"a": 1}',
@@ -67,6 +68,7 @@ READER_CASES = {
     "cr-in-string": b'{\n"abc\rd": 1}',
     "repeated-key": b'{"a": 1, "a": 2}',
     "directory": None,
+    "missing": None,
 }
 
 
@@ -128,9 +130,9 @@ def write_calls(workdir, queries):
     for case, content in READER_CASES.items():
         for which in files:
             path = workdir / f"reader-{case}-{which}"
-            if content is None:
+            if case == "directory":
                 path.mkdir()
-            else:
+            elif case != "missing":
                 path.write_bytes(content)
             paths = dict(files, **{which: str(path)})
             calls.append([

@@ -61,16 +61,29 @@ def _unique_keys(pairs):
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=parse_fraction)
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 1 << 16
 
 
 def _load_json(path):
     """The file's JSON, number literals in decimal or exponent form read as
     the exact rationals they spell, by _DECODER, which keeps no input
     between calls; the bytes read as UTF-8 (RFC 8259) whatever the locale,
-    "\\r\\n" and "\\r" as "\\n" as text mode reads them, a BOM rejected."""
+    "\\r\\n" and "\\r" as "\\n" as text mode reads them, a BOM rejected.
+    The bytes come through one descriptor, read to EOF with no buffered
+    file object; a failed read names the path, as open() would."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        except OSError as exc:
+            # on Linux a directory opens and only its read fails, unnamed
+            raise OSError(exc.errno, exc.strerror, path) from None
+        finally:
+            os.close(fd)
+        data = b"".join(chunks)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     try:

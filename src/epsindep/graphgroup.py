@@ -66,8 +66,16 @@ def generator_mixed_moment(entries, e):
     or minus |q| plus |q +- 1| when merging into exponent q.  Such a
     child reduces to no more of the label, yet must equal the prefix's
     inverse, and all reduced forms of an element carry the same syllables
-    (E. R. Green, Graph products of groups, Leeds 1990)."""
+    (E. R. Green, Graph products of groups, Leeds 1990).
+
+    A tuple in which some label occurs an odd number of times has trace
+    0, returned before the fold: the abelianization sends each signed
+    term to its vector of per-label exponent sums, and a label's sum has
+    the parity of its count, so no term is the identity.  The weight
+    prune would kill every prefix at that label's last occurrence."""
     e.check_tuple(entries)
+    if any(entries.count(lbl) % 2 for lbl in set(entries)):
+        return Fraction(0)
     prefixes = {(): 1}
     for k, lbl in enumerate(entries):
         left = entries[k + 1 :].count(lbl)

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -869,6 +871,70 @@ class TestInputHandling:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "input error: " + message.format(path=path) + "\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("which", ["graph", "dist"])
+    def test_reader_reads_a_named_pipe(self, five_cycle, tmp_path, capsys, which):
+        # a pipe gives its bytes in short reads and has no size to stat:
+        # read to EOF, it gives the output of the regular file
+        files = dict(zip(["graph", "dist"], five_cycle))
+        argv = ["moment", "--graph", files["graph"], "--dist", files["dist"], "--tuple", "x1,x3,x1,x3"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        content = Path(files[which]).read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            fd = os.open(fifo, os.O_WRONLY)
+            try:
+                os.write(fd, content[: len(content) // 2])
+                time.sleep(0.05)
+                os.write(fd, content[len(content) // 2 :])
+            finally:
+                os.close(fd)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        argv[argv.index(files[which])] = str(fifo)
+        try:
+            assert (main(argv), capsys.readouterr().out) == (0, expected)
+        finally:
+            writer.join(timeout=10)
+            if writer.is_alive():  # the call never opened the pipe
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        assert not writer.is_alive()
+
+    def test_reader_reads_past_one_chunk(self, five_cycle, tmp_path, capsys):
+        # whitespace between the specs spreads the file over three reads
+        graph, dist = five_cycle
+        argv = ["moment", "--graph", graph, "--dist", dist, "--tuple", "x1,x2,x1,x2"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        text = Path(dist).read_text()
+        cut = text.index("}, {") + 2
+        padded = tmp_path / "padded.json"
+        padded.write_text(text[:cut] + " \n\t" * cli._READ_CHUNK + text[cut:])
+        assert padded.stat().st_size > 2 * cli._READ_CHUNK
+        argv[argv.index(dist)] = str(padded)
+        assert (main(argv), capsys.readouterr().out) == (0, expected)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("case, code", [("good", 0), ("directory", 2), ("missing", 2), ("not-utf8", 2)])
+    def test_reader_closes_its_descriptor(self, five_cycle, tmp_path, capsys, case, code):
+        # whether the read succeeds, fails or the bytes do not decode
+        graph, dist = five_cycle
+        path = tmp_path / case
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"\xff[]")
+        elif case == "good":
+            path.write_bytes(Path(dist).read_bytes())
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["moment", "--graph", graph, "--dist", str(path), "--tuple", "x1,x1"]) == code
+        assert len(os.listdir("/proc/self/fd")) == before
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["enumerate", "moment"])
     @pytest.mark.parametrize(

@@ -49,9 +49,9 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     # two queries per (workload, seed), both also with --table, the six
     # battery graphs, each named law on a free and a classical label by
     # either route alone, one long point mass, and each reader case as
-    # either file, each reading a file written to the directory
+    # either file, each reading a path in the directory
     calls = compare_outputs.write_calls(tmp_path, 2)
-    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 + 1 + 8 * 2
+    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 + 1 + 9 * 2
     moments = [argv for argv in calls if argv[0] == "moment"]
     assert sum("--table" in argv for argv in moments) == 8
     workloads = moments[:16]
@@ -79,12 +79,16 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     value = Fraction(compare_outputs.LONG_POINT_MASS["value"]) ** 4
     assert len(str(value.numerator)) > 640
     paths = {argv[k + 1] for argv in calls for k, a in enumerate(argv) if a in ("--graph", "--dist")}
-    assert all(Path(path).parent == tmp_path and Path(path).exists() for path in paths)
+    assert all(Path(path).parent == tmp_path for path in paths)
+    assert {path for path in paths if not Path(path).exists()} == {
+        str(tmp_path / f"reader-missing-{which}") for which in ("graph", "dist")
+    }
     # each reader case once as the graph and once as the distribution
     # file, beside the valid other file; the directory case is a directory
+    # and the missing case a path that does not exist
     read = [
         (Path(argv[argv.index("--graph") + 1]).name, Path(argv[argv.index("--dist") + 1]).name)
-        for argv in calls[-16:]
+        for argv in calls[-18:]
     ]
     assert read == [
         pair

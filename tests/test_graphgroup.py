@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from epsindep import (
+    EpsilonMatrix,
     generator_mixed_moment,
     is_admissible_tuple,
     reduce_word,
@@ -138,6 +139,34 @@ class TestGeneratorMoments:
             n = rng.randint(1, 5)
             entries = tuple(rng.randrange(3) for _ in range(n))
             assert generator_mixed_moment(entries, e) == sign_sum_trace(entries, e)
+
+    def test_odd_count_exit_matches_expansion(self):
+        # a label of odd count gives 0 before the fold; a tuple whose
+        # counts are all even still folds, as the expansion says
+        rng = random.Random(36)
+        cases = [
+            # an odd label 1 between a label that commutes with it (0)
+            # and one that does not (2)
+            ((0, 1, 2, 0, 2, 1, 1), EpsilonMatrix(3, [(0, 1)])),
+            ((2, 1, 0, 1, 0, 2, 1), EpsilonMatrix(3, [(0, 1)])),
+            ((0, 2, 1, 2, 0), EpsilonMatrix(4, [(0, 1), (1, 3)])),
+            ((3, 1, 2, 1, 3, 1, 2), EpsilonMatrix(4, [(1, 3)])),
+        ]
+        for _ in range(300):
+            size = rng.randint(2, 4)
+            e = EpsilonMatrix(size, [p for p in combinations(range(size), 2) if rng.random() < 0.5])
+            half = [rng.randrange(size) for _ in range(rng.randint(1, 4))]
+            # every count even, or one position dropped so one count is odd
+            entries = rng.sample(half * 2, 2 * len(half))[: 2 * len(half) - rng.randint(0, 1)]
+            cases.append((tuple(entries), e))
+        odd = 0
+        for entries, e in cases:
+            value = generator_mixed_moment(entries, e)
+            assert value == sign_sum_trace(entries, e)
+            if any(entries.count(a) % 2 for a in entries):
+                odd += 1
+                assert value == 0
+        assert 100 < odd < len(cases) - 100
 
     def test_admissible_single_powers_vanish(self):
         rng = random.Random(34)
