@@ -14,6 +14,8 @@ Writes the input files of these calls to a temporary directory:
 - a moment call for each path of READER_CASES, as the graph and as the
   distribution file, whose exit code and stderr give the JSON reader's
   rejection of it;
+- each call of PARSER_CALLS, whose output is argparse's help, usage or
+  error text, or which only the full parser reads;
 then runs one child process per checkout, the base at --base-root and the
 change at --root (default: the one holding this script), with string-hash
 seeds 1 and 2, so an output that depends on hash order differs.  Each child
@@ -70,6 +72,23 @@ READER_CASES = {
     "directory": None,
     "missing": None,
 }
+# calls that print argparse's help, usage or error text, or that the fast
+# path hands to the full parser: an abbreviation, "--json --table", a
+# repeated option and an "=" form; "G" stands for the moment graph and
+# "D" for the arcsine file.  Both children inherit one environment and a
+# piped stdout, so argparse wraps its text at one width on both sides.
+PARSER_CALLS = (
+    ("--help",),
+    ("enumerate", "--help"),
+    ("moment", "--help"),
+    ("crosscheck", "--help"),
+    ("moment", "--graph"),
+    ("bogus", "--graph", "G"),
+    ("moment", "--gr", "G", "--di", "D", "--tu", "x1,x2,x1,x2"),
+    ("enumerate", "--graph", "G", "--tuple", "x1,x3,x1,x3", "--json", "--table"),
+    ("crosscheck", "--graph", "G", "--max-n", "2", "--instances", "2", "--seed", "1", "--seed", "2"),
+    ("moment", "--graph", "G", "--dist", "D", "--tuple", "x1,x3,x1,x3", "--cap=5"),
+)
 
 
 def load(name, path):
@@ -138,6 +157,7 @@ def write_calls(workdir, queries):
             calls.append([
                 "moment", "--graph", paths["graph"], "--dist", paths["dist"], "--tuple", "a", "--method", "both",
             ])
+    calls += [[{"G": graph, "D": arcsine}.get(a, a) for a in argv] for argv in PARSER_CALLS]
     return calls
 
 

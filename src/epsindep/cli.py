@@ -6,11 +6,12 @@ denominator; output is deterministic byte-for-byte for fixed inputs.
 Exit codes: 0 ok, 1 check/agreement failure, 2 input error or closed stdout.
 
 A call made of a subcommand and its exact option strings, each once with
-a valid value, is read off that subcommand's parser without argparse's
-loop; any other goes through the full parser, the one source of help,
-usage and errors.  JSON is written directly, the same bytes as
-json.dumps(payload, sort_keys=True, indent=2), in batches, so that a long
-enumeration streams.
+a valid value, is read off the actions build_parser declared for that
+subcommand, without argparse's loop; any other goes through the full
+parser, the one source of help, usage and errors.  JSON is written
+directly, the same bytes as json.dumps(payload, sort_keys=True, indent=2),
+in batches of text; the payload, an enumeration's list included, is built
+whole first.
 """
 
 import argparse
@@ -166,8 +167,8 @@ def _load_tables(path, e, entries):
 
 
 def _emit(payload, table_mode):
-    """The payload line by line, or as JSON in batches of _json_chunks,
-    so that a long enumeration streams."""
+    """The payload line by line, or as JSON written in batches of
+    _json_chunks (the payload itself is built whole first)."""
     if table_mode:
         for line in _as_table(payload):
             print(line)
@@ -178,60 +179,52 @@ def _emit(payload, table_mode):
     print()
 
 
-def _json_text(value):
-    """The JSON text of a string, int, bool or None, as the encoder writes
-    it; None for a list, tuple or dict."""
-    if isinstance(value, str):
-        return _ascii_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# the JSON text of a scalar, as the encoder writes it, by its exact type
+_SCALARS = {
+    str: _ascii_string,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 
 def _json_chunks(value, indent="\n"):
     """The text json.JSONEncoder(sort_keys=True, indent=2).iterencode
     gives for value, written directly, in no more chunks than it yields.
-    Strings, ints, bools and None are the scalars; a dict's keys must be
-    strings.  Any other type, as a value or a key, raises TypeError."""
-    text = _json_text(value)
-    if text is not None:
-        yield text
-        return
-    if not value:
-        yield "{}" if isinstance(value, dict) else "[]"
+    A str, int, bool or None, of exactly that type, is a scalar; lists,
+    tuples and dicts hold values, and a dict's keys must be strings.  Any
+    other value or key, a subclass of a scalar type included, raises
+    TypeError."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        yield write(value)
         return
     inner = indent + "  "
     if isinstance(value, dict):
         sep = "{" + inner
         for key in sorted(value):
             item = value[key]
-            text = _json_text(item)
-            if text is None:
+            write = _SCALARS.get(type(item))
+            if write is None:
                 yield sep + _ascii_string(key) + ": "
                 yield from _json_chunks(item, inner)
             else:
-                yield sep + _ascii_string(key) + ": " + text
+                yield sep + _ascii_string(key) + ": " + write(item)
             sep = "," + inner
-        yield indent + "}"
-    else:
+        yield indent + "}" if value else "{}"
+    elif isinstance(value, (list, tuple)):
         sep = "[" + inner
         for item in value:
-            text = _json_text(item)
-            if text is None:
+            write = _SCALARS.get(type(item))
+            if write is None:
                 yield sep
                 yield from _json_chunks(item, inner)
             else:
-                yield sep + text
+                yield sep + write(item)
             sep = "," + inner
-        yield indent + "]"
+        yield indent + "]" if value else "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _as_table(payload, prefix=""):
@@ -318,16 +311,36 @@ def cmd_crosscheck(args):
 
 
 def build_parser():
+    """The full parser, its subcommand parsers by name, and for each
+    subcommand what _fast_parse reads of it: the actions that add_argument
+    returned, by option string (every option but -h), the namespace
+    parse_args starts from (each action's default, the subcommand and its
+    func), and the required actions."""
     parser = argparse.ArgumentParser(
         prog="epsindep",
         description="Exact mixed moments under prescribed mixtures of "
         "classical and free independence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}
 
-    def common(p):
-        p.add_argument("--graph", required=True, help="independence graph JSON file")
-        p.add_argument(
+    def command(name, func, summary, takes_tuple):
+        """A subcommand's parser with the shared options, and a function
+        that adds a store or store-const option, of one value or none (all
+        that _fast_parse reads), to it and to its table."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        options, defaults, required = tables[name] = {}, {"command": name, "func": func}, []
+
+        def add(*args, group=p, **kwargs):
+            action = group.add_argument(*args, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
+            defaults.setdefault(action.dest, action.default)
+            if action.required:
+                required.append(action)
+
+        add("--graph", required=True, help="independence graph JSON file")
+        add(
             "--cap",
             type=int,
             default=None,
@@ -335,88 +348,55 @@ def build_parser():
             "(default: EPSINDEP_MAX_N, else 12)",
         )
         fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument(
-            "--json", dest="table", action="store_false", default=False,
+        add(
+            "--json", group=fmt, dest="table", action="store_false", default=False,
             help="print the result as indented JSON (default)",
         )
-        fmt.add_argument(
-            "--table", dest="table", action="store_true",
+        add(
+            "--table", group=fmt, dest="table", action="store_true",
             help="print the result as indented lines, a '-' line opening each "
             "list or object inside a list",
         )
+        if takes_tuple:
+            add("--tuple", required=True, help="comma-separated label names")
+        return add
 
-    p = sub.add_parser("enumerate", help="list the epsilon-non-crossing set of a tuple")
-    common(p)
-    p.add_argument("--tuple", required=True, help="comma-separated label names")
-    p.set_defaults(func=cmd_enumerate)
+    command("enumerate", cmd_enumerate, "list the epsilon-non-crossing set of a tuple", True)
 
-    p = sub.add_parser("moment", help="evaluate a mixed moment exactly")
-    common(p)
-    p.add_argument("--tuple", required=True, help="comma-separated label names")
-    p.add_argument("--dist", required=True, help="distribution spec JSON file")
-    p.add_argument(
+    add = command("moment", cmd_moment, "evaluate a mixed moment exactly", True)
+    add("--dist", required=True, help="distribution spec JSON file")
+    add(
         "--method",
         choices=("cumulant", "definition", "both"),
         default="both",
         help="evaluator: the cumulant sum, the definition, or both and "
         "whether they agree (default: both)",
     )
-    p.set_defaults(func=cmd_moment)
 
-    p = sub.add_parser("crosscheck", help="run the cross-validation battery")
-    common(p)
-    p.add_argument(
-        "--max-n", type=int, default=5, help="maximum tuple length, from 1 to --cap"
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, help="seed of the random evaluator instances (default: 0)"
-    )
-    p.add_argument(
-        "--instances", type=int, default=200, help="random evaluator instances, at least 0"
-    )
-    p.add_argument(
+    add = command("crosscheck", cmd_crosscheck, "run the cross-validation battery", False)
+    add("--max-n", type=int, default=5, help="maximum tuple length, from 1 to --cap")
+    add("--seed", type=int, default=0, help="seed of the random evaluator instances (default: 0)")
+    add("--instances", type=int, default=200, help="random evaluator instances, at least 0")
+    add(
         "--self-test-corrupt",
         action="store_true",
         help="corrupt a moment table to verify the harness detects it",
     )
-    p.set_defaults(func=cmd_crosscheck)
-    return parser, sub.choices
+    return parser, sub.choices, tables
 
 
-def _option_table(parser):
-    """What _fast_parse reads of a subcommand's parser: its store and
-    store-const actions by exact option string (every option but -h),
-    the namespace parse_args starts from (each action's default, then
-    set_defaults), and its required actions."""
-    options = {
-        option: action
-        for action in parser._actions
-        if isinstance(action, argparse._StoreConstAction)
-        or isinstance(action, argparse._StoreAction) and action.nargs is None
-        for option in action.option_strings
-    }
-    defaults = {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for dest, default in parser._defaults.items():
-        defaults.setdefault(dest, default)
-    return options, defaults, [action for action in parser._actions if action.required]
-
-
-_PARSER, _COMMANDS = build_parser()
-_OPTION_TABLES = {name: _option_table(parser) for name, parser in _COMMANDS.items()}
+_PARSER, _COMMANDS, _OPTION_TABLES = build_parser()
 
 
 def _fast_parse(command, argv):
     """What the parser of subcommand `command` returns for argv, read off
-    its option table without argparse's loop; None, for argparse to
-    decide, unless every token is an exact option string, no dest is
-    given twice, each option that takes a value is followed by one that
-    does not start with "-" and passes the option's type and choices, and
-    every required option is given."""
+    the actions build_parser declared for it, without argparse's loop;
+    None, for argparse to decide, unless every token is an exact option
+    string, no dest is given twice, each option that takes a value is
+    followed by one that does not start with "-" and passes the option's
+    type and choices, and every required option is given."""
     options, defaults, required = _OPTION_TABLES[command]
-    values = dict(defaults, command=command)
+    values = dict(defaults)
     seen = {}
     tokens = iter(argv)
     for token in tokens:

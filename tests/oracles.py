@@ -7,6 +7,7 @@ one algebra's joint moments, by recursion over non-crossing partitions,
 against the product-in-first-slot expansion)."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from epsindep import (
     CLASSICAL,
@@ -197,6 +198,15 @@ def cumulant_by_first_blocks(entries, e, tables):
         return memo[key]
 
     return total(tuple(entries), (0,) * max(n - 1, 0))
+
+
+def all_matrices(size, diag=None):
+    """Every ε-matrix on size labels: each subset of the label pairs as
+    the independent pairs, in the order of the subset's bitmask."""
+    pairs = list(combinations(range(size), 2))
+    for mask in range(1 << len(pairs)):
+        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        yield EpsilonMatrix(size, chosen, diag=diag)
 
 
 def cycle_graph_matrix(size):

@@ -28,6 +28,7 @@ from epsindep.crosscheck import (
 from epsindep.cumulants import CLASSICAL, FREE, arcsine_table
 from epsindep.ncpartitions import crossings, encode
 from oracles import (
+    all_matrices,
     bell_numbers,
     catalan_numbers,
     complete_graph_matrix,
@@ -50,13 +51,6 @@ def report(name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {name}: {status}{suffix}")
     assert ok, f"{name} failed{suffix}"
-
-
-def all_matrices(size, diag=None):
-    pairs = list(combinations(range(size), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
-        yield EpsilonMatrix(size, chosen, diag=diag)
 
 
 def random_matrix(rng, size, with_diag=False):

@@ -49,9 +49,30 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     # two queries per (workload, seed), both also with --table, the six
     # battery graphs, each named law on a free and a classical label by
     # either route alone, one long point mass, and each reader case as
-    # either file, each reading a path in the directory
+    # either file, each reading a path in the directory, then the parser
+    # calls
     calls = compare_outputs.write_calls(tmp_path, 2)
-    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 + 1 + 9 * 2
+    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 + 1 + 9 * 2 + 10
+    calls, parser_calls = calls[:-10], calls[-10:]
+    # help for the program and each subcommand, an option without its
+    # value, an unknown subcommand, and calls the fast path declines: an
+    # abbreviation, --json with --table, a repeated option, an "=" form;
+    # they read the first workload's graph and arcsine files
+    graph, dist = str(tmp_path / "graph.json"), str(tmp_path / "arcsine.json")
+    assert parser_calls == [
+        ["--help"],
+        ["enumerate", "--help"],
+        ["moment", "--help"],
+        ["crosscheck", "--help"],
+        ["moment", "--graph"],
+        ["bogus", "--graph", graph],
+        ["moment", "--gr", graph, "--di", dist, "--tu", "x1,x2,x1,x2"],
+        ["enumerate", "--graph", graph, "--tuple", "x1,x3,x1,x3", "--json", "--table"],
+        ["crosscheck", "--graph", graph, "--max-n", "2", "--instances", "2", "--seed", "1", "--seed", "2"],
+        ["moment", "--graph", graph, "--dist", dist, "--tuple", "x1,x3,x1,x3", "--cap=5"],
+    ]
+    assert calls[0][calls[0].index("--graph") + 1] == graph
+    assert calls[0][calls[0].index("--dist") + 1] == dist
     moments = [argv for argv in calls if argv[0] == "moment"]
     assert sum("--table" in argv for argv in moments) == 8
     workloads = moments[:16]

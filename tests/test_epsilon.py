@@ -12,18 +12,12 @@ from epsindep import (
     is_admissible_tuple,
 )
 from oracles import (
+    all_matrices,
     admissible_by_definition,
     complete_graph_matrix,
     cycle_graph_matrix,
     empty_graph_matrix,
 )
-
-
-def all_matrices(size, diag=None):
-    pairs = list(combinations(range(size), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
-        yield EpsilonMatrix(size, chosen, diag=diag)
 
 
 class TestConstruction:

@@ -11,21 +11,12 @@ from epsindep import (
     is_admissible_tuple,
     reduce_word,
 )
-from oracles import complete_graph_matrix, empty_graph_matrix
+from oracles import all_matrices, complete_graph_matrix, empty_graph_matrix
 from test_properties import inverse, sign_sum_trace
 
 F = Fraction
 FREE2 = empty_graph_matrix(2)
 INDEP2 = complete_graph_matrix(2)
-
-
-def all_matrices(size):
-    from epsindep import EpsilonMatrix
-
-    pairs = list(combinations(range(size), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
-        yield EpsilonMatrix(size, chosen)
 
 
 class TestReduction:

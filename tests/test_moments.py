@@ -26,6 +26,7 @@ from epsindep.ncpartitions import (
     trim_gaps,
 )
 from oracles import (
+    all_matrices,
     admissible_by_definition,
     complete_graph_matrix,
     cumulant_by_first_blocks,
@@ -52,13 +53,6 @@ def random_tables(rng, e, order, centered=False):
         kind = "classical" if e.diagonal(label) == 1 else "free"
         tables[label] = CumulantTable.from_moments(kind, moments)
     return tables
-
-
-def all_matrices(size, diag=None):
-    pairs = list(combinations(range(size), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
-        yield EpsilonMatrix(size, chosen, diag=diag)
 
 
 class TestNormalizeTuple:

@@ -17,6 +17,7 @@ from epsindep.crosscheck import mask_partitions_below_kernel
 from epsindep.ncpartitions import encode
 from epsindep.partitions import partitions_of_set
 from oracles import (
+    all_matrices,
     canon,
     catalan_numbers,
     complete_graph_matrix,
@@ -35,13 +36,6 @@ def partitions_below_kernel(entries):
     per_block = [partitions_of_set(b) for b in kernel(entries)]
     for combo in product(*per_block):
         yield canon(blk for part in combo for blk in part)
-
-
-def all_matrices(size, diag=None):
-    pairs = list(combinations(range(size), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
-        yield EpsilonMatrix(size, chosen, diag=diag)
 
 
 CROSSING = ((1, 3), (2, 4))
