@@ -7,10 +7,10 @@ Writes the input files of these calls to a temporary directory:
   workloads, with --method both, the first 40 of each also with --table;
 - crosscheck --max-n 5 on the six seed-1 battery graphs (batteries 0 and
   1), as the benchmark runs it;
-- a moment call on six points of a free and of a classical label for
-  each spec of NAMED_LAWS, with --method cumulant and --method definition
-  alone, and one with --method both on a point mass whose printed moment
-  has more than 640 digits;
+- a moment call on six and on ten points of a free and of a classical
+  label for each spec of NAMED_LAWS, with --method cumulant and --method
+  definition alone, and one with --method both on a point mass whose
+  printed moment has more than 640 digits;
 - a moment call for each path of READER_CASES, as the graph and as the
   distribution file, whose exit code and stderr give the JSON reader's
   rejection of it;
@@ -48,7 +48,10 @@ QUERIES = 400
 TABLE_QUERIES = 40  # of each (workload, seed), also run with --table
 SEEDS = (1, 2)
 BATTERIES = (0, 1)  # of seed 1: six graphs
-# every named law, with a parameter that is not 1 where it takes one
+# every named law, with a parameter that is not 1 where it takes one, on
+# tuples of each length of NAMED_POINTS: ten is the longest tuple the
+# moment workloads read
+NAMED_POINTS = (6, 10)
 NAMED_LAWS = (
     {"named": "semicircle", "variance": "3/2"},
     {"named": "arcsine"},
@@ -135,11 +138,12 @@ def write_calls(workdir, queries):
     for k, spec in enumerate(NAMED_LAWS):
         dist = write(f"named-{k}.json", {"f": spec, "c": spec})
         for label in ("f", "c"):
-            for method in ("cumulant", "definition"):
-                calls.append([
-                    "moment", "--graph", named_graph, "--dist", dist,
-                    "--tuple", ",".join([label] * 6), "--method", method,
-                ])
+            for points in NAMED_POINTS:
+                for method in ("cumulant", "definition"):
+                    calls.append([
+                        "moment", "--graph", named_graph, "--dist", dist,
+                        "--tuple", ",".join([label] * points), "--method", method,
+                    ])
     calls.append([
         "moment", "--graph", named_graph, "--dist", write("named-long.json", {"f": LONG_POINT_MASS}),
         "--tuple", "f,f,f,f", "--method", "both",

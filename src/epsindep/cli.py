@@ -22,7 +22,7 @@ import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _ascii_string
 
-from .cumulants import CumulantTable, format_fraction, parse_fraction, spec_moments
+from .cumulants import format_fraction, parse_fraction, spec_moments, spec_table
 from .epsilon import EpsilonMatrix, is_admissible_tuple
 from .errors import EnumerationLimitError, EpsIndepError, InputError, excerpt
 from .crosscheck import run_crosscheck
@@ -117,14 +117,15 @@ def _parse_tuple(text, e):
 
 def _load_tables(path, e, entries):
     """Validate every spec in the distribution file, then build a table
-    for each label of the tuple from its first moments, as many as the
-    label's count in the tuple (counted once): the most any evaluator
-    reads of it and all that spec_moments builds (0 for a label outside
-    the tuple; the rest of a moments list is only validated).  Each spec
-    is read as written, under its key (an object, in key order) or its
-    "label" (an array).  A label's kind is fixed by the graph's diagonal;
-    a spec that names another kind is rejected, whether its label is used
-    or not."""
+    for each label of the tuple to its count in the tuple (counted once):
+    the most any evaluator reads of it and all that spec_moments builds
+    (0 for a label outside the tuple; the rest of a moments list is only
+    validated).  spec_table builds it from closed-form cumulants where
+    its named law has them for the label's kind, else from its moments.
+    Each spec is read as written, under its key (an object, in key order)
+    or its "label" (an array).  A label's kind is fixed by the graph's
+    diagonal; a spec that names another kind is rejected, whether its
+    label is used or not."""
     data = _load_json(path)
     if isinstance(data, dict):
         for name, spec in data.items():
@@ -148,7 +149,7 @@ def _load_tables(path, e, entries):
         if idx in specs:
             raise InputError(f"label {excerpt(name)} has more than one spec")
         kind = e.kind(idx)
-        specs[idx] = spec_moments(spec, counts.get(idx, 0))
+        specs[idx] = spec, spec_moments(spec, counts.get(idx, 0))
         if spec.get("kind", kind) != kind:
             raise InputError(
                 f"label {excerpt(name)} has diagonal {e.diagonal(idx)}, so its kind is "
@@ -156,13 +157,13 @@ def _load_tables(path, e, entries):
             )
     tables = {}
     for idx, count in counts.items():
-        moments = specs.get(idx)
+        spec, moments = specs.get(idx, (None, None))
         if moments is None or len(moments) < count:
             given = "no spec" if moments is None else f"its spec gives {len(moments)} moments"
             raise InputError(
                 f"label {excerpt(e.labels[idx])} has multiplicity {count} in the tuple, but {given}"
             )
-        tables[idx] = CumulantTable.from_moments(e.kind(idx), moments)
+        tables[idx] = spec_table(spec, e.kind(idx), moments)
     return tables
 
 

@@ -84,10 +84,22 @@ def _fractions(seq):
     return tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in seq)
 
 
+def _scaled_ints(seq, d):
+    """The integers seq[p-1] * d**p, for a d that makes each one whole."""
+    out = []
+    dp = 1
+    for v in seq:
+        dp *= d
+        out.append(v.numerator * (dp // v.denominator))
+    return tuple(out)
+
+
 class CumulantTable:
     """The law of one variable, free or classical flavour, held as d and
-    the integers m_p * d**p and kappa_p * d**p (_convert), d the common
-    denominator of the sequence it was built from, of order 1 or more."""
+    the integers m_p * d**p and kappa_p * d**p, of order 1 or more.  d is
+    the common denominator of the sequence the table was built from
+    (_convert), or, for a table built from closed-form cumulants
+    (spec_table), the denominator of the law's parameter."""
 
     __slots__ = ("kind", "d", "scaled_moments", "scaled_cumulants")
 
@@ -100,6 +112,17 @@ class CumulantTable:
         ignored: bench/worker.py's counting wrapper still passes it."""
         table = cls.__new__(cls)
         table._fill(kind, moments, "moments")
+        return table
+
+    @classmethod
+    def _from_both(cls, kind, d, moments, cumulants):
+        """The table whose moments and cumulants are both given, as ints or
+        Fractions, d making each m_p * d**p and kappa_p * d**p whole: no
+        conversion runs."""
+        table = cls.__new__(cls)
+        table.kind, table.d = kind, d
+        table.scaled_moments = _scaled_ints(moments, d)
+        table.scaled_cumulants = _scaled_ints(cumulants, d)
         return table
 
     def _fill(self, kind, seq, given):
@@ -156,8 +179,19 @@ def arcsine_moments(max_order):
     return [0 if n % 2 else comb(n, n // 2) for n in range(1, max_order + 1)]
 
 
+def arcsine_free_cumulants(max_order):
+    """kappa_2k = (-1)**(k-1) 2 C_(k-1), odd ones 0, as ints: twice the
+    symmetric coin's, as the arcsine law is the free convolution of two
+    symmetric coins (Nica and Speicher, Lectures on the Combinatorics of
+    Free Probability, 2006)."""
+    return [2 * kappa for kappa in bernoulli_free_cumulants(max_order)]
+
+
 def arcsine_table(kind, max_order):
-    return CumulantTable.from_moments(kind, arcsine_moments(max_order))
+    """The arcsine law's table of kind to max_order: from its closed-form
+    free cumulants for FREE, from its moments for CLASSICAL
+    (spec_table)."""
+    return spec_table({"named": "arcsine"}, kind, arcsine_moments(max_order))
 
 
 def semicircle_moments(variance, max_order):
@@ -170,14 +204,34 @@ def semicircle_moments(variance, max_order):
     ]
 
 
+def semicircle_free_cumulants(variance, max_order):
+    """kappa_2 = v, every other free cumulant 0."""
+    return [variance if n == 2 else 0 for n in range(1, max_order + 1)]
+
+
 def bernoulli_moments(max_order):
     """Symmetric +/-1 coin: moments alternate 0, 1, as ints."""
     return [0 if n % 2 else 1 for n in range(1, max_order + 1)]
 
 
+def bernoulli_free_cumulants(max_order):
+    """kappa_2k = (-1)**(k-1) C_(k-1), odd ones 0, as ints: the
+    coefficients of the coin's R-transform (sqrt(1 + 4z**2) - 1) / 2z."""
+    return [
+        0 if n % 2 else (-1) ** (n // 2 - 1) * (comb(n - 2, n // 2 - 1) // (n // 2))
+        for n in range(1, max_order + 1)
+    ]
+
+
 def point_mass_moments(value, max_order):
     v = Fraction(value)
     return [v**n for n in range(1, max_order + 1)]
+
+
+def point_mass_cumulants(value, max_order):
+    """kappa_1 = v, every other cumulant 0, free or classical: the
+    cumulants of a constant."""
+    return [value if n == 1 else 0 for n in range(1, max_order + 1)]
 
 
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
@@ -221,13 +275,14 @@ def format_fraction(f):
     return unlimited_int_digits(lambda: f"{p}/{q}")
 
 
-# the named laws of a distribution spec: each one's moment generator, and
-# the key of its one parameter (default 1), None if it takes none
+# the named laws of a distribution spec: each one's moment generator, the
+# key of its one parameter (default 1), None if it takes none, and its
+# cumulant generator for each kind whose cumulants have a closed form
 _NAMED = {
-    "semicircle": (semicircle_moments, "variance"),
-    "arcsine": (arcsine_moments, None),
-    "bernoulli": (bernoulli_moments, None),
-    "point_mass": (point_mass_moments, "value"),
+    "semicircle": (semicircle_moments, "variance", {FREE: semicircle_free_cumulants}),
+    "arcsine": (arcsine_moments, None, {FREE: arcsine_free_cumulants}),
+    "bernoulli": (bernoulli_moments, None, {FREE: bernoulli_free_cumulants}),
+    "point_mass": (point_mass_moments, "value", {FREE: point_mass_cumulants, CLASSICAL: point_mass_cumulants}),
 }
 
 
@@ -241,7 +296,8 @@ def spec_moments(spec, order):
     "1", "kind": ...}, generated to order by its _NAMED generator.  "kind"
     may be left out, and a given one is only checked to be a kind: the
     caller decides the label's kind.  "label" is allowed; any other key is
-    an input error.
+    an input error.  spec_table builds the label's table from the spec
+    and these moments.
     """
     if not isinstance(spec, dict):
         raise InputError(f"distribution spec must be a JSON object: {excerpt(spec)}")
@@ -253,7 +309,7 @@ def spec_moments(spec, order):
     if "moments" in spec:
         allowed = ("label", "kind", "moments")
     elif isinstance(name, str) and name in _NAMED:
-        generate, param = _NAMED[name]
+        generate, param, _ = _NAMED[name]
         allowed = ("label", "kind", "named") + ((param,) if param else ())
     else:
         raise InputError(f"distribution spec needs 'moments' or a known 'named': {excerpt(spec)}")
@@ -273,3 +329,23 @@ def spec_moments(spec, order):
     if param is None:
         return generate(order)
     return generate(parse_fraction(spec.get(param, "1")), order)
+
+
+def spec_table(spec, kind, moments):
+    """The table of kind of a spec that spec_moments validated, moments
+    being the first moments it gave.  A named law whose cumulants of that
+    kind have a closed form (_NAMED) is built from them and its moments,
+    with d the denominator of its parameter (1 without one), which makes
+    every m_n d**n and kappa_n d**n whole: for the parameter a/d, a
+    semicircle's m_2k d**2k is C_k (ad)**k and its kappa_2 d**2 is ad, a
+    point mass's m_n d**n is a**n and its kappa_1 d is a.  Every other
+    spec is converted by from_moments."""
+    if "named" in spec:
+        _, param, closed = _NAMED[spec["named"]]
+        cumulants = closed.get(kind)
+        if cumulants is not None:
+            if param is None:
+                return CumulantTable._from_both(kind, 1, moments, cumulants(len(moments)))
+            value = parse_fraction(spec.get(param, "1"))
+            return CumulantTable._from_both(kind, value.denominator, moments, cumulants(value, len(moments)))
+    return CumulantTable.from_moments(kind, moments)

@@ -47,12 +47,12 @@ def test_calls_made_by_one_side_alone():
 
 def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     # two queries per (workload, seed), both also with --table, the six
-    # battery graphs, each named law on a free and a classical label by
-    # either route alone, one long point mass, and each reader case as
-    # either file, each reading a path in the directory, then the parser
-    # calls
+    # battery graphs, each named law on a free and a classical label at
+    # six and ten points by either route alone, one long point mass, and
+    # each reader case as either file, each reading a path in the
+    # directory, then the parser calls
     calls = compare_outputs.write_calls(tmp_path, 2)
-    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 + 1 + 9 * 2 + 10
+    assert len(calls) == 2 * 2 * 2 * 2 + 6 + 4 * 2 * 2 * 2 + 1 + 9 * 2 + 10
     calls, parser_calls = calls[:-10], calls[-10:]
     # help for the program and each subcommand, an option without its
     # value, an unknown subcommand, and calls the fast path declines: an
@@ -78,7 +78,7 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
     workloads = moments[:16]
     assert all(argv[argv.index("--method") + 1] == "both" for argv in workloads)
     assert [argv[argv.index("--max-n") + 1] for argv in calls if argv[0] == "crosscheck"] == ["5"] * 6
-    named = calls[22:39]
+    named = calls[22:55]
     graph = json.loads(Path(named[0][named[0].index("--graph") + 1]).read_text())
     assert graph == {"labels": ["f", "c"], "diagonal": {"c": 1}}
     read = [
@@ -90,9 +90,10 @@ def test_calls_cover_both_moment_workloads_and_the_battery(tmp_path):
         for argv in named
     ]
     assert read == [
-        ({"f": spec, "c": spec}, ",".join([label] * 6), method)
+        ({"f": spec, "c": spec}, ",".join([label] * points), method)
         for spec in compare_outputs.NAMED_LAWS
         for label in ("f", "c")
+        for points in (6, 10)
         for method in ("cumulant", "definition")
     ] + [({"f": compare_outputs.LONG_POINT_MASS}, "f,f,f,f", "both")]
     names = {spec["named"] for spec in compare_outputs.NAMED_LAWS}

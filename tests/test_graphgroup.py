@@ -3,8 +3,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-import pytest
-
 from epsindep import (
     EpsilonMatrix,
     generator_mixed_moment,
