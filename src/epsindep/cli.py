@@ -120,8 +120,9 @@ def _load_tables(path, e, entries):
     for each label of the tuple to its count in the tuple (counted once):
     the most any evaluator reads of it and all that spec_moments builds
     (0 for a label outside the tuple; the rest of a moments list is only
-    validated).  spec_table builds it from closed-form cumulants where
-    its named law has them for the label's kind, else from its moments.
+    validated).  spec_table builds it from the spec, kept beside its
+    moments: a free named arcsine's from closed-form cumulants, any
+    other's from its moments.
     Each spec is read as written, under its key (an object, in key order)
     or its "label" (an array).  A label's kind is fixed by the graph's
     diagonal; a spec that names another kind is rejected, whether its

@@ -84,22 +84,12 @@ def _fractions(seq):
     return tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in seq)
 
 
-def _scaled_ints(seq, d):
-    """The integers seq[p-1] * d**p, for a d that makes each one whole."""
-    out = []
-    dp = 1
-    for v in seq:
-        dp *= d
-        out.append(v.numerator * (dp // v.denominator))
-    return tuple(out)
-
-
 class CumulantTable:
     """The law of one variable, free or classical flavour, held as d and
     the integers m_p * d**p and kappa_p * d**p, of order 1 or more.  d is
     the common denominator of the sequence the table was built from
-    (_convert), or, for a table built from closed-form cumulants
-    (spec_table), the denominator of the law's parameter."""
+    (_convert), or 1 for the free arcsine's table, which is built from
+    its integer moments and closed-form cumulants (_from_both)."""
 
     __slots__ = ("kind", "d", "scaled_moments", "scaled_cumulants")
 
@@ -115,14 +105,15 @@ class CumulantTable:
         return table
 
     @classmethod
-    def _from_both(cls, kind, d, moments, cumulants):
-        """The table whose moments and cumulants are both given, as ints or
-        Fractions, d making each m_p * d**p and kappa_p * d**p whole: no
-        conversion runs."""
+    def _from_both(cls, kind, moments, cumulants):
+        """The table whose moments and cumulants are both given, as ints,
+        so d is 1: no conversion runs.  Empty ones are a TableError, as in
+        _convert."""
+        if not moments:
+            raise TableError("empty sequence of moments")
         table = cls.__new__(cls)
-        table.kind, table.d = kind, d
-        table.scaled_moments = _scaled_ints(moments, d)
-        table.scaled_cumulants = _scaled_ints(cumulants, d)
+        table.kind, table.d = kind, 1
+        table.scaled_moments, table.scaled_cumulants = tuple(moments), tuple(cumulants)
         return table
 
     def _fill(self, kind, seq, given):
@@ -182,16 +173,23 @@ def arcsine_moments(max_order):
 def arcsine_free_cumulants(max_order):
     """kappa_2k = (-1)**(k-1) 2 C_(k-1), odd ones 0, as ints: twice the
     symmetric coin's, as the arcsine law is the free convolution of two
-    symmetric coins (Nica and Speicher, Lectures on the Combinatorics of
-    Free Probability, 2006)."""
-    return [2 * kappa for kappa in bernoulli_free_cumulants(max_order)]
+    symmetric coins, whose free cumulants are the coefficients of its
+    R-transform (sqrt(1 + 4z**2) - 1) / 2z (Nica and Speicher, Lectures on
+    the Combinatorics of Free Probability, 2006)."""
+    return [
+        0 if n % 2 else (-1) ** (n // 2 - 1) * 2 * (comb(n - 2, n // 2 - 1) // (n // 2))
+        for n in range(1, max_order + 1)
+    ]
 
 
 def arcsine_table(kind, max_order):
-    """The arcsine law's table of kind to max_order: from its closed-form
-    free cumulants for FREE, from its moments for CLASSICAL
-    (spec_table)."""
-    return spec_table({"named": "arcsine"}, kind, arcsine_moments(max_order))
+    """The arcsine law's table of kind to max_order: from its moments and
+    closed-form cumulants for FREE, with no conversion, and converted
+    from its moments for CLASSICAL."""
+    moments = arcsine_moments(max_order)
+    if kind == FREE:
+        return CumulantTable._from_both(FREE, moments, arcsine_free_cumulants(max_order))
+    return CumulantTable.from_moments(kind, moments)
 
 
 def semicircle_moments(variance, max_order):
@@ -204,34 +202,14 @@ def semicircle_moments(variance, max_order):
     ]
 
 
-def semicircle_free_cumulants(variance, max_order):
-    """kappa_2 = v, every other free cumulant 0."""
-    return [variance if n == 2 else 0 for n in range(1, max_order + 1)]
-
-
 def bernoulli_moments(max_order):
     """Symmetric +/-1 coin: moments alternate 0, 1, as ints."""
     return [0 if n % 2 else 1 for n in range(1, max_order + 1)]
 
 
-def bernoulli_free_cumulants(max_order):
-    """kappa_2k = (-1)**(k-1) C_(k-1), odd ones 0, as ints: the
-    coefficients of the coin's R-transform (sqrt(1 + 4z**2) - 1) / 2z."""
-    return [
-        0 if n % 2 else (-1) ** (n // 2 - 1) * (comb(n - 2, n // 2 - 1) // (n // 2))
-        for n in range(1, max_order + 1)
-    ]
-
-
 def point_mass_moments(value, max_order):
     v = Fraction(value)
     return [v**n for n in range(1, max_order + 1)]
-
-
-def point_mass_cumulants(value, max_order):
-    """kappa_1 = v, every other cumulant 0, free or classical: the
-    cumulants of a constant."""
-    return [value if n == 1 else 0 for n in range(1, max_order + 1)]
 
 
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
@@ -275,14 +253,13 @@ def format_fraction(f):
     return unlimited_int_digits(lambda: f"{p}/{q}")
 
 
-# the named laws of a distribution spec: each one's moment generator, the
-# key of its one parameter (default 1), None if it takes none, and its
-# cumulant generator for each kind whose cumulants have a closed form
+# the named laws of a distribution spec: each one's moment generator, and
+# the key of its one parameter (default 1), None if it takes none
 _NAMED = {
-    "semicircle": (semicircle_moments, "variance", {FREE: semicircle_free_cumulants}),
-    "arcsine": (arcsine_moments, None, {FREE: arcsine_free_cumulants}),
-    "bernoulli": (bernoulli_moments, None, {FREE: bernoulli_free_cumulants}),
-    "point_mass": (point_mass_moments, "value", {FREE: point_mass_cumulants, CLASSICAL: point_mass_cumulants}),
+    "semicircle": (semicircle_moments, "variance"),
+    "arcsine": (arcsine_moments, None),
+    "bernoulli": (bernoulli_moments, None),
+    "point_mass": (point_mass_moments, "value"),
 }
 
 
@@ -309,7 +286,7 @@ def spec_moments(spec, order):
     if "moments" in spec:
         allowed = ("label", "kind", "moments")
     elif isinstance(name, str) and name in _NAMED:
-        generate, param, _ = _NAMED[name]
+        generate, param = _NAMED[name]
         allowed = ("label", "kind", "named") + ((param,) if param else ())
     else:
         raise InputError(f"distribution spec needs 'moments' or a known 'named': {excerpt(spec)}")
@@ -333,19 +310,9 @@ def spec_moments(spec, order):
 
 def spec_table(spec, kind, moments):
     """The table of kind of a spec that spec_moments validated, moments
-    being the first moments it gave.  A named law whose cumulants of that
-    kind have a closed form (_NAMED) is built from them and its moments,
-    with d the denominator of its parameter (1 without one), which makes
-    every m_n d**n and kappa_n d**n whole: for the parameter a/d, a
-    semicircle's m_2k d**2k is C_k (ad)**k and its kappa_2 d**2 is ad, a
-    point mass's m_n d**n is a**n and its kappa_1 d is a.  Every other
-    spec is converted by from_moments."""
-    if "named" in spec:
-        _, param, closed = _NAMED[spec["named"]]
-        cumulants = closed.get(kind)
-        if cumulants is not None:
-            if param is None:
-                return CumulantTable._from_both(kind, 1, moments, cumulants(len(moments)))
-            value = parse_fraction(spec.get(param, "1"))
-            return CumulantTable._from_both(kind, value.denominator, moments, cumulants(value, len(moments)))
+    being the first moments it gave: a free named arcsine's from its
+    closed-form cumulants (arcsine_free_cumulants), with no conversion,
+    and every other spec's by from_moments."""
+    if kind == FREE and spec.get("named") == "arcsine":
+        return CumulantTable._from_both(FREE, moments, arcsine_free_cumulants(len(moments)))
     return CumulantTable.from_moments(kind, moments)

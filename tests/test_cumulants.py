@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from epsindep import (
+    FREE,
     CumulantTable,
     DomainError,
     InputError,
     TableError,
     arcsine_moments,
+    arcsine_table,
     format_fraction,
     kappa_pi,
 )
-from epsindep.cumulants import bernoulli_moments, spec_moments
+from epsindep.cumulants import bernoulli_moments, spec_moments, spec_table
 from oracles import (
     JointMomentOracle,
     classical_cumulants_to_moments,
@@ -243,6 +245,8 @@ class TestTableSpecs:
             CumulantTable.from_moments(kind, [])
         with pytest.raises(TableError, match="empty sequence of cumulants"):
             CumulantTable(kind, [])
+        with pytest.raises(TableError, match="empty sequence of moments"):
+            arcsine_table(kind, 0)
 
 
     @pytest.mark.parametrize("generate", [arcsine_moments, bernoulli_moments])
@@ -259,6 +263,18 @@ class TestTableSpecs:
             assert by_ints.d == by_fractions.d == 1
             assert by_ints.scaled_moments == by_fractions.scaled_moments
             assert by_ints.scaled_cumulants == by_fractions.scaled_cumulants
+
+    def test_free_arcsine_closed_form_matches_the_conversion(self):
+        # the free arcsine's table from its closed-form cumulants, by
+        # arcsine_table and by spec_table, against from_moments of its
+        # moments; values are compared, not d or the scaled integers
+        for order in range(1, 21):
+            moments = arcsine_moments(order)
+            want = CumulantTable.from_moments(FREE, moments)
+            for table in (arcsine_table(FREE, order), spec_table({"named": "arcsine"}, FREE, moments)):
+                assert table.kind == FREE
+                assert table.moments() == want.moments()
+                assert table.cumulants == want.cumulants
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")

@@ -10,9 +10,8 @@ moment/cumulant conversions against each other and against partition sums, the w
 reducer, every route's invariance under relabeling and under the dihedral
 symmetry, the order to which every route reads each table, the
 plain-numeral rule and the moment-list parser against the eager one, the
-named semicircle's moments against its cumulants, every closed-form
-named table against the conversion, and the CLI's exit codes on random
-input files."""
+named semicircle's moments against its cumulants, and the CLI's exit
+codes on random input files."""
 
 import io
 import json
@@ -49,14 +48,12 @@ from epsindep import (
 from epsindep.cli import main
 from epsindep.crosscheck import _restrict
 from epsindep.cumulants import (
-    _NAMED,
     _PLAIN,
     arcsine_moments,
     bernoulli_moments,
     parse_fraction,
     semicircle_moments,
     spec_moments,
-    spec_table,
 )
 from epsindep.ncpartitions import (
     bar_masks,
@@ -883,22 +880,3 @@ def test_named_semicircle_matches_its_cumulants(variance, order):
     spec = {"named": "semicircle", "variance": str(variance)}
     assert spec_moments(spec, order) == semicircle_table(variance, order).moments()
     assert spec_moments(spec, 0) == []
-
-
-@pytest.mark.parametrize(
-    "name, kind", [(name, kind) for name, (_, _, closed) in _NAMED.items() for kind in closed]
-)
-@settings(max_examples=60, deadline=None)
-@given(rationals, st.integers(1, 20))
-@example(Fraction(3, 2), 20)
-def test_closed_form_tables_match_the_conversion(name, kind, value, order):
-    # each (law, kind) with closed-form cumulants, its parameter (if any)
-    # a random rational, against from_moments of the law's moments; the
-    # values are compared, as d may differ between the two
-    _, param, _ = _NAMED[name]
-    spec = {"named": name} if param is None else {"named": name, param: str(value)}
-    moments = spec_moments(spec, order)
-    table, want = spec_table(spec, kind, moments), CumulantTable.from_moments(kind, moments)
-    assert table.kind == want.kind == kind
-    assert table.moments() == want.moments()
-    assert table.cumulants == want.cumulants
