@@ -17,13 +17,12 @@ from .errors import DomainError, InputError, TableError, excerpt, unlimited_int_
 from .partitions import below_kernel
 
 
-def _convert(seq, kind, given):
-    """(d, scaled moments, scaled cumulants) of moments m_1..m_N or of
-    cumulants kappa_1..kappa_N, given ("moments" or "cumulants") naming
-    seq's side: d is the common denominator of seq, and the p-th entries
-    are the integers m_p * d**p and kappa_p * d**p.
+def _convert(seq, kind):
+    """(d, scaled moments, scaled cumulants) of the moments m_1..m_N, as
+    tuples: d is the common denominator of seq, and the p-th entries are
+    the integers m_p * d**p and kappa_p * d**p.
 
-    m_n = kappa_n + rest_n, where rest_n sums over the partitions whose
+    kappa_n = m_n - rest_n, where rest_n sums over the partitions whose
     block containing point 1 has size s < n (m_0 = 1):
     - classical: choose the block's other s-1 points, the remaining n-s
       points partition freely, so rest_n = sum C(n-1, s-1) kappa_s m_{n-s},
@@ -35,11 +34,9 @@ def _convert(seq, kind, given):
     Both sums run over `nonzero`, the i >= 1 with m_i != 0, each added once
     m_i is known; the free one takes the m_0 = 1 term directly.
     Both are homogeneous of degree n, so they run unchanged on the scaled
-    integers, and every output is an integer too.  An empty seq, on either
-    side, is a TableError.
+    integers, and every output is an integer too.  An empty seq gives
+    (1, (), ()), which CumulantTable rejects.
     """
-    if not seq:
-        raise TableError(f"empty sequence of {given}")
     order = len(seq)
     d = lcm(*(v.denominator for v in seq))
     moments = [1]
@@ -65,62 +62,46 @@ def _convert(seq, kind, given):
             for i in nonzero:
                 rest += pascal[i] * cumulants[n - i - 1] * moments[i]
             pascal = [1, *map(add, pascal, pascal[1:]), 1]
-        value = seq[n - 1].numerator * (dn // seq[n - 1].denominator)
-        if given == "moments":
-            moments.append(value)
-            cumulants.append(value - rest)
-        else:
-            cumulants.append(value)
-            moments.append(value + rest)
-        if moments[n]:
+        m = seq[n - 1].numerator * (dn // seq[n - 1].denominator)
+        moments.append(m)
+        cumulants.append(m - rest)
+        if m:
             nonzero.append(n)
     return d, tuple(moments[1:]), tuple(cumulants)
 
 
 def _fractions(seq):
-    """seq with each entry that is not an int or a Fraction (say a str)
-    made a Fraction: _convert reads only numerator and denominator, which
-    an int has too."""
+    """seq as a tuple, each entry that is not an int or a Fraction (say a
+    str) made a Fraction: _convert reads only numerator and denominator,
+    which an int has too."""
     return tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in seq)
 
 
 class CumulantTable:
     """The law of one variable, free or classical flavour, held as d and
-    the integers m_p * d**p and kappa_p * d**p, of order 1 or more.  d is
-    the common denominator of the sequence the table was built from
-    (_convert), or 1 for the free arcsine's table, which is built from
-    its integer moments and closed-form cumulants (_from_both)."""
+    the integers m_p * d**p and kappa_p * d**p, p = 1..N with N >= 1.
+    from_moments converts a moment sequence, d being its common
+    denominator; spec_table builds the free arcsine's table from its
+    integer moments and closed-form cumulants, with d = 1."""
 
     __slots__ = ("kind", "d", "scaled_moments", "scaled_cumulants")
 
-    def __init__(self, kind, cumulants):
-        self._fill(kind, cumulants, "cumulants")
+    def __init__(self, kind, d, scaled_moments, scaled_cumulants):
+        """The fields stored as given, with no copy, so callers pass tuples
+        of equal length.  An unknown kind or an empty table is a TableError."""
+        if kind not in (FREE, CLASSICAL):
+            raise TableError(f"unknown kind {kind!r}")
+        if not scaled_moments:
+            raise TableError("empty sequence of moments")
+        self.kind, self.d = kind, d
+        self.scaled_moments, self.scaled_cumulants = scaled_moments, scaled_cumulants
 
     @classmethod
     def from_moments(cls, kind, moments, label=None):
-        """The table of the moments m_1..m_N.  label is accepted and
-        ignored: bench/worker.py's counting wrapper still passes it."""
-        table = cls.__new__(cls)
-        table._fill(kind, moments, "moments")
-        return table
-
-    @classmethod
-    def _from_both(cls, kind, moments, cumulants):
-        """The table whose moments and cumulants are both given, as ints,
-        so d is 1: no conversion runs.  Empty ones are a TableError, as in
-        _convert."""
-        if not moments:
-            raise TableError("empty sequence of moments")
-        table = cls.__new__(cls)
-        table.kind, table.d = kind, 1
-        table.scaled_moments, table.scaled_cumulants = tuple(moments), tuple(cumulants)
-        return table
-
-    def _fill(self, kind, seq, given):
-        if kind not in (FREE, CLASSICAL):
-            raise TableError(f"unknown kind {kind!r}")
-        self.kind = kind
-        self.d, self.scaled_moments, self.scaled_cumulants = _convert(_fractions(seq), kind, given)
+        """The table of the moments m_1..m_N, converted by _convert.  label
+        is accepted and ignored: bench/worker.py's counting wrapper still
+        passes it."""
+        return cls(kind, *_convert(_fractions(moments), kind))
 
     @property
     def max_order(self):
@@ -183,13 +164,9 @@ def arcsine_free_cumulants(max_order):
 
 
 def arcsine_table(kind, max_order):
-    """The arcsine law's table of kind to max_order: from its moments and
-    closed-form cumulants for FREE, with no conversion, and converted
-    from its moments for CLASSICAL."""
-    moments = arcsine_moments(max_order)
-    if kind == FREE:
-        return CumulantTable._from_both(FREE, moments, arcsine_free_cumulants(max_order))
-    return CumulantTable.from_moments(kind, moments)
+    """The arcsine law's table of kind to max_order: spec_table's table of
+    the named arcsine."""
+    return spec_table({"named": "arcsine"}, kind, arcsine_moments(max_order))
 
 
 def semicircle_moments(variance, max_order):
@@ -310,9 +287,9 @@ def spec_moments(spec, order):
 
 def spec_table(spec, kind, moments):
     """The table of kind of a spec that spec_moments validated, moments
-    being the first moments it gave: a free named arcsine's from its
-    closed-form cumulants (arcsine_free_cumulants), with no conversion,
+    being the first moments it gave: a free named arcsine's stored, d = 1,
+    from those int moments and arcsine_free_cumulants, with no conversion,
     and every other spec's by from_moments."""
     if kind == FREE and spec.get("named") == "arcsine":
-        return CumulantTable._from_both(FREE, moments, arcsine_free_cumulants(len(moments)))
+        return CumulantTable(FREE, 1, tuple(moments), tuple(arcsine_free_cumulants(len(moments))))
     return CumulantTable.from_moments(kind, moments)

@@ -1,13 +1,17 @@
 """What only the tests call: set-partition combinatorics (non-crossing
 partitions, the kernel of a tuple, refinement, Bell and Catalan numbers),
-conversion wrappers, the eager moment-list parser, named tables and
-graphs, admissibility by its definition, the cumulant route without its
-fold or splits, and the products-as-arguments harness (free cumulants of
-one algebra's joint moments, by recursion over non-crossing partitions,
-against the product-in-first-slot expansion)."""
+cumulant-to-moment conversions in Fractions that share no code with the
+package's, the moment-to-cumulant wrappers of CumulantTable.from_moments,
+tables built from cumulants, the eager moment-list parser, named tables
+and graphs, admissibility by its definition, the cumulant route without
+its fold or splits, and the products-as-arguments harness (free
+cumulants of one algebra's joint moments, by recursion over non-crossing
+partitions, against the product-in-first-slot expansion)."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import comb
 
 from epsindep import (
     CLASSICAL,
@@ -111,7 +115,21 @@ def catalan_numbers(upto):
 
 
 def free_cumulants_to_moments(cumulants):
-    return CumulantTable(FREE, cumulants).moments()
+    """m_n = sum over s of kappa_s [z^(n-s)] M(z)^s, M(z) = sum of m_i z^i
+    from m_0 = 1: the block holding point 1 has s points, and the s gaps
+    it leaves fill independently.  Fractions, with no scaled integers."""
+    moments = [Fraction(1)]
+
+    @cache
+    def power(s, t):
+        """[z^t] M(z)^s, which reads only m_0..m_t."""
+        if s == 0:
+            return Fraction(t == 0)
+        return sum(moments[i] * power(s - 1, t - i) for i in range(t + 1))
+
+    for n in range(1, len(cumulants) + 1):
+        moments.append(sum(Fraction(cumulants[s - 1]) * power(s, n - s) for s in range(1, n + 1)))
+    return moments[1:]
 
 
 def moments_to_free_cumulants(moments):
@@ -119,11 +137,26 @@ def moments_to_free_cumulants(moments):
 
 
 def classical_cumulants_to_moments(cumulants):
-    return CumulantTable(CLASSICAL, cumulants).moments()
+    """m_n = sum over s of C(n-1, s-1) kappa_s m_(n-s), m_0 = 1: the block
+    holding point 1 takes s-1 of the other n-1 points, and the rest
+    partition freely.  Fractions, with no scaled integers."""
+    moments = [Fraction(1)]
+    for n in range(1, len(cumulants) + 1):
+        moments.append(
+            sum(comb(n - 1, s - 1) * Fraction(cumulants[s - 1]) * moments[n - s] for s in range(1, n + 1))
+        )
+    return moments[1:]
 
 
 def moments_to_classical_cumulants(moments):
     return list(CumulantTable.from_moments(CLASSICAL, moments).cumulants)
+
+
+def table_from_cumulants(kind, cumulants):
+    """The table of kind whose cumulants are the given ones: from_moments
+    of the moments the independent conversion above gives."""
+    to_moments = free_cumulants_to_moments if kind == FREE else classical_cumulants_to_moments
+    return CumulantTable.from_moments(kind, to_moments(cumulants))
 
 
 def semicircle_table(variance=1, max_order=12):
@@ -131,7 +164,7 @@ def semicircle_table(variance=1, max_order=12):
     cum = [Fraction(0)] * max_order
     if max_order >= 2:
         cum[1] = Fraction(variance)
-    return CumulantTable(FREE, cum)
+    return table_from_cumulants(FREE, cum)
 
 
 def parse_moments_eagerly(moments):

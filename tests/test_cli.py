@@ -1534,13 +1534,21 @@ json_text = st.text(
         st.characters(),
     )
 )
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | json_text,
-    lambda children: (
+
+
+def json_containers(children):
+    """Lists, tuples and objects of what children draws: st.recursive's
+    extend, a named function so that hypothesis reads its source whole."""
+    return (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(json_text, children, max_size=4)
-    ),
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | json_text,
+    json_containers,
     max_leaves=25,
 )
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from epsindep import (
+    CLASSICAL,
     FREE,
     CumulantTable,
     DomainError,
@@ -28,6 +29,7 @@ from oracles import (
     product_as_arguments_check,
     random_joint_oracle,
     semicircle_table,
+    table_from_cumulants,
 )
 
 F = Fraction
@@ -195,7 +197,7 @@ class TestKappaPi:
                     assert kappa_pi(p, (0,) * n, {0: table}) == F(0)
 
     def test_full_partition_is_top_cumulant(self):
-        table = CumulantTable("free", [F(3), F(-2), F(5)])
+        table = table_from_cumulants("free", [F(3), F(-2), F(5)])
         assert kappa_pi(((1, 2, 3),), (0, 0, 0), {0: table}) == F(5)
 
     def test_kernel_precondition(self):
@@ -204,7 +206,7 @@ class TestKappaPi:
             kappa_pi(((1, 2),), (0, 1), {0: sc, 1: sc})
 
     def test_order_overflow(self):
-        table = CumulantTable("free", [F(1)])
+        table = table_from_cumulants("free", [F(1)])
         with pytest.raises(TableError):
             kappa_pi(((1, 2),), (0, 0), {0: table})
 
@@ -240,11 +242,11 @@ class TestTableSpecs:
 
     @pytest.mark.parametrize("kind", ["free", "classical"])
     def test_empty_sequence_rejected_on_either_side(self, kind):
-        # no table has order 0, whichever side it is built from
+        # no table has order 0, whether converted or stored as given
         with pytest.raises(TableError, match="empty sequence of moments"):
             CumulantTable.from_moments(kind, [])
-        with pytest.raises(TableError, match="empty sequence of cumulants"):
-            CumulantTable(kind, [])
+        with pytest.raises(TableError, match="empty sequence of moments"):
+            CumulantTable(kind, 1, (), ())
         with pytest.raises(TableError, match="empty sequence of moments"):
             arcsine_table(kind, 0)
 
@@ -264,15 +266,16 @@ class TestTableSpecs:
             assert by_ints.scaled_moments == by_fractions.scaled_moments
             assert by_ints.scaled_cumulants == by_fractions.scaled_cumulants
 
-    def test_free_arcsine_closed_form_matches_the_conversion(self):
-        # the free arcsine's table from its closed-form cumulants, by
-        # arcsine_table and by spec_table, against from_moments of its
+    @pytest.mark.parametrize("kind", [FREE, CLASSICAL])
+    def test_free_arcsine_closed_form_matches_the_conversion(self, kind):
+        # the arcsine's table by arcsine_table and by spec_table, from its
+        # closed-form cumulants if free, against from_moments of its
         # moments; values are compared, not d or the scaled integers
         for order in range(1, 21):
             moments = arcsine_moments(order)
-            want = CumulantTable.from_moments(FREE, moments)
-            for table in (arcsine_table(FREE, order), spec_table({"named": "arcsine"}, FREE, moments)):
-                assert table.kind == FREE
+            want = CumulantTable.from_moments(kind, moments)
+            for table in (arcsine_table(kind, order), spec_table({"named": "arcsine"}, kind, moments)):
+                assert table.kind == kind
                 assert table.moments() == want.moments()
                 assert table.cumulants == want.cumulants
 

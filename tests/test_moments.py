@@ -34,6 +34,7 @@ from oracles import (
     empty_graph_matrix,
     normalize_tuple,
     semicircle_table,
+    table_from_cumulants,
 )
 from test_ncpartitions import partitions_below_kernel
 
@@ -157,22 +158,31 @@ class TestCumulantEvaluator:
         assert route(entries, INDEP2, cut) == route(entries, INDEP2, full) == F(4)
 
     def test_tables_built_either_way(self):
-        # equal laws with different d: from the moments d = 105, from the
-        # cumulants 1,488,375 (free) or 297,675 (classical)
+        # equal laws with different d: from the moments d = 105, and the
+        # same table stored at d = 7 * 105, each p-th scaled entry times 7**p
         moments = [F(1, 3), F(-2, 5), F(4, 7), F(1, 15), F(-3, 35), F(2, 21)]
         e = EpsilonMatrix(3, [(0, 2)], diag=[0, 0, 1])
         by_moments = {
             lbl: CumulantTable.from_moments(CLASSICAL if e.diagonal(lbl) else FREE, moments)
             for lbl in range(3)
         }
-        by_cumulants = {lbl: CumulantTable(t.kind, t.cumulants) for lbl, t in by_moments.items()}
+        rescaled = {
+            lbl: CumulantTable(
+                t.kind,
+                7 * t.d,
+                tuple(v * 7**p for p, v in enumerate(t.scaled_moments, start=1)),
+                tuple(v * 7**p for p, v in enumerate(t.scaled_cumulants, start=1)),
+            )
+            for lbl, t in by_moments.items()
+        }
         for lbl in range(3):
-            assert by_moments[lbl].kind == by_cumulants[lbl].kind
-            assert by_moments[lbl].cumulants == by_cumulants[lbl].cumulants
-        assert all(by_moments[lbl].d != by_cumulants[lbl].d for lbl in range(3))
+            assert by_moments[lbl].kind == rescaled[lbl].kind
+            assert by_moments[lbl].moments() == rescaled[lbl].moments()
+            assert by_moments[lbl].cumulants == rescaled[lbl].cumulants
+            assert (by_moments[lbl].d, rescaled[lbl].d) == (105, 735)
         for entries in [(0, 1, 0, 1, 2, 0), (2, 0, 2, 1, 0, 1), (1, 0, 0, 1, 2, 2)]:
             for route in (mixed_moment_cumulant, mixed_moment_by_definition):
-                assert route(entries, e, by_moments) == route(entries, e, by_cumulants) != 0
+                assert route(entries, e, by_moments) == route(entries, e, rescaled) != 0
 
     @pytest.mark.parametrize("kind", [FREE, CLASSICAL])
     def test_kappa_1_only_table_never_folds(self, kind, monkeypatch):
@@ -430,9 +440,9 @@ class TestFoldSteps:
         # one state whose first x has no eligible partner behind that gap
         e = EpsilonMatrix(3, [(0, 2)], diag=[0, diag, 0])
         tables = {
-            0: CumulantTable(FREE, [1, F(1, 2)]),
-            1: CumulantTable(CLASSICAL if diag else FREE, [kappa_1, 2]),
-            2: CumulantTable(FREE, [F(-1, 3), F(-2, 3)]),
+            0: table_from_cumulants(FREE, [1, F(1, 2)]),
+            1: table_from_cumulants(CLASSICAL if diag else FREE, [kappa_1, 2]),
+            2: table_from_cumulants(FREE, [F(-1, 3), F(-2, 3)]),
         }
         entries = (0, 1, 2, 0, 2, 1)
         states = folded_states(monkeypatch)

@@ -5,7 +5,6 @@ from itertools import combinations, product
 import pytest
 
 from epsindep import (
-    CumulantTable,
     DomainError,
     EpsilonMatrix,
     enumerate_nc_epsilon,
@@ -26,6 +25,7 @@ from oracles import (
     enumerate_set_partitions,
     kernel,
     refines,
+    table_from_cumulants,
 )
 
 
@@ -85,7 +85,7 @@ def block_routes(entries, e):
     the tuple and matrix given; kappa_pi with distinct cumulants per label
     and order."""
     tables = {
-        a: CumulantTable("free", [Fraction(3 * a + r + 1, r + 2) for r in range(len(entries))])
+        a: table_from_cumulants("free", [Fraction(3 * a + r + 1, r + 2) for r in range(len(entries))])
         for a in set(entries)
     }
     return {

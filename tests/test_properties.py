@@ -77,6 +77,7 @@ from oracles import (
     normalize_tuple,
     parse_moments_eagerly,
     semicircle_table,
+    table_from_cumulants,
 )
 from test_cumulants import classical_cumulants_mobius, classical_moments_oracle, free_moments_oracle
 from test_ncpartitions import partitions_below_kernel
@@ -121,7 +122,7 @@ def with_sequences(draw, values, max_n=8, min_n=0, max_labels=4):
 
 def cumulant_tables(e, sequences):
     return {
-        label: CumulantTable(CLASSICAL if e.diagonal(label) else FREE, seq)
+        label: table_from_cumulants(CLASSICAL if e.diagonal(label) else FREE, seq)
         for label, seq in sequences.items()
     }
 
@@ -512,26 +513,21 @@ def test_restricted_growth(n):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([FREE, CLASSICAL]), st.lists(rationals, min_size=1, max_size=10))
 def test_conversions_round_trip(kind, seq):
-    to_moments, to_cumulants = {
-        FREE: (free_cumulants_to_moments, moments_to_free_cumulants),
-        CLASSICAL: (classical_cumulants_to_moments, moments_to_classical_cumulants),
-    }[kind]
-    assert to_moments(to_cumulants(seq)) == seq
-    assert to_cumulants(to_moments(seq)) == seq
+    """from_moments against the oracle conversions, which share no code
+    with it, in both directions: seq read as moments and as cumulants."""
+    to_moments = {FREE: free_cumulants_to_moments, CLASSICAL: classical_cumulants_to_moments}[kind]
     table = CumulantTable.from_moments(kind, seq)
     assert table.moments() == seq
-    from_cumulants = CumulantTable(kind, to_cumulants(seq))
-    assert (table.kind, table.cumulants) == (from_cumulants.kind, from_cumulants.cumulants)
-    assert CumulantTable(kind, table.cumulants).moments() == seq
-    # each table holds d, the common denominator of the sequence it was
-    # built from, and the integers value_p * d**p of both sides
-    for built, given in ((table, seq), (CumulantTable(kind, table.cumulants), table.cumulants)):
-        assert built.d == lcm(*(v.denominator for v in given))
-        for p in range(1, len(seq) + 1):
-            for scaled, value in ((built.scaled_cumulants, built.cumulant(p)),
-                                  (built.scaled_moments, built.moment(p))):
-                assert type(scaled[p - 1]) is int
-                assert scaled[p - 1] == value * built.d**p
+    assert to_moments(table.cumulants) == seq
+    assert CumulantTable.from_moments(kind, to_moments(seq)).cumulants == tuple(seq)
+    # the table holds d, the common denominator of its moments, and the
+    # integers value_p * d**p of both sides
+    assert table.d == lcm(*(v.denominator for v in seq))
+    for p in range(1, len(seq) + 1):
+        for scaled, value in ((table.scaled_cumulants, table.cumulant(p)),
+                              (table.scaled_moments, table.moment(p))):
+            assert type(scaled[p - 1]) is int
+            assert scaled[p - 1] == value * table.d**p
 
 
 # denominators up to 60, so the common denominator of a sequence runs far
@@ -748,10 +744,17 @@ def test_tables_to_each_labels_multiplicity(instance):
 # -- the CLI on random files: exit 0 or 2, never a traceback -----------------
 
 NAMES = ["a", "b", "c"]
+
+
+def json_containers(inner):
+    """Arrays and objects of what inner draws: st.recursive's extend,
+    a named function so that hypothesis reads its source whole."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    json_containers,
     max_leaves=6,
 )
 
